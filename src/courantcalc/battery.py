@@ -54,7 +54,7 @@ class Battery:
             for i, e in enumerate(alg.frame):
                 s = e.scale(m)
                 self.scaled.append(s)
-                self._labels[s] = f"{m}*e{i + 1}"
+                self._labels.setdefault(s, f"{m}*e{i + 1}")
 
         rng = random.Random(f"battery:{seed}:{n}:{r}:{degree}")
         self.randoms = []
@@ -63,7 +63,7 @@ class Battery:
                      for _ in range(r)]
             s = Section(alg, comps)
             self.randoms.append(s)
-            self._labels[s] = f"rnd{t + 1}"
+            self._labels.setdefault(s, f"rnd{t + 1}")
 
         self.sections = self.frame + self.scaled + self.randoms
 
@@ -183,4 +183,4 @@ def _random_poly(rng, n, degree):
         p = rng.randint(-3, 3)
         if p:
             terms[mono] = Fraction(p, rng.choice((1, 1, 2)))
-    return Scalar(n, terms, _canonical=True)
+    return Scalar.from_terms(n, terms)

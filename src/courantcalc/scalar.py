@@ -1,9 +1,23 @@
 """Exact coefficient ring: multivariate rational functions over Q.
 
 A :class:`Scalar` is a quotient num/den of multivariate polynomials in
-x1..xn with Fraction coefficients, kept in a canonical form (gcd removed,
-denominator monic under graded lexicographic order), so equality of values
-is literal equality of representations.  n = 0 is allowed and gives plain
+x1..xn with integer coefficients.  A polynomial is a dict that maps a packed
+monomial to a nonzero int.  The monomial x1^e1 ... xn^en of total degree d
+packs to the int ``d << (n*W) | e1 << ((n-1)*W) | ... | en`` with W = 16
+bits per field, so integer order is graded lexicographic order, the leading
+term of a polynomial is ``max(poly)`` and multiplying monomials is adding
+ints.  Total degrees, and with them all exponents, stay at most 2^16 - 1; a
+product or a constructor that would go past that raises ScalarError rather
+than carry into the next field.
+
+Canonical form: gcd(num, den) is constant over Q[x], the integer content of
+num and den taken together is 1, and the graded-lex leading coefficient of
+den is positive.  So equality of values is literal equality of
+representations; a polynomial has a constant den, and a rational p/q is
+{0: p} over {0: q}.  Fractions appear only at the boundary: the constructors
+from rational data, ``constant_value``, ``evaluate``, the parser and
+``str()``, which divides both parts by the leading coefficient of den and
+so prints the denominator monic.  n = 0 is allowed and gives plain
 rationals.  Everything is immutable and hashable.
 """
 
@@ -12,6 +26,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 __all__ = [
     "Scalar",
@@ -37,32 +52,45 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial layer: dict {exponent tuple: Fraction}, zero coeffs removed
+# polynomial layer: dict {packed monomial: nonzero int}
 # ---------------------------------------------------------------------------
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_W = 16
+_MASK = (1 << _W) - 1
+_MAX_DEGREE = _MASK
+_ONE = {0: 1}  # the constant polynomial 1; polynomials are never mutated
 
 
-def _p_const(n, q):
-    q = Fraction(q)
-    return {} if q == 0 else {(0,) * n: q}
+def _pack(n, exponents):
+    exponents = tuple(exponents)
+    if len(exponents) != n:
+        raise ScalarError("exponent tuple length mismatch")
+    m = 0
+    for e in exponents:
+        if e < 0:
+            raise ScalarError(f"negative exponent {e}")
+        m = (m << _W) | e
+    degree = sum(exponents)
+    if degree > _MAX_DEGREE:
+        raise ScalarError(f"total degree {degree} exceeds {_MAX_DEGREE}")
+    return (degree << (n * _W)) | m
 
 
-def _p_var(n, i):
-    # i is 0-based here
-    exp = [0] * n
-    exp[i] = 1
-    return {tuple(exp): _ONE}
+def _unpack(n, m):
+    return tuple((m >> ((n - 1 - i) * _W)) & _MASK for i in range(n))
+
+
+def _p_is_const(a):
+    return not a or (len(a) == 1 and 0 in a)
 
 
 def _p_add(a, b):
     out = dict(a)
     for m, c in b.items():
-        s = out.get(m, _ZERO) + c
+        s = out.get(m, 0) + c
         if s:
             out[m] = s
-        elif m in out:
+        else:
             del out[m]
     return out
 
@@ -71,206 +99,165 @@ def _p_neg(a):
     return {m: -c for m, c in a.items()}
 
 
-def _p_scale(a, q):
-    if not q:
-        return {}
-    return {m: c * q for m, c in a.items()}
+def _p_scale(a, k):
+    if k == 1:
+        return a
+    return {m: c * k for m, c in a.items()}
 
 
-def _p_mul(a, b):
+def _p_mul(a, b, top):
+    """Product; top = n*W is the shift of the degree field."""
     if not a or not b:
         return {}
+    if (max(a) + max(b)) >> top > _MAX_DEGREE:
+        raise ScalarError(f"total degree exceeds {_MAX_DEGREE}")
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        [(ma, ca)] = a.items()
+        return {ma + mb: ca * cb for mb, cb in b.items()}
     out = {}
+    get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            s = out.get(m, _ZERO) + ca * cb
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+    if 0 in out.values():
+        out = {m: c for m, c in out.items() if c}
     return out
 
 
-def _p_pow(a, k):
-    if k == 0:
-        return {(0,) * _p_nvars_guess(a): _ONE} if a else {}
-    out = None
-    base = a
-    while k:
-        if k & 1:
-            out = base if out is None else _p_mul(out, base)
-        k >>= 1
-        if k:
-            base = _p_mul(base, base)
-    return out
-
-
-def _p_nvars_guess(a):
-    for m in a:
-        return len(m)
-    return 0
-
-
-def _p_partial(a, i):
+def _p_partial(a, shift, top):
+    """Derivative in the variable whose exponent field starts at shift."""
+    step = (1 << shift) + (1 << top)
     out = {}
     for m, c in a.items():
-        e = m[i]
+        e = (m >> shift) & _MASK
         if e:
-            m2 = m[:i] + (e - 1,) + m[i + 1 :]
-            s = out.get(m2, _ZERO) + c * e
-            if s:
-                out[m2] = s
-            elif m2 in out:
-                del out[m2]
+            out[m - step] = c * e
     return out
 
 
-def _p_eval(a, point):
-    total = _ZERO
+def _p_eval(a, n, point):
+    total = Fraction(0)
     for m, c in a.items():
         v = c
-        for e, x in zip(m, point):
+        for e, x in zip(_unpack(n, m), point):
             if e:
                 v *= x**e
         total += v
     return total
 
 
-def _grlex_key(m):
-    return (sum(m), m)
+def _normalize(num, den):
+    """Divide num and den by their joint integer content; make lc(den) > 0."""
+    k = gcd(*num.values(), *den.values())
+    if den[max(den)] < 0:
+        k = -k
+    if k == 1:
+        return num, den
+    return ({m: c // k for m, c in num.items()},
+            {m: c // k for m, c in den.items()})
 
 
-def _p_leading(a):
-    return max(a, key=_grlex_key)
+# --- exact division and gcd over Z[x] ------------------------------------
 
 
-def _p_is_const(a):
-    return len(a) == 0 or (len(a) == 1 and not any(_p_leading(a)))
+def _mono_divides(m, d, n):
+    return all((m >> s) & _MASK >= (d >> s) & _MASK
+               for s in range(0, n * _W, _W))
 
 
-# --- exact division and gcd ------------------------------------------------
-
-
-def _mono_divides(m, d):
-    return all(x >= y for x, y in zip(m, d))
-
-
-def _p_exact_div(a, b):
-    """Return a/b assuming b divides a exactly; raise ScalarError otherwise."""
+def _p_exact_div(a, b, n):
+    """Return a/b assuming b divides a in Z[x]; raise ScalarError otherwise."""
     if not b:
         raise ScalarError("division by zero polynomial")
-    if not a:
-        return {}
-    if _p_is_const(b):
-        c = next(iter(b.values()))
-        return _p_scale(a, 1 / c)
-    rem = dict(a)
-    lead_b = _p_leading(b)
+    lead_b = max(b)
     cb = b[lead_b]
+    if len(b) == 1:
+        quot = {}
+        for m, c in a.items():
+            q, r = divmod(c, cb)
+            if r or (lead_b and not _mono_divides(m, lead_b, n)):
+                raise ScalarError("inexact polynomial division")
+            quot[m - lead_b] = q
+        return quot
+    rem = dict(a)
     quot = {}
     while rem:
-        lead_r = _p_leading(rem)
-        if not _mono_divides(lead_r, lead_b):
+        lead_r = max(rem)
+        q, r = divmod(rem[lead_r], cb)
+        if r or not _mono_divides(lead_r, lead_b, n):
             raise ScalarError("inexact polynomial division")
-        m = tuple(x - y for x, y in zip(lead_r, lead_b))
-        c = rem[lead_r] / cb
-        quot[m] = quot.get(m, _ZERO) + c
-        piece = {tuple(x + y for x, y in zip(m, mb)): c * vb for mb, vb in b.items()}
-        rem = _p_add(rem, _p_neg(piece))
-    return {m: c for m, c in quot.items() if c}
+        m = lead_r - lead_b
+        quot[m] = q
+        for mb, c in b.items():
+            k = m + mb
+            s = rem.get(k, 0) - q * c
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return quot
 
 
-def _p_max_var(a):
-    """Largest 0-based variable index occurring, or -1 if constant."""
-    best = -1
-    for m in a:
-        for i in range(len(m) - 1, best, -1):
-            if m[i]:
-                best = i
-                break
-    return best
+def _p_positive(a):
+    """a or -a, whichever has a positive leading coefficient."""
+    return _p_neg(a) if a and a[max(a)] < 0 else a
 
 
-def _to_univar(a, v):
-    """View a as univariate in x_v: {degree: coefficient-poly}."""
+def _main_shift(a, b, n):
+    """Field shift of the highest-indexed variable occurring in a or b."""
+    return next(shift for shift in range(0, n * _W, _W)
+                if any(m >> shift & _MASK for m in (*a, *b)))
+
+
+def _to_univar(a, shift, top):
+    """View a as univariate in one variable: {degree: coefficient-poly}."""
     out = {}
     for m, c in a.items():
-        d = m[v]
-        m2 = m[:v] + (0,) + m[v + 1 :]
-        coeff = out.setdefault(d, {})
-        s = coeff.get(m2, _ZERO) + c
-        if s:
-            coeff[m2] = s
-        elif m2 in coeff:
-            del coeff[m2]
-    return {d: c for d, c in out.items() if c}
-
-
-def _from_univar(u, v):
-    out = {}
-    for d, coeff in u.items():
-        for m, c in coeff.items():
-            m2 = m[:v] + (d,) + m[v + 1 :]
-            out[m2] = out.get(m2, _ZERO) + c
-    return {m: c for m, c in out.items() if c}
-
-
-def _u_shift_mul(u, d, coeff):
-    """coeff * x^d * u in the univariate view."""
-    return {du + d: _p_mul(cu, coeff) for du, cu in u.items()}
-
-
-def _u_sub(a, b):
-    out = dict(a)
-    for d, c in b.items():
-        s = _p_add(out.get(d, {}), _p_neg(c))
-        if s:
-            out[d] = s
-        elif d in out:
-            del out[d]
+        e = (m >> shift) & _MASK
+        coeff = out.get(e)
+        if coeff is None:
+            coeff = out[e] = {}
+        coeff[m - (e << shift) - (e << top)] = c
     return out
 
 
-def _p_content(coeffs):
+def _from_univar(u, shift, top):
+    out = {}
+    for e, coeff in u.items():
+        step = (e << shift) + (e << top)
+        for m, c in coeff.items():
+            out[m + step] = c
+    return out
+
+
+def _p_content(coeffs, n):
     g = {}
     for c in coeffs:
-        g = _p_gcd(g, c)
-        if _p_is_const(g) and g:
+        g = _p_gcd(g, c, n)
+        if g == _ONE:
             break
     return g
 
 
-def _p_normalize_lead(a):
-    """Scale so the graded-lex leading coefficient is 1."""
+def _p_gcd(a, b, n):
+    """gcd in Z[x1..xn] with positive leading coefficient ({} if both 0)."""
     if not a:
-        return a
-    c = a[_p_leading(a)]
-    if c == 1:
-        return a
-    return _p_scale(a, 1 / c)
-
-
-def _p_gcd(a, b):
-    """gcd in Q[x1..xn], normalized to leading coefficient 1 (0 if both 0)."""
-    if not a:
-        return _p_normalize_lead(b)
+        return _p_positive(b)
     if not b:
-        return _p_normalize_lead(a)
+        return _p_positive(a)
     if _p_is_const(a) or _p_is_const(b):
-        n = _p_nvars_guess(a)
-        return {(0,) * n: _ONE}
-    v = max(_p_max_var(a), _p_max_var(b))
-    ua, ub = _to_univar(a, v), _to_univar(b, v)
-    if max(ua) < max(ub):
-        ua, ub = ub, ua
-    cont_a = _p_content(ua.values())
-    cont_b = _p_content(ub.values())
-    ua = {d: _p_exact_div(c, cont_a) for d, c in ua.items()}
-    ub = {d: _p_exact_div(c, cont_b) for d, c in ub.items()}
-    cont = _p_gcd(cont_a, cont_b)
+        return {0: gcd(*a.values(), *b.values())}
+    top = n * _W
+    shift = _main_shift(a, b, n)
+    ua, ub = _to_univar(a, shift, top), _to_univar(b, shift, top)
+    cont_a = _p_content(ua.values(), n)
+    cont_b = _p_content(ub.values(), n)
+    ua = {d: _p_exact_div(c, cont_a, n) for d, c in ua.items()}
+    ub = {d: _p_exact_div(c, cont_b, n) for d, c in ub.items()}
+    cont = _p_gcd(cont_a, cont_b, n)
     # primitive PRS in the main variable
     while ub:
         da, db = max(ua), max(ub)
@@ -282,16 +269,31 @@ def _p_gcd(a, b):
         while rem and max(rem) >= db:
             dr = max(rem)
             lead_r = rem[dr]
-            rem = _u_sub(
-                {d: _p_mul(c, lead_b) for d, c in rem.items()},
-                _u_shift_mul(ub, dr - db, lead_r),
-            )
+            rem = {d: _p_mul(c, lead_b, top) for d, c in rem.items()}
+            for d, c in ub.items():
+                k = d + dr - db
+                s = _p_add(rem.get(k, {}), _p_neg(_p_mul(c, lead_r, top)))
+                if s:
+                    rem[k] = s
+                else:
+                    rem.pop(k, None)
         if rem:
-            c = _p_content(rem.values())
-            rem = {d: _p_exact_div(cc, c) for d, cc in rem.items()}
+            c = _p_content(rem.values(), n)
+            rem = {d: _p_exact_div(cc, c, n) for d, cc in rem.items()}
         ua, ub = ub, rem
-    result = _p_mul(cont, _from_univar(ua, v))
-    return _p_normalize_lead(result)
+    return _p_positive(_p_mul(cont, _from_univar(ua, shift, top), top))
+
+
+def _reduce(num, den, n):
+    """Canonical (num, den) of the quotient num/den, den nonzero."""
+    if not num:
+        return {}, _ONE
+    if not _p_is_const(den):
+        g = _p_gcd(num, den, n)
+        if not _p_is_const(g):
+            num = _p_exact_div(num, g, n)
+            den = _p_exact_div(den, g, n)
+    return _normalize(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +304,10 @@ def _p_gcd(a, b):
 class Scalar:
     """Canonical multivariate rational function over Q in x1..xn.
 
-    Invariants: den is nonzero and monic under graded lex, gcd(num, den) is
-    constant, and the zero scalar is 0/1.  Two Scalars are equal iff their
-    (num, den, n) data coincide.
+    Invariants: num and den have int coefficients, den is nonzero with a
+    positive graded-lex leading coefficient, gcd(num, den) is constant, the
+    coefficients of num and den together have gcd 1, and the zero scalar is
+    0/1.  Two Scalars are equal iff their (num, den, n) data coincide.
     """
 
     __slots__ = ("n", "num", "den", "_hash")
@@ -312,11 +315,11 @@ class Scalar:
     def __init__(self, n, num, den=None, _canonical=False):
         self.n = n
         if den is None:
-            den = {(0,) * n: _ONE}
+            den = _ONE
         if not den:
             raise ScalarError("zero denominator")
         if not _canonical:
-            num, den = _reduce(num, den)
+            num, den = _reduce(num, den, n)
         self.num = num
         self.den = den
         self._hash = None
@@ -325,7 +328,10 @@ class Scalar:
 
     @staticmethod
     def const(n, q):
-        return Scalar(n, _p_const(n, Fraction(q)), _canonical=True)
+        q = Fraction(q)
+        if not q:
+            return _zero_cache(n)
+        return Scalar(n, {0: q.numerator}, {0: q.denominator}, _canonical=True)
 
     @staticmethod
     def zero(n):
@@ -340,15 +346,26 @@ class Scalar:
         """The coordinate function x_i, 1-based, 1 <= i <= n."""
         if not 1 <= i <= n:
             raise ScalarError(f"variable index {i} out of range 1..{n}")
-        return Scalar(n, _p_var(n, i - 1), _canonical=True)
+        return Scalar(n, {(1 << (n * _W)) | (1 << ((n - i) * _W)): 1},
+                      _canonical=True)
 
     @staticmethod
     def monomial(n, exponents, coeff=1):
-        exponents = tuple(exponents)
-        if len(exponents) != n:
-            raise ScalarError("exponent tuple length mismatch")
+        m = _pack(n, exponents)
         c = Fraction(coeff)
-        return Scalar(n, {exponents: c} if c else {}, _canonical=True)
+        if not c:
+            return _zero_cache(n)
+        return Scalar(n, {m: c.numerator}, {0: c.denominator}, _canonical=True)
+
+    @staticmethod
+    def from_terms(n, terms):
+        """The polynomial with terms {exponent tuple: rational coefficient}."""
+        coeffs = {_pack(n, m): Fraction(c) for m, c in terms.items() if c}
+        if not coeffs:
+            return _zero_cache(n)
+        d = lcm(*(c.denominator for c in coeffs.values()))
+        num = {m: c.numerator * (d // c.denominator) for m, c in coeffs.items()}
+        return Scalar(n, num, {0: d})
 
     # -- predicates ----------------------------------------------------------
 
@@ -356,7 +373,7 @@ class Scalar:
         return not self.num
 
     def is_one(self):
-        return self.den == {(0,) * self.n: _ONE} and self.num == self.den
+        return self.num == _ONE and self.den == _ONE
 
     def is_constant(self):
         return _p_is_const(self.num) and _p_is_const(self.den)
@@ -367,15 +384,13 @@ class Scalar:
     def constant_value(self):
         if not self.is_constant():
             raise ScalarError("not a constant")
-        if not self.num:
-            return _ZERO
-        return next(iter(self.num.values())) / next(iter(self.den.values()))
+        return Fraction(self.num.get(0, 0), self.den[0])
 
     def total_degree(self):
         """Total degree of the numerator (-1 for the zero scalar)."""
         if not self.num:
             return -1
-        return max(sum(m) for m in self.num)
+        return max(self.num) >> (self.n * _W)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -388,17 +403,30 @@ class Scalar:
 
     def __add__(self, other):
         other = self._check(other)
+        n = self.n
         if not self.num:
             return other
         if not other.num:
             return self
-        if _p_is_const(self.den) and _p_is_const(other.den):
-            ca = next(iter(self.den.values()))
-            cb = next(iter(other.den.values()))
-            num = _p_add(_p_scale(self.num, 1 / ca), _p_scale(other.num, 1 / cb))
-            return Scalar(self.n, num, _canonical=True) if num else _zero_cache(self.n)
-        num = _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den))
-        return Scalar(self.n, num, _p_mul(self.den, other.den))
+        da, db = self.den, other.den
+        if da == db:
+            num, den = _p_add(self.num, other.num), da
+        elif _p_is_const(da) and _p_is_const(db):
+            ca, cb = da[0], db[0]
+            g = gcd(ca, cb)
+            num = _p_add(_p_scale(self.num, cb // g), _p_scale(other.num, ca // g))
+            den = {0: ca // g * cb}
+        else:
+            top = n * _W
+            num = _p_add(_p_mul(self.num, db, top), _p_mul(other.num, da, top))
+            return Scalar(n, num, _p_mul(da, db, top))
+        if not num:
+            return _zero_cache(n)
+        if den is _ONE or den == _ONE:
+            return Scalar(n, num, _ONE, _canonical=True)
+        if _p_is_const(den):
+            return Scalar(n, *_normalize(num, den), _canonical=True)
+        return Scalar(n, num, den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -410,16 +438,18 @@ class Scalar:
 
     def __mul__(self, other):
         other = self._check(other)
+        n = self.n
         if not self.num or not other.num:
-            return _zero_cache(self.n)
-        if _p_is_const(self.den) and _p_is_const(other.den):
-            ca = next(iter(self.den.values()))
-            cb = next(iter(other.den.values()))
-            num = _p_mul(self.num, other.num)
-            if ca * cb != 1:
-                num = _p_scale(num, 1 / (ca * cb))
-            return Scalar(self.n, num, _canonical=True)
-        return Scalar(self.n, _p_mul(self.num, other.num), _p_mul(self.den, other.den))
+            return _zero_cache(n)
+        top = n * _W
+        num = _p_mul(self.num, other.num, top)
+        da, db = self.den, other.den
+        if _p_is_const(da) and _p_is_const(db):
+            d = da[0] * db[0]
+            if d == 1:
+                return Scalar(n, num, _ONE, _canonical=True)
+            return Scalar(n, *_normalize(num, {0: d}), _canonical=True)
+        return Scalar(n, num, _p_mul(da, db, top))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -427,7 +457,9 @@ class Scalar:
             raise ScalarError("division by the zero scalar")
         if self.is_zero():
             return self
-        return Scalar(self.n, _p_mul(self.num, other.den), _p_mul(self.den, other.num))
+        top = self.n * _W
+        return Scalar(self.n, _p_mul(self.num, other.den, top),
+                      _p_mul(self.den, other.num, top))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -446,31 +478,32 @@ class Scalar:
 
     def partial(self, i):
         """Exact partial derivative with respect to x_i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise ScalarError(f"variable index {i} out of range 1..{self.n}")
-        j = i - 1
-        if _p_is_const(self.den):
-            c = next(iter(self.den.values())) if self.den else _ONE
-            dn = _p_partial(self.num, j)
-            if c != 1:
-                dn = _p_scale(dn, 1 / c)
-            return Scalar(self.n, dn, _canonical=True)
+        n = self.n
+        if not 1 <= i <= n:
+            raise ScalarError(f"variable index {i} out of range 1..{n}")
+        shift, top = (n - i) * _W, n * _W
+        dn = _p_partial(self.num, shift, top)
+        den = self.den
+        if _p_is_const(den):
+            if not dn:
+                return _zero_cache(n)
+            if den == _ONE:
+                return Scalar(n, dn, _ONE, _canonical=True)
+            return Scalar(n, *_normalize(dn, den), _canonical=True)
         # quotient rule (num' den - num den') / den^2
-        num = _p_add(
-            _p_mul(_p_partial(self.num, j), self.den),
-            _p_neg(_p_mul(self.num, _p_partial(self.den, j))),
-        )
-        return Scalar(self.n, num, _p_mul(self.den, self.den))
+        num = _p_add(_p_mul(dn, den, top),
+                     _p_neg(_p_mul(self.num, _p_partial(den, shift, top), top)))
+        return Scalar(n, num, _p_mul(den, den, top))
 
     def evaluate(self, point):
         """Exact value at a rational point (sequence of length n)."""
         point = [Fraction(x) for x in point]
         if len(point) != self.n:
             raise ScalarError("point length mismatch")
-        dv = _p_eval(self.den, point)
+        dv = _p_eval(self.den, self.n, point)
         if dv == 0:
             raise PoleError(f"pole at {tuple(point)}")
-        return _p_eval(self.num, point) / dv
+        return _p_eval(self.num, self.n, point) / dv
 
     # -- housekeeping ----------------------------------------------------------
 
@@ -495,28 +528,12 @@ class Scalar:
         return f"Scalar({self})"
 
     def __str__(self):
-        num = _p_format(self.num)
-        if _p_is_const(self.den) and self.den == {(0,) * self.n: _ONE}:
+        den = self.den
+        lc = den[max(den)]
+        num = _p_format(self.num, self.n, lc)
+        if _p_is_const(den):
             return num
-        return f"({num})/({_p_format(self.den)})"
-
-
-def _reduce(num, den):
-    if not num:
-        n = len(next(iter(den)))
-        return {}, {(0,) * n: _ONE}
-    if _p_is_const(den):
-        c = next(iter(den.values()))
-        return (_p_scale(num, 1 / c) if c != 1 else num), {(0,) * len(next(iter(den))): _ONE}
-    g = _p_gcd(num, den)
-    if not _p_is_const(g):
-        num = _p_exact_div(num, g)
-        den = _p_exact_div(den, g)
-    c = den[_p_leading(den)]
-    if c != 1:
-        den = _p_scale(den, 1 / c)
-        num = _p_scale(num, 1 / c)
-    return num, den
+        return f"({num})/({_p_format(den, self.n, lc)})"
 
 
 _ZERO_CACHE = {}
@@ -534,19 +551,20 @@ def _zero_cache(n):
 def _one_cache(n):
     s = _ONE_CACHE.get(n)
     if s is None:
-        s = Scalar(n, _p_const(n, 1), _canonical=True)
+        s = Scalar(n, _ONE, _canonical=True)
         _ONE_CACHE[n] = s
     return s
 
 
-def _p_format(a):
+def _p_format(a, n, lc):
+    """Text of a/lc, terms in descending graded lex order."""
     if not a:
         return "0"
     parts = []
-    for m in sorted(a, key=_grlex_key, reverse=True):
-        c = a[m]
+    for m in sorted(a, reverse=True):
+        c = a[m] if lc == 1 else Fraction(a[m], lc)
         factors = []
-        for i, e in enumerate(m):
+        for i, e in enumerate(_unpack(n, m)):
             if e == 1:
                 factors.append(f"x{i + 1}")
             elif e > 1:
@@ -574,9 +592,14 @@ def _p_format(a):
 
 def parse_scalar(text, n):
     """Parse the input-file syntax, e.g. "2*x1^2*x2 - 1/3", into a Scalar."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected a scalar string, got {text!r}")
     tokens = _tokenize(text)
     parser = _Parser(tokens, n)
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except ScalarError as exc:
+        raise ParseError(f"{exc} in {text!r}") from exc
     if parser.peek() is not None:
         raise ParseError(f"unexpected token {parser.peek()!r} in {text!r}")
     return value
@@ -716,4 +739,4 @@ def random_polynomial(n, degree, seed, nonzero=False):
             if p:
                 terms[m] = Fraction(p, q)
         if terms or not nonzero:
-            return Scalar(n, terms, _canonical=True)
+            return Scalar.from_terms(n, terms)

@@ -118,3 +118,22 @@ def test_cartan_command():
     proc = run_cli("cartan", str(DATA / "su2.json"))
     assert proc.returncode == 0
     assert "lie-section-lie-section" in proc.stdout
+
+
+def test_numeric_entries_are_malformed_input(tmp_path):
+    doc = {"n": 0, "rank": 2, "pairing": [[0, 1], [1, 0]],
+           "anchor": [], "bracket": {}}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("verify-algebroid", str(path))
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_witness_keeps_frame_labels_when_a_random_section_repeats_one():
+    # at battery seed 3 a random section of su2_bad equals a frame section
+    proc = run_cli("verify-algebroid", str(DATA / "su2_bad.json"),
+                   "--seed", "3")
+    assert proc.returncode == 1
+    assert "witness: e1 , e2 , e3" in proc.stdout

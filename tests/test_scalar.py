@@ -118,6 +118,46 @@ def test_parser_rejects_malformed():
             parse_scalar(text, 2)
 
 
+def test_parser_rejects_non_strings():
+    for value in (0, 1.5, None, ["x1"]):
+        with pytest.raises(ParseError):
+            parse_scalar(value, 2)
+
+
+def test_exponent_guard():
+    limit = 2**16 - 1
+    x1 = S("x1")
+    assert (x1**limit).total_degree() == limit
+    with pytest.raises(ScalarError):
+        x1 ** (limit + 1)
+    with pytest.raises(ScalarError):
+        (x1**limit) * S("x2")
+    with pytest.raises(ScalarError):
+        Scalar.monomial(2, (limit, 1))
+    with pytest.raises(ScalarError):
+        Scalar.from_terms(2, {(0, limit + 1): 1})
+    with pytest.raises(ParseError):
+        S(f"x1^{limit + 1}")
+
+
+def test_arithmetic_creates_no_fraction(monkeypatch):
+    import courantcalc.scalar as scalar_module
+
+    a = S("(3*x1^2 - 1/2*x2)/(2*x1*x2 + 4)")
+    b = S("2/3*x1 - 5/7*x2^2")
+    c = S("1/(x1 - x2)")
+
+    def forbidden(*args):
+        raise AssertionError("Fraction created on the arithmetic path")
+
+    monkeypatch.setattr(scalar_module, "Fraction", forbidden)
+    for u in (a, b, c):
+        for v in (a, b, c):
+            (u + v) * (u - v) / (u * v + Scalar.one(2))
+        u.partial(1).partial(2)
+        Scalar(2, u.num, u.den)
+
+
 # -- property tests ----------------------------------------------------------------
 
 def scalars(n=2, degree=2):

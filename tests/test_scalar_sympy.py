@@ -79,10 +79,10 @@ def normal_form(value):
 
 
 @st.composite
-def pairs(draw, n):
+def pairs(draw, n, den_exp=1):
     """(Scalar, sympy value) for a random rational function in n variables."""
     num = draw(term_dicts(n))
-    den = draw(term_dicts(n, max_exp=1, max_size=3))
+    den = draw(term_dicts(n, max_exp=den_exp, max_size=3))
     assume(any(den.values()))
     return ours(n, num) / ours(n, den), theirs(n, num) / theirs(n, den)
 
@@ -114,3 +114,16 @@ def test_partial_derivatives_match_sympy(pair):
 def test_printed_form_parses_back(pair):
     a, _ = pair
     assert parse_scalar(str(a), a.n) == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs(2, den_exp=3), pairs(2, den_exp=3))
+def test_gcd_heavy_operations_match_sympy(a_pair, b_pair):
+    # denominators of degree up to 6 in two variables: every sum, product
+    # and quotient goes through the multivariate gcd
+    (a, sa), (b, sb) = a_pair, b_pair
+    assert str(a + b) == normal_form(sa + sb)
+    assert str(a * b) == normal_form(sa * sb)
+    assert str(a.partial(2)) == normal_form(sa.diff(X2))
+    if not b.is_zero():
+        assert str(a / b) == normal_form(sa / sb)
