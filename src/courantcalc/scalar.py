@@ -422,7 +422,7 @@ class Scalar:
             return Scalar(n, num, _p_mul(da, db, top))
         if not num:
             return _zero_cache(n)
-        if den is _ONE or den == _ONE:
+        if den == _ONE:
             return Scalar(n, num, _ONE, _canonical=True)
         if _p_is_const(den):
             return Scalar(n, *_normalize(num, den), _canonical=True)

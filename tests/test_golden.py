@@ -76,24 +76,20 @@ def _demo_golden(script):
     return GOLDEN / f"demo_{script[:2]}.txt"
 
 
-def _read(path):
-    return path.read_bytes()
-
-
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_report_matches_golden(name, tmp_path):
     built = tmp_path / "conn.json" if name == "connection_build" else None
     stdout, code = run_cli_case(name, built)
-    expected_codes = json.loads(_read(GOLDEN / "cli_exit_codes.json"))
+    expected_codes = json.loads((GOLDEN / "cli_exit_codes.json").read_bytes())
     assert code == expected_codes[name]
-    assert stdout == _read(GOLDEN / f"cli_{name}.json")
+    assert stdout == (GOLDEN / f"cli_{name}.json").read_bytes()
     if built is not None:
-        assert _read(built) == _read(GOLDEN / "connection.json")
+        assert built.read_bytes() == (GOLDEN / "connection.json").read_bytes()
 
 
 @pytest.mark.parametrize("script", DEMOS)
 def test_demo_output_matches_golden(script):
-    assert run_demo(script) == _read(_demo_golden(script))
+    assert run_demo(script) == _demo_golden(script).read_bytes()
 
 
 def regenerate():
