@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import linalg
 from .report import PreconditionError, Report
-from .scalar import Scalar, parse_scalar
+from .scalar import ParseError, Scalar, parse_scalar
 
 __all__ = [
     "Section",
@@ -552,21 +552,31 @@ def algebroid_from_json(doc):
 
     Schema: { "n": int, "rank": int, "pairing": [[scalar-string]],
     "anchor": [[scalar-string]], "bracket": { "i,j": [scalar-string x r] } }
-    with 1-based frame indices; omitted bracket keys mean zero.
+    with 1-based frame indices; omitted bracket keys mean zero.  A document
+    that does not fit the schema raises ParseError; well-formed data of the
+    wrong shape, or failing a structural condition, raises PreconditionError.
     """
+    if not isinstance(doc, dict):
+        raise ParseError("algebroid document must be a JSON object")
     try:
         n = int(doc["n"])
         r = int(doc["rank"])
-        pairing_rows = doc["pairing"]
-        anchor_rows = doc.get("anchor", [])
-        bracket_map = doc.get("bracket", {})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"malformed algebroid document: {exc}") from exc
-    pairing = [[parse_scalar(s, n) for s in row] for row in pairing_rows]
-    anchor = [[parse_scalar(s, n) for s in row] for row in anchor_rows]
+    except KeyError as exc:
+        raise ParseError(f"algebroid document lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f'"n" and "rank" must be integers: {exc}') from exc
+    if "pairing" not in doc:
+        raise ParseError("algebroid document lacks 'pairing'")
+    pairing = _scalar_rows(doc["pairing"], "pairing", n)
+    anchor = _scalar_rows(doc.get("anchor", []), "anchor", n)
+    bracket_map = doc.get("bracket", {})
+    if not isinstance(bracket_map, dict):
+        raise ParseError('"bracket" must be an object of "i,j" keys')
     zero = Scalar.zero(n)
     bracket = [[[zero] * r for _ in range(r)] for _ in range(r)]
     for key, comps in bracket_map.items():
+        if not isinstance(comps, list):
+            raise ParseError(f"bracket entry {key!r} must be a list of scalar strings")
         try:
             i_s, j_s = key.split(",")
             i, j = int(i_s) - 1, int(j_s) - 1
@@ -576,3 +586,10 @@ def algebroid_from_json(doc):
             raise PreconditionError(f"bracket entry {key!r} out of shape")
         bracket[i][j] = [parse_scalar(s, n) for s in comps]
     return build_from_structure_data(n, r, pairing, anchor, bracket)
+
+
+def _scalar_rows(rows, name, n):
+    """A JSON matrix of scalar strings, parsed."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ParseError(f'"{name}" must be a list of lists of scalar strings')
+    return [[parse_scalar(s, n) for s in row] for row in rows]

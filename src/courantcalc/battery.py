@@ -159,17 +159,6 @@ class Battery:
                 seen.add(t)
                 yield t
 
-    def eval_tuples(self, sec_arity, fun_arity):
-        """Argument stream for one component of a cochain identity."""
-        if fun_arity == 0:
-            for secs in self.section_tuples(sec_arity):
-                yield secs, ()
-            return
-        fun_tuples = list(self.function_tuples(fun_arity))
-        for secs in self.section_tuples(sec_arity, reduced=True):
-            for funs in fun_tuples:
-                yield secs, funs
-
     def pairs(self):
         return self.section_tuples(2)
 

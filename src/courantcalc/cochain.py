@@ -9,6 +9,13 @@ differential, interior products and Lie derivatives.  Equality of cochains
 is battery-relative: exact agreement of all components on every battery
 tuple.
 
+Every evaluation runs in an :class:`EvalContext`, the one evaluation engine
+of the scalar DAG here and of the bundle-valued DAG in ``dorfman``.  The
+context interns each section and function argument to a small int, so the
+DAG works on id tuples, and it memoises node values, brackets and dual
+differentials on those ids.  Functions taking a ``ctx`` accept such a
+context to share its tables across calls, or None for a fresh one.
+
 Degree bookkeeping clamps at zero: an interior product applied below degree
 0 is the zero cochain.  The ``order`` field is an upper bound for the
 differential-operator order of the components in their section slots
@@ -18,6 +25,7 @@ derivatives keep the bound of their differential expansion).
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .battery import Battery
@@ -37,6 +45,7 @@ __all__ = [
     "interior_f",
     "lie_e",
     "lie_f",
+    "EvalContext",
     "evaluate",
     "equal",
     "equal_combinations",
@@ -108,7 +117,7 @@ class _SectionLeaf(Cochain):
         self.section = section
 
     def _eval(self, k, es, fs, ctx):
-        return self.alg.pairing(self.section, es[0])
+        return self.alg.pairing(self.section, ctx.sections[es[0]])
 
 
 class _Product(Cochain):
@@ -121,27 +130,10 @@ class _Product(Cochain):
         self.right = right
 
     def _eval(self, k, es, fs, ctx):
-        p, q = self.left.degree, self.right.degree
         total = Scalar.zero(self.alg.n)
-        for r in range(k + 1):
-            t = k - r
-            if p - 2 * r < 0 or q - 2 * t < 0:
-                continue
-            a = p - 2 * r
-            for left_idx, right_idx, sign in _shuffles(len(es), a):
-                les = tuple(es[i] for i in left_idx)
-                res = tuple(es[i] for i in right_idx)
-                for fl_idx in combinations(range(len(fs)), r):
-                    lfs = tuple(fs[i] for i in fl_idx)
-                    rfs = tuple(fs[i] for i in range(len(fs)) if i not in fl_idx)
-                    v1 = _eval(self.left, r, les, lfs, ctx)
-                    if v1.is_zero():
-                        continue
-                    v2 = _eval(self.right, t, res, rfs, ctx)
-                    if v2.is_zero():
-                        continue
-                    term = v1 * v2
-                    total = total + term if sign > 0 else total - term
+        for sign, v1, v2 in _product_terms(self.left, self.right, k, es, fs, ctx):
+            term = v1 * v2
+            total = total + term if sign > 0 else total - term
         return total
 
 
@@ -161,19 +153,21 @@ class _Differential(Cochain):
         if k >= 1 and p - 2 * (k - 1) >= 0:
             for mu in range(k):
                 rest = fs[:mu] + fs[mu + 1 :]
-                v = _eval(child, k - 1, (alg.d_E(fs[mu]),) + es, rest, ctx)
+                v = _eval(child, k - 1, (ctx.d_E(alg, fs[mu]),) + es, rest, ctx)
                 total = total + v
         if p - 2 * k >= 0:
             # anchor derivative of the contracted component
+            sections = ctx.sections
             for i in range(len(es)):
                 v = _eval(child, k, es[:i] + es[i + 1 :], fs, ctx)
                 if not v.is_zero():
-                    dv = alg.anchor_apply(es[i], v)
+                    dv = alg.anchor_apply(sections[es[i]], v)
                     total = total + dv if i % 2 == 0 else total - dv
             # bracket insertion at the place of the later argument
+            bracket = ctx.bracket
             for i in range(len(es)):
                 for j in range(i + 1, len(es)):
-                    br = alg.bracket(es[i], es[j])
+                    br = bracket(es[i], es[j])
                     args = es[:i] + es[i + 1 : j] + (br,) + es[j + 1 :]
                     v = _eval(child, k, args, fs, ctx)
                     total = total - v if i % 2 == 0 else total + v
@@ -189,7 +183,7 @@ class _InteriorE(Cochain):
         self.child = child
 
     def _eval(self, k, es, fs, ctx):
-        return _eval(self.child, k, (self.section,) + es, fs, ctx)
+        return _eval(self.child, k, (ctx.section_id(self.section),) + es, fs, ctx)
 
 
 class _InteriorF(Cochain):
@@ -201,7 +195,8 @@ class _InteriorF(Cochain):
         self.child = child
 
     def _eval(self, k, es, fs, ctx):
-        return _eval(self.child, k + 1, es, (self.function,) + fs, ctx)
+        return _eval(self.child, k + 1, es, (ctx.function_id(self.function),) + fs,
+                     ctx)
 
 
 class _LieE(Cochain):
@@ -301,30 +296,121 @@ def lie_f(function, child):
 # ---------------------------------------------------------------------------
 
 
+class EvalContext:
+    """Memo and argument tables shared by every evaluation run through it.
+
+    Each distinct section and function argument is interned, by value, to a
+    small int the first time it enters an evaluation; DAG nodes pass tuples
+    of these ids, so memo keys hash in C.  Alongside the memo of node values
+    the context keeps the bracket of two section ids and the dual
+    differential of a function id, both as ids.  A context may serve
+    cochains of several algebroids and bundle-valued cochains alike; it
+    holds every value it has computed until it is dropped.
+    """
+
+    __slots__ = ("memo", "sections", "functions", "_section_ids",
+                 "_function_ids", "_brackets", "_d_e")
+
+    def __init__(self):
+        self.memo = {}
+        self.sections = []
+        self.functions = []
+        self._section_ids = {}
+        self._function_ids = {}
+        self._brackets = {}
+        self._d_e = {}
+
+    def section_id(self, section):
+        i = self._section_ids.get(section)
+        if i is None:
+            i = self._section_ids[section] = len(self.sections)
+            self.sections.append(section)
+        return i
+
+    def function_id(self, function):
+        i = self._function_ids.get(function)
+        if i is None:
+            i = self._function_ids[function] = len(self.functions)
+            self.functions.append(function)
+        return i
+
+    def bracket(self, i, j):
+        """Id of the bracket of the sections with ids i and j."""
+        key = (i, j)
+        b = self._brackets.get(key)
+        if b is None:
+            sigma = self.sections[i]
+            b = self._brackets[key] = self.section_id(
+                sigma.alg.bracket(sigma, self.sections[j]))
+        return b
+
+    def d_E(self, alg, f):
+        """Id of the dual differential, in alg, of the function with id f."""
+        key = (alg, f)
+        s = self._d_e.get(key)
+        if s is None:
+            s = self._d_e[key] = self.section_id(alg.d_E(self.functions[f]))
+        return s
+
+    def ids(self, sections, functions):
+        """The argument tuples as id tuples."""
+        return (tuple(map(self.section_id, sections)),
+                tuple(map(self.function_id, functions)))
+
+
+@cache
 def _shuffles(total, left):
     """Index splits of range(total) into a sorted left/right pair, with sign."""
+    out = []
     for combo in combinations(range(total), left):
-        in_left = set(combo)
-        rest = tuple(i for i in range(total) if i not in in_left)
+        rest = tuple(i for i in range(total) if i not in combo)
         inversions = sum(c - pos for pos, c in enumerate(combo))
-        yield combo, rest, (-1 if inversions % 2 else 1)
+        out.append((combo, rest, -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+def _product_terms(left, right, k, es, fs, ctx):
+    """Signed nonzero factor pairs of component k of a product node.
+
+    left is a scalar cochain; right is a scalar or bundle-valued one.
+    """
+    p, q = left.degree, right.degree
+    for r in range(k + 1):
+        t = k - r
+        a = p - 2 * r
+        if a < 0 or q - 2 * t < 0:
+            continue
+        # function slots are shared out unsigned, the same way for every
+        # section shuffle
+        fsplits = [(tuple(fs[i] for i in li), tuple(fs[i] for i in ri))
+                   for li, ri, _ in _shuffles(len(fs), r)]
+        for left_idx, right_idx, sign in _shuffles(len(es), a):
+            les = tuple(es[i] for i in left_idx)
+            res = tuple(es[i] for i in right_idx)
+            for lfs, rfs in fsplits:
+                v1 = _eval(left, r, les, lfs, ctx)
+                if v1.is_zero():
+                    continue
+                v2 = _eval(right, t, res, rfs, ctx)
+                if v2.is_zero():
+                    continue
+                yield sign, v1, v2
 
 
 def _eval(node, k, es, fs, ctx):
-    # node is keyed by identity; the cache entry keeps it alive, so ids
-    # cannot be recycled while the cache is in use
+    """Memoised component k of a scalar or bundle-valued node on id tuples."""
+    # node is keyed by identity; the memo entry keeps it alive, so ids
+    # cannot be recycled while the context is in use
     key = (node, k, es, fs)
-    hit = ctx.get(key)
+    memo = ctx.memo
+    hit = memo.get(key)
     if hit is None:
-        hit = node._eval(k, es, fs, ctx)
-        ctx[key] = hit
+        hit = memo[key] = node._eval(k, es, fs, ctx)
     return hit
 
 
-def evaluate(node, k, sections, functions=(), ctx=None):
-    """Component k of the cochain on the given argument tuples."""
-    sections = tuple(sections)
-    functions = tuple(functions)
+def _check_arity(node, k, sections, functions):
+    """Raise ValueError unless the arguments fit component k of node."""
     if node.degree >= 0:
         if not 0 <= k <= node.degree // 2:
             raise ValueError(f"component {k} out of range for degree {node.degree}")
@@ -332,9 +418,20 @@ def evaluate(node, k, sections, functions=(), ctx=None):
             raise ValueError(
                 f"component {k} of a degree-{node.degree} cochain takes "
                 f"{node.degree - 2 * k} sections and {k} functions")
+
+
+def evaluate(node, k, sections, functions=(), ctx=None):
+    """Component k of the cochain on the given argument tuples.
+
+    ctx is an :class:`EvalContext`; pass one to share its memo and tables
+    across calls, or None for a fresh one.
+    """
+    sections = tuple(sections)
+    functions = tuple(functions)
+    _check_arity(node, k, sections, functions)
     if ctx is None:
-        ctx = {}
-    return _eval(node, k, sections, functions, ctx)
+        ctx = EvalContext()
+    return _eval(node, k, *ctx.ids(sections, functions), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +466,9 @@ def equal_combinations(lhs, rhs, battery=None, reduced=False, ctx=None):
     """Exact equality of two signed sums of cochains on the battery.
 
     lhs and rhs are lists of (coefficient, cochain) with rational
-    coefficients; all non-zero cochains must share one degree.
+    coefficients; all non-zero cochains must share one degree.  ctx is an
+    :class:`EvalContext` (None for a fresh one); sharing one across calls
+    shares its memo of node values and its argument tables.
     """
     terms = [(c, w) for c, w in lhs] + [(-c, w) for c, w in rhs]
     live = [(c, w) for c, w in terms if not isinstance(w, _Zero)]
@@ -385,17 +484,30 @@ def equal_combinations(lhs, rhs, battery=None, reduced=False, ctx=None):
         return EqualityResult(True, 0)
     if battery is None:
         battery = _default_battery(alg, *[w for _, w in live])
+    checked, witness, residual = _first_residual(
+        live, degree, battery, reduced, ctx, Scalar.zero(alg.n),
+        lambda c, v: Scalar.const(alg.n, c) * v)
+    return EqualityResult(witness is None, checked, witness, residual)
+
+
+def _first_residual(live, degree, battery, reduced, ctx, zero, times):
+    """Sum the signed terms on battery tuples until one sum is nonzero.
+
+    live is a list of (coefficient, node), all of one degree >= 0, scalar
+    or bundle-valued alike; times(c, v) scales a value v by a rational c.
+    Returns (tuples checked, witness, residual), witness None if every sum
+    vanished.
+    """
     if ctx is None:
-        ctx = {}
-    zero = Scalar.zero(alg.n)
+        ctx = EvalContext()
     checked = 0
     for k in range(degree // 2 + 1):
-        sec_arity = degree - 2 * k
-        for secs, funs in _component_tuples(battery, sec_arity, k, reduced):
+        for secs, funs in _component_tuples(battery, degree - 2 * k, k, reduced):
             checked += 1
+            es, fs = ctx.ids(secs, funs)
             acc = zero
             for coeff, w in live:
-                v = _eval(w, k, secs, funs, ctx)
+                v = _eval(w, k, es, fs, ctx)
                 if v.is_zero():
                     continue
                 if coeff == 1:
@@ -403,12 +515,12 @@ def equal_combinations(lhs, rhs, battery=None, reduced=False, ctx=None):
                 elif coeff == -1:
                     acc = acc - v
                 else:
-                    acc = acc + Scalar.const(alg.n, coeff) * v
+                    acc = acc + times(coeff, v)
             if not acc.is_zero():
                 witness = (f"k={k}", *battery.describe(secs),
                            *(f"f={f}" for f in funs))
-                return EqualityResult(False, checked, " , ".join(witness), str(acc))
-    return EqualityResult(True, checked)
+                return checked, " , ".join(witness), str(acc)
+    return checked, None, None
 
 
 def _component_tuples(battery, sec_arity, fun_arity, reduced):
@@ -449,7 +561,7 @@ def check_symmetry_condition(w, battery=None, reduced=True):
         return report
     if battery is None:
         battery = _default_battery(w.alg, w)
-    ctx = {}
+    ctx = EvalContext()
     checked = 0
     witness = residual = None
     passed = True
@@ -458,14 +570,15 @@ def check_symmetry_condition(w, battery=None, reduced=True):
         if arity < 2:
             continue
         for secs, funs in _component_tuples(battery, arity, k, reduced):
+            es, fs = ctx.ids(secs, funs)
             for i in range(arity - 1):
                 checked += 1
-                swapped = secs[:i] + (secs[i + 1], secs[i]) + secs[i + 2 :]
-                plain = _eval(w, k, secs, fs := funs, ctx)
-                flip = _eval(w, k, swapped, funs, ctx)
-                pair = w.alg.pairing(secs[i], secs[i + 1])
-                contracted = _eval(w, k + 1, secs[:i] + secs[i + 2 :],
-                                   (pair,) + funs, ctx)
+                swapped = es[:i] + (es[i + 1], es[i]) + es[i + 2 :]
+                plain = _eval(w, k, es, fs, ctx)
+                flip = _eval(w, k, swapped, fs, ctx)
+                pair = ctx.function_id(w.alg.pairing(secs[i], secs[i + 1]))
+                contracted = _eval(w, k + 1, es[:i] + es[i + 2 :],
+                                   (pair,) + fs, ctx)
                 res = plain + flip + contracted
                 if passed and not res.is_zero():
                     passed = False
@@ -481,26 +594,27 @@ def measure_order_E(w, k, slot, probes, secs, funs, ctx=None, cap=4):
 
     Returns the smallest s <= cap such that every (s+1)-fold iterated symbol
     built from the probe functions vanishes on the given arguments, or cap + 1.
+    ctx is an :class:`EvalContext`, or None for a fresh one.
     """
     if ctx is None:
-        ctx = {}
-
-    def iterated(fseq, args):
-        if not fseq:
-            return _eval(w, k, args, funs, ctx)
-        head, rest = fseq[0], fseq[1:]
-        scaled = args[:slot] + (args[slot].scale(head),) + args[slot + 1 :]
-        return iterated(rest, scaled) - head * iterated(rest, args)
-
+        ctx = EvalContext()
+    es, fs = ctx.ids(secs, funs)
     for s in range(cap + 1):
-        vanished = True
-        for fseq in _probe_sequences(probes, s + 1):
-            if not iterated(fseq, secs).is_zero():
-                vanished = False
-                break
-        if vanished:
+        if all(_iterated_symbol(w, k, slot, fseq, es, fs, ctx).is_zero()
+               for fseq in _probe_sequences(probes, s + 1)):
             return s
     return cap + 1
+
+
+def _iterated_symbol(w, k, slot, fseq, es, fs, ctx):
+    """Symbol of component k in one section slot, iterated over fseq."""
+    if not fseq:
+        return _eval(w, k, es, fs, ctx)
+    head, rest = fseq[0], fseq[1:]
+    scaled = ctx.section_id(ctx.sections[es[slot]].scale(head))
+    return (_iterated_symbol(w, k, slot, rest, es[:slot] + (scaled,) + es[slot + 1 :],
+                             fs, ctx)
+            - head * _iterated_symbol(w, k, slot, rest, es, fs, ctx))
 
 
 def _probe_sequences(probes, depth):
@@ -529,7 +643,7 @@ def symbol_E(w, slot, probe, battery=None, reduced=True):
         raise ValueError(f"section slot {slot} out of range for degree {w.degree}")
     if battery is None:
         battery = _default_battery(w.alg, w)
-    ctx = {}
+    ctx = EvalContext()
     for k in range(w.degree // 2 + 1):
         arity = w.degree - 2 * k
         if slot >= arity:
@@ -541,18 +655,11 @@ def symbol_E(w, slot, probe, battery=None, reduced=True):
         checked = 0
         passed = True
         witness = residual = None
-
-        def iterated(fseq, args, funs):
-            if not fseq:
-                return _eval(w, k, args, funs, ctx)
-            head, rest = fseq[0], fseq[1:]
-            scaled = args[:slot] + (args[slot].scale(head),) + args[slot + 1 :]
-            return iterated(rest, scaled, funs) - head * iterated(rest, args, funs)
-
         for secs, funs in _component_tuples(battery, arity, k, reduced):
+            es, fs = ctx.ids(secs, funs)
             for fseq in _probe_sequences(probes, bound + 1):
                 checked += 1
-                res = iterated(fseq, secs, funs)
+                res = _iterated_symbol(w, k, slot, fseq, es, fs, ctx)
                 if passed and not res.is_zero():
                     passed = False
                     witness = " , ".join(battery.describe(secs))
@@ -580,7 +687,11 @@ def symbol_Omega(w, slot, probe, battery=None, reduced=True):
         raise ValueError(f"function slot {slot} out of range for degree {w.degree}")
     if battery is None:
         battery = _default_battery(w.alg, w)
-    ctx = {}
+    ctx = EvalContext()
+
+    def at_slot(fs, g):
+        return fs[:slot] + (ctx.function_id(g),) + fs[slot + 1 :]
+
     for k in range(1, w.degree // 2 + 1):
         if slot >= k:
             continue
@@ -588,23 +699,18 @@ def symbol_Omega(w, slot, probe, battery=None, reduced=True):
         checked = 0
         passed = True
         witness = residual = None
-
-        def defect(f, g, secs, funs):
-            merged = funs[:slot] + (f * g,) + funs[slot + 1 :]
-            with_f = funs[:slot] + (f,) + funs[slot + 1 :]
-            with_g = funs[:slot] + (g,) + funs[slot + 1 :]
-            return (_eval(w, k, secs, merged, ctx)
-                    - f * _eval(w, k, secs, with_g, ctx)
-                    - g * _eval(w, k, secs, with_f, ctx))
-
         for secs, funs in _component_tuples(battery, arity, k, reduced):
+            es, fs = ctx.ids(secs, funs)
+            g = funs[slot]
             for f in probes:
                 checked += 1
-                res = defect(f, funs[slot], secs, funs)
+                res = (_eval(w, k, es, at_slot(fs, f * g), ctx)
+                       - f * _eval(w, k, es, fs, ctx)
+                       - g * _eval(w, k, es, at_slot(fs, f), ctx))
                 if passed and not res.is_zero():
                     passed = False
                     witness = " , ".join((f"k={k}", *battery.describe(secs),
-                                          f"f={f}", f"g={funs[slot]}"))
+                                          f"f={f}", f"g={g}"))
                     residual = str(res)
         report.add(f"symbol-Omega[k={k},slot={slot}]", passed, checked,
                    witness, residual)
@@ -637,7 +743,7 @@ def cartan_suite(alg, battery=None, cochains=None, reduced=True):
     if not funs:
         funs = battery.functions[:2]
     report = Report(f"commutation relations over {alg!r}")
-    ctx = {}
+    ctx = EvalContext()
 
     def run(name, instances):
         checked = 0

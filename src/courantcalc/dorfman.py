@@ -16,11 +16,17 @@ the Bianchi identity is checked on both displayed components.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from . import linalg
 from .algebroid import CourantAlgebroid, Section
 from .battery import Battery
+from .cochain import (
+    EvalContext,
+    _check_arity,
+    _eval,
+    _first_residual,
+    _product_terms,
+)
+from .cochain import _Zero as _ScalarZero
 from .report import PreconditionError, Report
 from .scalar import Scalar, parse_scalar
 
@@ -823,9 +829,7 @@ class _BTensor(BValuedCochain):
         self.value = value
 
     def _eval(self, k, es, fs, ctx):
-        from .cochain import _eval as eval_scalar
-
-        coeff = eval_scalar(self.omega, k, es, fs, ctx)
+        coeff = _eval(self.omega, k, es, fs, ctx)
         if coeff.is_zero():
             return self.bundle.zero()
         return self.value.scale(coeff)
@@ -841,29 +845,10 @@ class _BProduct(BValuedCochain):
         self.child = child
 
     def _eval(self, k, es, fs, ctx):
-        from .cochain import _eval as eval_scalar
-
-        p, q = self.omega.degree, self.child.degree
         total = self.bundle.zero()
-        for r in range(k + 1):
-            t = k - r
-            if p - 2 * r < 0 or q - 2 * t < 0:
-                continue
-            a = p - 2 * r
-            for left_idx, right_idx, sign in _shuffles(len(es), a):
-                les = tuple(es[i] for i in left_idx)
-                res = tuple(es[i] for i in right_idx)
-                for fl_idx in combinations(range(len(fs)), r):
-                    lfs = tuple(fs[i] for i in fl_idx)
-                    rfs = tuple(fs[i] for i in range(len(fs)) if i not in fl_idx)
-                    v1 = eval_scalar(self.omega, r, les, lfs, ctx)
-                    if v1.is_zero():
-                        continue
-                    v2 = _eval_b(self.child, t, res, rfs, ctx)
-                    if v2.is_zero():
-                        continue
-                    term = v2.scale(v1)
-                    total = total + term if sign > 0 else total - term
+        for sign, v1, v2 in _product_terms(self.omega, self.child, k, es, fs, ctx):
+            term = v2.scale(v1)
+            total = total + term if sign > 0 else total - term
         return total
 
 
@@ -884,19 +869,21 @@ class _BCovariantDifferential(BValuedCochain):
         if k >= 1 and p - 2 * (k - 1) >= 0:
             for mu in range(k):
                 rest = fs[:mu] + fs[mu + 1 :]
-                total = total + _eval_b(child, k - 1,
-                                        (alg.d_E(fs[mu]),) + es, rest, ctx)
+                total = total + _eval(child, k - 1,
+                                      (ctx.d_E(alg, fs[mu]),) + es, rest, ctx)
         if p - 2 * k >= 0:
+            sections = ctx.sections
             for i in range(len(es)):
-                v = _eval_b(child, k, es[:i] + es[i + 1 :], fs, ctx)
+                v = _eval(child, k, es[:i] + es[i + 1 :], fs, ctx)
                 if not v.is_zero():
-                    dv = conn.apply(es[i], v)
+                    dv = conn.apply(sections[es[i]], v)
                     total = total + dv if i % 2 == 0 else total - dv
+            bracket = ctx.bracket
             for i in range(len(es)):
                 for j in range(i + 1, len(es)):
-                    br = alg.bracket(es[i], es[j])
+                    br = bracket(es[i], es[j])
                     args = es[:i] + es[i + 1 : j] + (br,) + es[j + 1 :]
-                    v = _eval_b(child, k, args, fs, ctx)
+                    v = _eval(child, k, args, fs, ctx)
                     total = total - v if i % 2 == 0 else total + v
         return total
 
@@ -910,7 +897,7 @@ class _BInteriorE(BValuedCochain):
         self.child = child
 
     def _eval(self, k, es, fs, ctx):
-        return _eval_b(self.child, k, (self.section,) + es, fs, ctx)
+        return _eval(self.child, k, (ctx.section_id(self.section),) + es, fs, ctx)
 
 
 class _BInteriorF(BValuedCochain):
@@ -922,7 +909,8 @@ class _BInteriorF(BValuedCochain):
         self.child = child
 
     def _eval(self, k, es, fs, ctx):
-        return _eval_b(self.child, k + 1, es, (self.function,) + fs, ctx)
+        return _eval(self.child, k + 1, es, (ctx.function_id(self.function),) + fs,
+                     ctx)
 
 
 class _BNablaE(BValuedCochain):
@@ -937,7 +925,7 @@ class _BNablaE(BValuedCochain):
         self._b = covariant_differential(conn, interior_e_b(section, child))
 
     def _eval(self, k, es, fs, ctx):
-        return _eval_b(self._a, k, es, fs, ctx) + _eval_b(self._b, k, es, fs, ctx)
+        return _eval(self._a, k, es, fs, ctx) + _eval(self._b, k, es, fs, ctx)
 
 
 class _BLieF(BValuedCochain):
@@ -952,15 +940,7 @@ class _BLieF(BValuedCochain):
         self._b = covariant_differential(conn, interior_f_b(function, child))
 
     def _eval(self, k, es, fs, ctx):
-        return _eval_b(self._a, k, es, fs, ctx) - _eval_b(self._b, k, es, fs, ctx)
-
-
-def _shuffles(total, left):
-    for combo in combinations(range(total), left):
-        in_left = set(combo)
-        rest = tuple(i for i in range(total) if i not in in_left)
-        inversions = sum(c - pos for pos, c in enumerate(combo))
-        yield combo, rest, (-1 if inversions % 2 else 1)
+        return _eval(self._a, k, es, fs, ctx) - _eval(self._b, k, es, fs, ctx)
 
 
 def b_leaf(bundle, b):
@@ -972,8 +952,6 @@ def tensor(omega, bundle, b):
 
 
 def product_b(omega, child):
-    from .cochain import _Zero as _ScalarZero
-
     if isinstance(omega, _ScalarZero) or isinstance(child, _BZero):
         return _BZero(child.bundle, omega.degree + child.degree)
     return _BProduct(omega, child)
@@ -1009,30 +987,27 @@ def lie_f_nabla(conn, function, child):
     return _BLieF(conn, function, child)
 
 
-def _eval_b(node, k, es, fs, ctx):
-    key = (node, k, es, fs)
-    hit = ctx.get(key)
-    if hit is None:
-        hit = node._eval(k, es, fs, ctx)
-        ctx[key] = hit
-    return hit
-
-
 def evaluateB(node, k, sections, functions=(), ctx=None):
+    """Component k of a bundle-valued cochain on the given argument tuples.
+
+    ctx is a ``cochain.EvalContext``, shared with scalar cochains; pass one
+    to share its memo and tables across calls, or None for a fresh one.
+    """
     sections = tuple(sections)
     functions = tuple(functions)
-    if node.degree >= 0:
-        if not 0 <= k <= node.degree // 2:
-            raise ValueError(f"component {k} out of range for degree {node.degree}")
-        if len(sections) != node.degree - 2 * k or len(functions) != k:
-            raise ValueError("argument arity mismatch")
+    _check_arity(node, k, sections, functions)
     if ctx is None:
-        ctx = {}
-    return _eval_b(node, k, sections, functions, ctx)
+        ctx = EvalContext()
+    return _eval(node, k, *ctx.ids(sections, functions), ctx)
 
 
 def equal_b(lhs, rhs, battery, reduced=True, ctx=None):
-    """Exact equality of signed sums of bundle-valued cochains on the battery."""
+    """Exact equality of signed sums of bundle-valued cochains on the battery.
+
+    Returns (equal, tuples checked, witness, residual).  The tuples and the
+    equality loop are those of ``cochain.equal_combinations``; ctx is a
+    ``cochain.EvalContext``, or None for a fresh one.
+    """
     terms = [(c, w) for c, w in lhs] + [(-c, w) for c, w in rhs]
     live = [(c, w) for c, w in terms if not isinstance(w, _BZero)]
     if not live:
@@ -1044,34 +1019,11 @@ def equal_b(lhs, rhs, battery, reduced=True, ctx=None):
             return False, 0, "degree mismatch", f"{w.degree} != {degree}"
     if degree < 0:
         return True, 0, None, None
-    if ctx is None:
-        ctx = {}
-    checked = 0
-    for k in range(degree // 2 + 1):
-        arity = degree - 2 * k
-        stream = ((secs, ()) for secs in battery.section_tuples(arity, reduced=reduced)) \
-            if k == 0 else (
-                (secs, funs)
-                for secs in battery.section_tuples(arity, reduced=True)
-                for funs in battery.function_tuples(k))
-        for secs, funs in stream:
-            checked += 1
-            acc = bundle.zero()
-            for coeff, w in live:
-                v = _eval_b(w, k, secs, funs, ctx)
-                if v.is_zero():
-                    continue
-                if coeff == 1:
-                    acc = acc + v
-                elif coeff == -1:
-                    acc = acc - v
-                else:
-                    acc = acc + v.scale(Scalar.const(bundle.alg.n, coeff))
-            if not acc.is_zero():
-                witness = " , ".join((f"k={k}", *battery.describe(secs),
-                                      *(f"f={f}" for f in funs)))
-                return False, checked, witness, str(acc)
-    return True, checked, None, None
+    n = bundle.alg.n
+    checked, witness, residual = _first_residual(
+        live, degree, battery, reduced, ctx, bundle.zero(),
+        lambda c, v: v.scale(Scalar.const(n, c)))
+    return witness is None, checked, witness, residual
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,17 @@ def _p_add(a, b):
     return out
 
 
+def _p_sub(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, 0) - c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return out
+
+
 def _p_neg(a):
     return {m: -c for m, c in a.items()}
 
@@ -429,7 +440,31 @@ class Scalar:
         return Scalar(n, num, den)
 
     def __sub__(self, other):
-        return self + (-other)
+        other = self._check(other)
+        n = self.n
+        if not other.num:
+            return self
+        if not self.num:
+            return -other
+        da, db = self.den, other.den
+        if da == db:
+            num, den = _p_sub(self.num, other.num), da
+        elif _p_is_const(da) and _p_is_const(db):
+            ca, cb = da[0], db[0]
+            g = gcd(ca, cb)
+            num = _p_sub(_p_scale(self.num, cb // g), _p_scale(other.num, ca // g))
+            den = {0: ca // g * cb}
+        else:
+            top = n * _W
+            num = _p_sub(_p_mul(self.num, db, top), _p_mul(other.num, da, top))
+            return Scalar(n, num, _p_mul(da, db, top))
+        if not num:
+            return _zero_cache(n)
+        if den == _ONE:
+            return Scalar(n, num, _ONE, _canonical=True)
+        if _p_is_const(den):
+            return Scalar(n, *_normalize(num, den), _canonical=True)
+        return Scalar(n, num, den)
 
     def __neg__(self):
         if not self.num:

@@ -131,6 +131,24 @@ def test_numeric_entries_are_malformed_input(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 0, "rank": 2, "pairing": [["0", "1"], ["1", "0"]], "anchor": 5,
+     "bracket": {}},
+    {"n": 0, "rank": 2, "pairing": [["0", "1"], ["1", "0"]], "anchor": [],
+     "bracket": {"1,2": 3}},
+    {"n": 2},
+    [{"n": 0, "rank": 1, "pairing": [["1"]]}],
+], ids=["anchor-not-a-list", "bracket-entry-not-a-list", "missing-fields",
+        "top-level-list"])
+def test_wrong_typed_or_missing_fields_are_malformed_input(tmp_path, doc):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("verify-algebroid", str(path))
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_witness_keeps_frame_labels_when_a_random_section_repeats_one():
     # at battery seed 3 a random section of su2_bad equals a frame section
     proc = run_cli("verify-algebroid", str(DATA / "su2_bad.json"),

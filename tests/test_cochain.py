@@ -1,9 +1,11 @@
 import random
-from itertools import permutations
+from itertools import islice, permutations
+from math import comb
 
 import pytest
 
 from courantcalc import cochain as co
+from courantcalc import dorfman as dc
 from courantcalc.battery import Battery
 from courantcalc.scalar import Scalar, parse_scalar
 
@@ -96,6 +98,99 @@ def test_product_degree_cap(standard2):
         quad = leaf if quad is None else co.mul(quad, leaf)
     with pytest.raises(co.DegreeCapError):
         co.mul(quad, quad)
+
+
+# -- evaluation context --------------------------------------------------------------
+
+def test_shuffle_signs_are_permutation_parities():
+    for total in range(7):
+        for left in range(total + 1):
+            splits = co._shuffles(total, left)
+            assert co._shuffles(total, left) is splits
+            assert len(splits) == comb(total, left)
+            for combo, rest, sign in splits:
+                perm = combo + rest
+                assert list(combo) == sorted(combo)
+                assert list(rest) == sorted(rest)
+                assert sorted(perm) == list(range(total))
+                inversions = sum(1 for i in range(total)
+                                 for j in range(i + 1, total)
+                                 if perm[i] > perm[j])
+                assert sign == (-1) ** inversions
+
+
+def _sample_calls(battery, nodes, per_component=4):
+    """(node, k, sections, functions) on the first tuples of each component."""
+    calls = []
+    for node in nodes:
+        for k in range(node.degree // 2 + 1):
+            tuples = co._component_tuples(battery, node.degree - 2 * k, k, True)
+            for secs, funs in islice(tuples, per_component):
+                calls.append((node, k, secs, funs))
+    return calls
+
+
+def _generators_and_differentials(alg, battery):
+    return [node for w in co.generator_cochains(alg, battery)[::3]
+            for node in (w, co.differential(w))]
+
+
+def test_shared_context_matches_fresh_contexts(standard1, port_hamiltonian11,
+                                               su2):
+    # standard(1) and port-Hamiltonian(1,1) share the base variable x1, so
+    # the same function value must get each algebroid's own dual differential
+    calls = []
+    for alg in (standard1, port_hamiltonian11, su2):
+        battery = Battery(alg, degree=1, extras=1)
+        calls += _sample_calls(battery, _generators_and_differentials(alg, battery))
+    ctx = co.EvalContext()
+    shared = [co.evaluate(w, k, secs, funs, ctx) for w, k, secs, funs in calls]
+    fresh = [co.evaluate(w, k, secs, funs) for w, k, secs, funs in calls]
+    assert shared == fresh
+    assert any(k > 0 for _, k, _, _ in calls)
+
+
+def test_shared_context_serves_bundle_valued_cochains(standard1, standard2):
+    calls = []
+    for alg in (standard1, standard2):
+        conn = dc.build_standard_connection(alg)
+        battery = Battery(alg, degree=1, extras=1)
+        # the self-predual bundle has the frame of the algebroid
+        b = conn.bundle.element(battery.randoms[0].components)
+        w = co.mul(co.section_leaf(alg, battery.randoms[0]),
+                   co.section_leaf(alg, alg.frame[-1]))
+        nodes = [dc.covariant_differential(
+                     conn, dc.covariant_differential(conn, dc.b_leaf(conn.bundle, b))),
+                 dc.covariant_differential(conn, dc.tensor(w, conn.bundle, b)),
+                 dc.nabla_e(conn, battery.randoms[0], dc.product_b(
+                     co.differential(w), dc.b_leaf(conn.bundle, b)))]
+        calls += _sample_calls(battery, nodes, per_component=5)
+        # scalar cochains of the same algebroid share the context too
+        calls += _sample_calls(battery, _generators_and_differentials(alg, battery),
+                               per_component=2)
+
+    def run(ctx):
+        # ctx None gives every call a fresh context
+        return [(dc.evaluateB if isinstance(w, dc.BValuedCochain) else co.evaluate)(
+                    w, k, secs, funs, ctx) for w, k, secs, funs in calls]
+
+    assert run(co.EvalContext()) == run(None)
+
+
+def test_equal_b_with_shared_context(standard2, battery2):
+    conn = dc.build_standard_connection(standard2)
+    bundle = conn.bundle
+    b = bundle.element([S(t) for t in ("x1", "0", "x2", "1")])
+    w = co.section_leaf(standard2, standard2.frame[0].scale(S("x2")))
+    lhs = dc.covariant_differential(conn, dc.tensor(w, bundle, b))
+    rhs = [(1, dc.tensor(co.differential(w), bundle, b)),
+           (-1, dc.product_b(w, dc.covariant_differential(conn, dc.b_leaf(bundle, b))))]
+    ctx = co.EvalContext()
+    assert co.vanishes(co.differential(co.differential(w)), battery2,
+                       reduced=True, ctx=ctx)
+    shared = dc.equal_b([(1, lhs)], rhs, battery2, ctx=ctx)
+    assert shared == dc.equal_b([(1, lhs)], rhs, battery2)
+    assert shared[0] and shared[1] > 0
 
 
 # -- structural laws --------------------------------------------------------------
