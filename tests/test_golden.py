@@ -25,6 +25,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CONNECTION = "tests/golden/connection.json"
+# negative control: a frame coefficient that breaks d_B-equivariance
+BROKEN = "tests/golden/connection_broken.json"
 
 STD2 = "demos/data/standard2.json"
 PRE2 = "demos/data/predual_standard2.json"
@@ -41,6 +43,10 @@ CLI_CASES = {
     "bott_bad": ["bott", STD2, "demos/data/dirac_bad.json"],
     "cohomology_su2": ["cohomology", "demos/data/su2.json", "--max-p", "3"],
     "predual_diagnose": ["predual-diagnose", STD2, PRE2],
+    "connection_verify_broken": ["connection-verify", STD2, PRE2, BROKEN,
+                                 "--battery-degree", "1", "--extras", "1"],
+    "curvature_broken": ["curvature", STD2, PRE2, BROKEN,
+                         "--battery-degree", "1", "--extras", "1"],
 }
 
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0*_*.py"))
