@@ -14,7 +14,7 @@ All indices in the Python API are 0-based; the JSON file format uses
 from __future__ import annotations
 
 from . import linalg
-from .report import PreconditionError, Report
+from .report import PreconditionError, Report, run_check
 from .scalar import ParseError, Scalar, parse_scalar
 
 __all__ = [
@@ -313,30 +313,16 @@ def verify_axioms(alg, battery):
     counterexample tuple and its residual for every failed identity.
     """
     report = Report(f"axioms of {alg!r}")
-    zero = Scalar.zero(alg.n)
 
-    def run(name, arity, residual_fn, with_function=False):
-        checked = 0
-        witness = residual = None
-        passed = True
-        for secs in battery.section_tuples(arity):
-            if with_function:
-                for f in battery.functions:
-                    checked += 1
-                    res = residual_fn(*secs, f)
-                    if passed and not _vanishes(res, zero):
-                        passed = False
-                        witness = battery.describe(secs) + (f" ; f={f}",)
-                        residual = str(res)
-            else:
-                checked += 1
-                res = residual_fn(*secs)
-                if passed and not _vanishes(res, zero):
-                    passed = False
-                    witness = battery.describe(secs)
-                    residual = str(res)
-        report.add(name, passed, checked,
-                   None if passed else " , ".join(witness), residual)
+    def with_functions(arity):
+        return (secs + (f,) for secs in battery.section_tuples(arity)
+                for f in battery.functions)
+
+    def at(*secs):
+        return " , ".join(battery.describe(secs))
+
+    def at_f(*args):
+        return " , ".join(battery.describe(args[:-1]) + (f" ; f={args[-1]}",))
 
     br, pr, rho = alg.bracket, alg.pairing, alg.anchor_apply
 
@@ -369,16 +355,18 @@ def verify_axioms(alg, battery):
         # and from the left it vanishes
         return br(alg.d_E(f), a)
 
-    run("jacobi-leibniz", 3, jacobi)
-    run("pairing-compatibility", 3, compatibility)
-    run("symmetric-part-is-dual-differential", 2, symmetric_part)
-    run("anchor-homomorphism", 2, anchor_morphism, with_function=True)
-    run("right-leibniz", 2, right_leibniz, with_function=True)
-    run("left-leibniz", 2, left_leibniz, with_function=True)
-    run("bracket-with-dual-differential-right", 1, bracket_dual_right,
-        with_function=True)
-    run("bracket-with-dual-differential-left", 1, bracket_dual_left,
-        with_function=True)
+    run_check(report, "jacobi-leibniz", battery.section_tuples(3), jacobi, at)
+    run_check(report, "pairing-compatibility", battery.section_tuples(3),
+              compatibility, at)
+    run_check(report, "symmetric-part-is-dual-differential",
+              battery.section_tuples(2), symmetric_part, at)
+    run_check(report, "anchor-homomorphism", with_functions(2), anchor_morphism, at_f)
+    run_check(report, "right-leibniz", with_functions(2), right_leibniz, at_f)
+    run_check(report, "left-leibniz", with_functions(2), left_leibniz, at_f)
+    run_check(report, "bracket-with-dual-differential-right", with_functions(1),
+              bracket_dual_right, at_f)
+    run_check(report, "bracket-with-dual-differential-left", with_functions(1),
+              bracket_dual_left, at_f)
 
     # anchor composed with its pairing-dual vanishes, as a matrix identity
     ginv_rt = linalg.mat_mul(alg._pairing_inv, linalg.mat_transpose(alg.anchor_matrix))
@@ -389,26 +377,10 @@ def verify_axioms(alg, battery):
                None if ok else str(prod))
 
     # defining property of the dual differential on battery data
-    checked = 0
-    passed = True
-    witness = residual = None
-    for (sec,) in battery.section_tuples(1):
-        for f in battery.functions:
-            checked += 1
-            res = pr(alg.d_E(f), sec) - rho(sec, f)
-            if passed and not res.is_zero():
-                passed = False
-                witness = battery.describe((sec,)) + (f"f={f}",)
-                residual = str(res)
-    report.add("dual-differential-defining-property", passed, checked,
-               None if passed else " , ".join(witness), residual)
+    run_check(report, "dual-differential-defining-property", with_functions(1),
+              lambda sec, f: pr(alg.d_E(f), sec) - rho(sec, f),
+              lambda sec, f: " , ".join(battery.describe((sec,)) + (f"f={f}",)))
     return report
-
-
-def _vanishes(res, zero):
-    if isinstance(res, Section):
-        return res.is_zero()
-    return res == zero or res.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -556,17 +528,12 @@ def algebroid_from_json(doc):
     that does not fit the schema raises ParseError; well-formed data of the
     wrong shape, or failing a structural condition, raises PreconditionError.
     """
-    if not isinstance(doc, dict):
-        raise ParseError("algebroid document must be a JSON object")
+    _require_fields(doc, "algebroid", ("n", "rank", "pairing"))
     try:
         n = int(doc["n"])
         r = int(doc["rank"])
-    except KeyError as exc:
-        raise ParseError(f"algebroid document lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f'"n" and "rank" must be integers: {exc}') from exc
-    if "pairing" not in doc:
-        raise ParseError("algebroid document lacks 'pairing'")
     pairing = _scalar_rows(doc["pairing"], "pairing", n)
     anchor = _scalar_rows(doc.get("anchor", []), "anchor", n)
     bracket_map = doc.get("bracket", {})
@@ -586,6 +553,15 @@ def algebroid_from_json(doc):
             raise PreconditionError(f"bracket entry {key!r} out of shape")
         bracket[i][j] = [parse_scalar(s, n) for s in comps]
     return build_from_structure_data(n, r, pairing, anchor, bracket)
+
+
+def _require_fields(doc, kind, fields):
+    """Raise ParseError unless doc is a JSON object with the given fields."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{kind} document must be a JSON object")
+    for name in fields:
+        if name not in doc:
+            raise ParseError(f"{kind} document lacks {name!r}")
 
 
 def _scalar_rows(rows, name, n):

@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 
 from . import cochain as co
 from . import dorfman as dc
 from .algebroid import algebroid_from_json, verify_axioms
 from .battery import Battery
 from .cohomology import PointComplex
-from .report import PreconditionError, Report
+from .report import PreconditionError, Report, run_check
 from .scalar import ParseError, Scalar
 
 __all__ = ["main"]
@@ -194,56 +195,43 @@ def cmd_curvature(args):
     bs = bundle.test_elements(degree=args.battery_degree, extras=args.extras,
                               seed=args.seed)
 
-    fails, checked = [], 0
-    for s1, s2 in battery.section_tuples(2, reduced=True):
-        for f in battery.functions[:5]:
-            checked += 1
-            res = dc.curvature_R0(conn, s1, s2, bundle.d_B(f))
-            if not res.is_zero():
-                fails.append((f"{battery.label(s1)}, {battery.label(s2)}, f={f}",
-                              str(res)))
-    report.add("curvature-kills-derivation-images", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+    functions = battery.functions
+    run_check(report, "curvature-kills-derivation-images",
+              ((s1, s2, f) for s1, s2 in battery.section_tuples(2, reduced=True)
+               for f in functions[:5]),
+              lambda s1, s2, f: dc.curvature_R0(conn, s1, s2, bundle.d_B(f)),
+              lambda s1, s2, f: f"{battery.label(s1)}, {battery.label(s2)}, f={f}")
+    run_check(report, "function-curvature-kills-derivation-images",
+              product(functions, functions[:5]),
+              lambda f, g: dc.curvature_R1(conn, f, bundle.d_B(g)),
+              lambda f, g: f"f={f}, g={g}")
 
-    fails, checked = [], 0
-    for f in battery.functions:
-        for g in battery.functions[:5]:
-            checked += 1
-            res = dc.curvature_R1(conn, f, bundle.d_B(g))
-            if not res.is_zero():
-                fails.append((f"f={f}, g={g}", str(res)))
-    report.add("function-curvature-kills-derivation-images", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+    def square(b):
+        """The covariant differential applied twice to the constant b."""
+        return dc.covariant_differential(
+            conn, dc.covariant_differential(conn, dc.b_leaf(bundle, b)))
 
-    fails, checked = [], 0
-    for b in bs[:: max(1, len(bs) // 6)]:
-        leaf = dc.b_leaf(bundle, b)
-        dd = dc.covariant_differential(conn, dc.covariant_differential(conn, leaf))
-        for f in battery.functions[:6]:
-            checked += 1
-            lhs = dc.evaluateB(dc.interior_f_b(f, dd), 0, ())
-            rhs = dc.curvature_R1(conn, f, b)
-            if not (lhs - rhs).is_zero():
-                fails.append((f"b={b}, f={f}", str(lhs - rhs)))
-    report.add("contracted-square-is-derivative-along-dual-differential",
-               not fails, checked, *(fails[0] if fails else (None, None)))
+    run_check(report, "contracted-square-is-derivative-along-dual-differential",
+              ((b, square(b), f) for b in bs[:: max(1, len(bs) // 6)]
+               for f in functions[:6]),
+              lambda b, dd, f: (dc.evaluateB(dc.interior_f_b(f, dd), 0, ())
+                                - dc.curvature_R1(conn, f, b)),
+              lambda b, dd, f: f"b={b}, f={f}")
 
-    fails, checked = [], 0
-    for b in bs[:: max(1, len(bs) // 4)]:
-        for f in battery.functions[:4]:
-            leaf = dc.b_leaf(bundle, b)
-            scaled = dc.b_leaf(bundle, b.scale(f))
-            dd = dc.covariant_differential(conn, dc.covariant_differential(conn, leaf))
-            dds = dc.covariant_differential(conn, dc.covariant_differential(conn, scaled))
-            for pair in list(battery.section_tuples(2, reduced=True))[:20]:
-                checked += 1
-                lhs = dc.evaluateB(dds, 0, pair)
-                rhs = dc.evaluateB(dd, 0, pair).scale(f)
-                if not (lhs - rhs).is_zero():
-                    fails.append((f"b={b}, f={f}, {battery.describe(pair)}",
-                                  str(lhs - rhs)))
-    report.add("squared-differential-linear-over-functions", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+    pairs = list(battery.section_tuples(2, reduced=True))[:20]
+
+    def scaled_squares():
+        for b in bs[:: max(1, len(bs) // 4)]:
+            dd = square(b)
+            for f in functions[:4]:
+                dds = square(b.scale(f))
+                for pair in pairs:
+                    yield b, dd, f, dds, pair
+
+    run_check(report, "squared-differential-linear-over-functions", scaled_squares(),
+              lambda b, dd, f, dds, pair: (dc.evaluateB(dds, 0, pair)
+                                           - dc.evaluateB(dd, 0, pair).scale(f)),
+              lambda b, dd, f, dds, pair: f"b={b}, f={f}, {battery.describe(pair)}")
 
     lin = dc.induced_linear_connection(conn, case, battery)
     report.extend(dc.curvature_symbol_checks(conn, lin, battery, bs))

@@ -2,19 +2,27 @@
 
 A cochain of degree p is a tuple of components; component k takes p - 2k
 section arguments and k function arguments (function slots stand for the
-differentials of their entries) and returns a scalar.  Nodes of the DAG are
-never evaluated at construction: :func:`evaluate` recurses through the
-component formulas for products (signed shuffle sums), the degree +1
-differential, interior products and Lie derivatives.  Equality of cochains
-is battery-relative: exact agreement of all components on every battery
-tuple.
+differentials of their entries) and returns a value.  The values form a
+module over the scalars: the scalars themselves, or the elements of a
+predual bundle (``dorfman``); a node carries the zero of its module.  Nodes
+of the DAG are never evaluated at construction: :func:`evaluate` recurses
+through the component formulas for products (signed shuffle sums of a
+scalar cochain times a cochain), the degree +1 differential, interior
+products and Lie derivatives.  Equality of cochains is battery-relative:
+exact agreement of all components on every battery tuple.
 
-Every evaluation runs in an :class:`EvalContext`, the one evaluation engine
-of the scalar DAG here and of the bundle-valued DAG in ``dorfman``.  The
-context interns each section and function argument to a small int, so the
-DAG works on id tuples, and it memoises node values, brackets and dual
-differentials on those ids.  Functions taking a ``ctx`` accept such a
-context to share its tables across calls, or None for a fresh one.
+One DAG serves both kinds of value because the differential is taken along
+a connection: ``along.apply(sigma, v)`` differentiates a value v along a
+section.  For scalar cochains that is the anchor, so d is the covariant
+differential of the anchor connection on the trivial line bundle; for
+bundle-valued cochains it is a Dorfman connection, and the Lie derivative
+along a section becomes the covariant derivative nabla_e.
+
+Every evaluation runs in an :class:`EvalContext`.  The context interns each
+section and function argument to a small int, so the DAG works on id
+tuples, and it memoises node values, brackets and dual differentials on
+those ids.  Functions taking a ``ctx`` accept such a context to share its
+tables across calls, or None for a fresh one.
 
 Degree bookkeeping clamps at zero: an interior product applied below degree
 0 is the zero cochain.  The ``order`` field is an upper bound for the
@@ -29,7 +37,7 @@ from functools import cache
 from itertools import combinations
 
 from .battery import Battery
-from .report import Report
+from .report import Report, run_check
 from .scalar import Scalar
 
 __all__ = [
@@ -70,12 +78,14 @@ class DegreeCapError(ValueError):
 
 
 class Cochain:
-    """Base node: degree, order bound, owning algebroid."""
+    """Base node: owning algebroid, zero of the value module, degree, order
+    bound."""
 
-    __slots__ = ("alg", "degree", "order")
+    __slots__ = ("alg", "zero", "degree", "order")
 
-    def __init__(self, alg, degree, order):
+    def __init__(self, alg, zero, degree, order):
         self.alg = alg
+        self.zero = zero
         self.degree = degree
         self.order = order
 
@@ -91,29 +101,38 @@ class Cochain:
 
 
 class _Zero(Cochain):
-    def __init__(self, alg, degree):
-        super().__init__(alg, degree, 1)
+    def __init__(self, alg, zero, degree):
+        super().__init__(alg, zero, degree, 1)
 
     def _eval(self, k, es, fs, ctx):
-        return Scalar.zero(self.alg.n)
+        return self.zero
 
 
-class _ScalarLeaf(Cochain):
+class _Leaf(Cochain):
+    """Degree-0 constant: a scalar, or an element of a predual bundle."""
+
     __slots__ = ("value",)
 
-    def __init__(self, alg, value):
-        super().__init__(alg, 0, 1)
+    def __init__(self, alg, value, zero):
+        super().__init__(alg, zero, 0, 1)
         self.value = value
 
     def _eval(self, k, es, fs, ctx):
         return self.value
 
 
+class _ScalarLeaf(_Leaf):
+    __slots__ = ()
+
+    def __init__(self, alg, value):
+        super().__init__(alg, value, Scalar.zero(alg.n))
+
+
 class _SectionLeaf(Cochain):
     __slots__ = ("section",)
 
     def __init__(self, alg, section):
-        super().__init__(alg, 1, 1)
+        super().__init__(alg, Scalar.zero(alg.n), 1, 1)
         self.section = section
 
     def _eval(self, k, es, fs, ctx):
@@ -121,34 +140,72 @@ class _SectionLeaf(Cochain):
 
 
 class _Product(Cochain):
+    """A scalar cochain times a cochain: signed shuffle sum of the factors."""
+
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        super().__init__(left.alg, left.degree + right.degree,
+        super().__init__(left.alg, right.zero, left.degree + right.degree,
                          max(left.order, right.order))
         self.left = left
         self.right = right
 
     def _eval(self, k, es, fs, ctx):
-        total = Scalar.zero(self.alg.n)
-        for sign, v1, v2 in _product_terms(self.left, self.right, k, es, fs, ctx):
-            term = v1 * v2
-            total = total + term if sign > 0 else total - term
+        left, right = self.left, self.right
+        p, q = left.degree, right.degree
+        total = self.zero
+        for r in range(k + 1):
+            t = k - r
+            a = p - 2 * r
+            if a < 0 or q - 2 * t < 0:
+                continue
+            # function slots are shared out unsigned, the same way for every
+            # section shuffle
+            fsplits = [(tuple(fs[i] for i in li), tuple(fs[i] for i in ri))
+                       for li, ri, _ in _shuffles(len(fs), r)]
+            for left_idx, right_idx, sign in _shuffles(len(es), a):
+                les = tuple(es[i] for i in left_idx)
+                res = tuple(es[i] for i in right_idx)
+                for lfs, rfs in fsplits:
+                    v1 = _eval(left, r, les, lfs, ctx)
+                    if v1.is_zero():
+                        continue
+                    v2 = _eval(right, t, res, rfs, ctx)
+                    if v2.is_zero():
+                        continue
+                    term = v2.scale(v1)
+                    total = total + term if sign > 0 else total - term
         return total
 
 
-class _Differential(Cochain):
-    __slots__ = ("child",)
+class _AnchorConnection:
+    """The anchor, as the connection on the trivial line bundle along which
+    the differential of a scalar cochain differentiates."""
 
-    def __init__(self, child):
-        super().__init__(child.alg, child.degree + 1, child.order + 1)
+    __slots__ = ("alg",)
+
+    def __init__(self, alg):
+        self.alg = alg
+
+    def apply(self, sigma, f):
+        return self.alg.anchor_apply(sigma, f)
+
+
+class _Differential(Cochain):
+    """Degree +1 differential along a connection (see the module docstring)."""
+
+    __slots__ = ("along", "child")
+
+    def __init__(self, along, child):
+        super().__init__(child.alg, child.zero, child.degree + 1, child.order + 1)
+        self.along = along
         self.child = child
 
     def _eval(self, k, es, fs, ctx):
         alg = self.alg
         child = self.child
         p = child.degree
-        total = Scalar.zero(alg.n)
+        total = self.zero
         # function slots feed back through the dual differential
         if k >= 1 and p - 2 * (k - 1) >= 0:
             for mu in range(k):
@@ -156,12 +213,13 @@ class _Differential(Cochain):
                 v = _eval(child, k - 1, (ctx.d_E(alg, fs[mu]),) + es, rest, ctx)
                 total = total + v
         if p - 2 * k >= 0:
-            # anchor derivative of the contracted component
+            # derivative along each argument of the contracted component
             sections = ctx.sections
+            along = self.along
             for i in range(len(es)):
                 v = _eval(child, k, es[:i] + es[i + 1 :], fs, ctx)
                 if not v.is_zero():
-                    dv = alg.anchor_apply(sections[es[i]], v)
+                    dv = along.apply(sections[es[i]], v)
                     total = total + dv if i % 2 == 0 else total - dv
             # bracket insertion at the place of the later argument
             bracket = ctx.bracket
@@ -178,7 +236,7 @@ class _InteriorE(Cochain):
     __slots__ = ("section", "child")
 
     def __init__(self, section, child):
-        super().__init__(child.alg, child.degree - 1, child.order)
+        super().__init__(child.alg, child.zero, child.degree - 1, child.order)
         self.section = section
         self.child = child
 
@@ -190,7 +248,7 @@ class _InteriorF(Cochain):
     __slots__ = ("function", "child")
 
     def __init__(self, function, child):
-        super().__init__(child.alg, child.degree - 2, child.order)
+        super().__init__(child.alg, child.zero, child.degree - 2, child.order)
         self.function = function
         self.child = child
 
@@ -200,32 +258,34 @@ class _InteriorF(Cochain):
 
 
 class _LieE(Cochain):
-    """Degree-0 derivation: anticommutator of the interior product with d."""
+    """Degree-0 derivation: anticommutator of the interior product with the
+    differential along a connection."""
 
     __slots__ = ("section", "child", "_a", "_b")
 
-    def __init__(self, section, child):
-        super().__init__(child.alg, child.degree, child.order + 1)
+    def __init__(self, along, section, child):
+        super().__init__(child.alg, child.zero, child.degree, child.order + 1)
         self.section = section
         self.child = child
-        self._a = interior_e(section, differential(child))
-        self._b = differential(interior_e(section, child))
+        self._a = interior_e(section, _differential(along, child))
+        self._b = _differential(along, interior_e(section, child))
 
     def _eval(self, k, es, fs, ctx):
         return _eval(self._a, k, es, fs, ctx) + _eval(self._b, k, es, fs, ctx)
 
 
 class _LieF(Cochain):
-    """Degree -1 derivation: commutator of the function contraction with d."""
+    """Degree -1 derivation: commutator of the function contraction with the
+    differential along a connection."""
 
     __slots__ = ("function", "child", "_a", "_b")
 
-    def __init__(self, function, child):
-        super().__init__(child.alg, child.degree - 1, child.order + 1)
+    def __init__(self, along, function, child):
+        super().__init__(child.alg, child.zero, child.degree - 1, child.order + 1)
         self.function = function
         self.child = child
-        self._a = interior_f(function, differential(child))
-        self._b = differential(interior_f(function, child))
+        self._a = interior_f(function, _differential(along, child))
+        self._b = _differential(along, interior_f(function, child))
 
     def _eval(self, k, es, fs, ctx):
         return _eval(self._a, k, es, fs, ctx) - _eval(self._b, k, es, fs, ctx)
@@ -234,6 +294,10 @@ class _LieF(Cochain):
 # ---------------------------------------------------------------------------
 # factories (degree underflow gives the zero cochain)
 # ---------------------------------------------------------------------------
+
+
+def _zero_like(node, degree):
+    return _Zero(node.alg, node.zero, degree)
 
 
 def scalar_leaf(alg, f):
@@ -245,50 +309,66 @@ def section_leaf(alg, section):
 
 
 def zero_cochain(alg, degree):
-    return _Zero(alg, degree)
+    return _Zero(alg, Scalar.zero(alg.n), degree)
 
 
 def mul(left, right):
+    """The product of a scalar cochain with a scalar or bundle-valued one."""
     if left.alg is not right.alg:
         raise ValueError("cochains over different algebroids")
     if isinstance(left, _Zero) or isinstance(right, _Zero):
-        return _Zero(left.alg, left.degree + right.degree)
+        return _zero_like(right, left.degree + right.degree)
     if left.degree + right.degree > PRODUCT_DEGREE_CAP:
         raise DegreeCapError(
             f"product degree {left.degree + right.degree} exceeds cap {PRODUCT_DEGREE_CAP}")
     return _Product(left, right)
 
 
-def differential(child):
+def _differential(along, child):
+    """The differential of child along a connection."""
     if isinstance(child, _Zero):
-        return _Zero(child.alg, child.degree + 1)
+        return _zero_like(child, child.degree + 1)
     if child.degree + 1 > DEGREE_CAP:
         raise DegreeCapError(f"degree {child.degree + 1} exceeds cap {DEGREE_CAP}")
-    return _Differential(child)
+    return _Differential(along, child)
+
+
+def differential(child):
+    return _differential(_AnchorConnection(child.alg), child)
 
 
 def interior_e(section, child):
     if child.degree - 1 < 0 or isinstance(child, _Zero):
-        return _Zero(child.alg, child.degree - 1)
+        return _zero_like(child, child.degree - 1)
     return _InteriorE(section, child)
 
 
 def interior_f(function, child):
     if child.degree - 2 < 0 or isinstance(child, _Zero):
-        return _Zero(child.alg, child.degree - 2)
+        return _zero_like(child, child.degree - 2)
     return _InteriorF(function, child)
 
 
-def lie_e(section, child):
+def _lie_e(along, section, child):
+    """The Lie derivative along a section, with d taken along a connection."""
     if isinstance(child, _Zero):
-        return _Zero(child.alg, child.degree)
-    return _LieE(section, child)
+        return _zero_like(child, child.degree)
+    return _LieE(along, section, child)
+
+
+def lie_e(section, child):
+    return _lie_e(_AnchorConnection(child.alg), section, child)
+
+
+def _lie_f(along, function, child):
+    """The Lie derivative along a function, with d taken along a connection."""
+    if child.degree - 1 < 0 or isinstance(child, _Zero):
+        return _zero_like(child, child.degree - 1)
+    return _LieF(along, function, child)
 
 
 def lie_f(function, child):
-    if child.degree - 1 < 0 or isinstance(child, _Zero):
-        return _Zero(child.alg, child.degree - 1)
-    return _LieF(function, child)
+    return _lie_f(_AnchorConnection(child.alg), function, child)
 
 
 # ---------------------------------------------------------------------------
@@ -369,34 +449,6 @@ def _shuffles(total, left):
     return tuple(out)
 
 
-def _product_terms(left, right, k, es, fs, ctx):
-    """Signed nonzero factor pairs of component k of a product node.
-
-    left is a scalar cochain; right is a scalar or bundle-valued one.
-    """
-    p, q = left.degree, right.degree
-    for r in range(k + 1):
-        t = k - r
-        a = p - 2 * r
-        if a < 0 or q - 2 * t < 0:
-            continue
-        # function slots are shared out unsigned, the same way for every
-        # section shuffle
-        fsplits = [(tuple(fs[i] for i in li), tuple(fs[i] for i in ri))
-                   for li, ri, _ in _shuffles(len(fs), r)]
-        for left_idx, right_idx, sign in _shuffles(len(es), a):
-            les = tuple(es[i] for i in left_idx)
-            res = tuple(es[i] for i in right_idx)
-            for lfs, rfs in fsplits:
-                v1 = _eval(left, r, les, lfs, ctx)
-                if v1.is_zero():
-                    continue
-                v2 = _eval(right, t, res, rfs, ctx)
-                if v2.is_zero():
-                    continue
-                yield sign, v1, v2
-
-
 def _eval(node, k, es, fs, ctx):
     """Memoised component k of a scalar or bundle-valued node on id tuples."""
     # node is keyed by identity; the memo entry keeps it alive, so ids
@@ -409,8 +461,15 @@ def _eval(node, k, es, fs, ctx):
     return hit
 
 
-def _check_arity(node, k, sections, functions):
-    """Raise ValueError unless the arguments fit component k of node."""
+def evaluate(node, k, sections, functions=(), ctx=None):
+    """Component k of the cochain on the given argument tuples.
+
+    Raises ValueError unless the arguments fit component k.  ctx is an
+    :class:`EvalContext`; pass one to share its memo and tables across
+    calls, or None for a fresh one.
+    """
+    sections = tuple(sections)
+    functions = tuple(functions)
     if node.degree >= 0:
         if not 0 <= k <= node.degree // 2:
             raise ValueError(f"component {k} out of range for degree {node.degree}")
@@ -418,17 +477,6 @@ def _check_arity(node, k, sections, functions):
             raise ValueError(
                 f"component {k} of a degree-{node.degree} cochain takes "
                 f"{node.degree - 2 * k} sections and {k} functions")
-
-
-def evaluate(node, k, sections, functions=(), ctx=None):
-    """Component k of the cochain on the given argument tuples.
-
-    ctx is an :class:`EvalContext`; pass one to share its memo and tables
-    across calls, or None for a fresh one.
-    """
-    sections = tuple(sections)
-    functions = tuple(functions)
-    _check_arity(node, k, sections, functions)
     if ctx is None:
         ctx = EvalContext()
     return _eval(node, k, *ctx.ids(sections, functions), ctx)
@@ -466,16 +514,17 @@ def equal_combinations(lhs, rhs, battery=None, reduced=False, ctx=None):
     """Exact equality of two signed sums of cochains on the battery.
 
     lhs and rhs are lists of (coefficient, cochain) with rational
-    coefficients; all non-zero cochains must share one degree.  ctx is an
-    :class:`EvalContext` (None for a fresh one); sharing one across calls
-    shares its memo of node values and its argument tables.
+    coefficients; all non-zero cochains must share one degree and one value
+    module.  The sums are compared on battery tuples until one differs.  ctx
+    is an :class:`EvalContext` (None for a fresh one); sharing one across
+    calls shares its memo of node values and its argument tables.
     """
     terms = [(c, w) for c, w in lhs] + [(-c, w) for c, w in rhs]
     live = [(c, w) for c, w in terms if not isinstance(w, _Zero)]
     if not live:
         return EqualityResult(True, 0)
-    alg = live[0][1].alg
-    degree = live[0][1].degree
+    first = live[0][1]
+    degree = first.degree
     for _, w in live:
         if w.degree != degree:
             return EqualityResult(False, 0, witness="degree mismatch",
@@ -483,29 +532,16 @@ def equal_combinations(lhs, rhs, battery=None, reduced=False, ctx=None):
     if degree < 0:
         return EqualityResult(True, 0)
     if battery is None:
-        battery = _default_battery(alg, *[w for _, w in live])
-    checked, witness, residual = _first_residual(
-        live, degree, battery, reduced, ctx, Scalar.zero(alg.n),
-        lambda c, v: Scalar.const(alg.n, c) * v)
-    return EqualityResult(witness is None, checked, witness, residual)
-
-
-def _first_residual(live, degree, battery, reduced, ctx, zero, times):
-    """Sum the signed terms on battery tuples until one sum is nonzero.
-
-    live is a list of (coefficient, node), all of one degree >= 0, scalar
-    or bundle-valued alike; times(c, v) scales a value v by a rational c.
-    Returns (tuples checked, witness, residual), witness None if every sum
-    vanished.
-    """
+        battery = _default_battery(first.alg, *[w for _, w in live])
     if ctx is None:
         ctx = EvalContext()
+    n = first.alg.n
     checked = 0
     for k in range(degree // 2 + 1):
         for secs, funs in _component_tuples(battery, degree - 2 * k, k, reduced):
             checked += 1
             es, fs = ctx.ids(secs, funs)
-            acc = zero
+            acc = first.zero
             for coeff, w in live:
                 v = _eval(w, k, es, fs, ctx)
                 if v.is_zero():
@@ -515,12 +551,12 @@ def _first_residual(live, degree, battery, reduced, ctx, zero, times):
                 elif coeff == -1:
                     acc = acc - v
                 else:
-                    acc = acc + times(coeff, v)
+                    acc = acc + v.scale(Scalar.const(n, coeff))
             if not acc.is_zero():
                 witness = (f"k={k}", *battery.describe(secs),
                            *(f"f={f}" for f in funs))
-                return checked, " , ".join(witness), str(acc)
-    return checked, None, None
+                return EqualityResult(False, checked, " , ".join(witness), str(acc))
+    return EqualityResult(True, checked)
 
 
 def _component_tuples(battery, sec_arity, fun_arity, reduced):
@@ -562,30 +598,26 @@ def check_symmetry_condition(w, battery=None, reduced=True):
     if battery is None:
         battery = _default_battery(w.alg, w)
     ctx = EvalContext()
-    checked = 0
-    witness = residual = None
-    passed = True
-    for k in range(w.degree // 2 + 1):
-        arity = w.degree - 2 * k
-        if arity < 2:
-            continue
-        for secs, funs in _component_tuples(battery, arity, k, reduced):
-            es, fs = ctx.ids(secs, funs)
-            for i in range(arity - 1):
-                checked += 1
-                swapped = es[:i] + (es[i + 1], es[i]) + es[i + 2 :]
-                plain = _eval(w, k, es, fs, ctx)
-                flip = _eval(w, k, swapped, fs, ctx)
-                pair = ctx.function_id(w.alg.pairing(secs[i], secs[i + 1]))
-                contracted = _eval(w, k + 1, es[:i] + es[i + 2 :],
-                                   (pair,) + fs, ctx)
-                res = plain + flip + contracted
-                if passed and not res.is_zero():
-                    passed = False
-                    witness = " , ".join((f"k={k}", f"swap at {i}",
-                                          *battery.describe(secs)))
-                    residual = str(res)
-    report.add("symmetry-condition", passed, checked, witness, residual)
+
+    def swaps():
+        for k in range(w.degree // 2 + 1):
+            arity = w.degree - 2 * k
+            if arity < 2:
+                continue
+            for secs, funs in _component_tuples(battery, arity, k, reduced):
+                es, fs = ctx.ids(secs, funs)
+                for i in range(arity - 1):
+                    yield k, i, secs, es, fs
+
+    def residual(k, i, secs, es, fs):
+        plain = _eval(w, k, es, fs, ctx)
+        flip = _eval(w, k, es[:i] + (es[i + 1], es[i]) + es[i + 2 :], fs, ctx)
+        pair = ctx.function_id(w.alg.pairing(secs[i], secs[i + 1]))
+        return plain + flip + _eval(w, k + 1, es[:i] + es[i + 2 :], (pair,) + fs, ctx)
+
+    run_check(report, "symmetry-condition", swaps(), residual,
+              lambda k, i, secs, es, fs: " , ".join(
+                  (f"k={k}", f"swap at {i}", *battery.describe(secs))))
     return report
 
 
@@ -644,6 +676,13 @@ def symbol_E(w, slot, probe, battery=None, reduced=True):
     if battery is None:
         battery = _default_battery(w.alg, w)
     ctx = EvalContext()
+
+    def symbols(k, arity, bound):
+        for secs, funs in _component_tuples(battery, arity, k, reduced):
+            es, fs = ctx.ids(secs, funs)
+            for fseq in _probe_sequences(probes, bound + 1):
+                yield k, secs, es, fs, fseq
+
     for k in range(w.degree // 2 + 1):
         arity = w.degree - 2 * k
         if slot >= arity:
@@ -652,20 +691,11 @@ def symbol_E(w, slot, probe, battery=None, reduced=True):
             bound = w.order
         else:
             bound = max(w.order - 1, 0)
-        checked = 0
-        passed = True
-        witness = residual = None
-        for secs, funs in _component_tuples(battery, arity, k, reduced):
-            es, fs = ctx.ids(secs, funs)
-            for fseq in _probe_sequences(probes, bound + 1):
-                checked += 1
-                res = _iterated_symbol(w, k, slot, fseq, es, fs, ctx)
-                if passed and not res.is_zero():
-                    passed = False
-                    witness = " , ".join(battery.describe(secs))
-                    residual = str(res)
-        report.add(f"symbol-E[k={k},slot={slot},order<={bound}]",
-                   passed, checked, witness, residual)
+        run_check(report, f"symbol-E[k={k},slot={slot},order<={bound}]",
+                  symbols(k, arity, bound),
+                  lambda k, secs, es, fs, fseq: _iterated_symbol(
+                      w, k, slot, fseq, es, fs, ctx),
+                  lambda k, secs, es, fs, fseq: " , ".join(battery.describe(secs)))
     return report
 
 
@@ -692,28 +722,21 @@ def symbol_Omega(w, slot, probe, battery=None, reduced=True):
     def at_slot(fs, g):
         return fs[:slot] + (ctx.function_id(g),) + fs[slot + 1 :]
 
-    for k in range(1, w.degree // 2 + 1):
-        if slot >= k:
-            continue
-        arity = w.degree - 2 * k
-        checked = 0
-        passed = True
-        witness = residual = None
-        for secs, funs in _component_tuples(battery, arity, k, reduced):
+    def defects(k):
+        for secs, funs in _component_tuples(battery, w.degree - 2 * k, k, reduced):
             es, fs = ctx.ids(secs, funs)
-            g = funs[slot]
             for f in probes:
-                checked += 1
-                res = (_eval(w, k, es, at_slot(fs, f * g), ctx)
-                       - f * _eval(w, k, es, fs, ctx)
-                       - g * _eval(w, k, es, at_slot(fs, f), ctx))
-                if passed and not res.is_zero():
-                    passed = False
-                    witness = " , ".join((f"k={k}", *battery.describe(secs),
-                                          f"f={f}", f"g={g}"))
-                    residual = str(res)
-        report.add(f"symbol-Omega[k={k},slot={slot}]", passed, checked,
-                   witness, residual)
+                yield k, secs, es, fs, f, funs[slot]
+
+    def defect(k, secs, es, fs, f, g):
+        return (_eval(w, k, es, at_slot(fs, f * g), ctx)
+                - f * _eval(w, k, es, fs, ctx)
+                - g * _eval(w, k, es, at_slot(fs, f), ctx))
+
+    for k in range(slot + 1, w.degree // 2 + 1):
+        run_check(report, f"symbol-Omega[k={k},slot={slot}]", defects(k), defect,
+                  lambda k, secs, es, fs, f, g: " , ".join(
+                      (f"k={k}", *battery.describe(secs), f"f={f}", f"g={g}")))
     return report
 
 

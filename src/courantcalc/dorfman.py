@@ -10,25 +10,36 @@ A connection is stored through its frame coefficients and extended to all
 arguments by its two Leibniz axioms; the third axiom (d_B-equivariance) is
 what construction has to arrange and what verification checks.  Curvature
 is evaluated by the operator formulas (it is not tensorial in the section
-slots), value-level cochains extend the scalar DAG with bundle values, and
-the Bianchi identity is checked on both displayed components.
+slots), and the Bianchi identity is checked on both displayed components.
+
+Bundle-valued cochains are not a second DAG: they are nodes of the cochain
+DAG of ``cochain`` whose values are bundle elements, and the covariant
+differential of a connection is that DAG's differential taken along the
+connection instead of the anchor.  ``b_leaf``, ``tensor``, ``product_b``,
+``covariant_differential``, ``interior_e_b``, ``interior_f_b``, ``nabla_e``,
+``lie_f_nabla``, ``evaluateB`` and ``equal_b`` name those uses.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import linalg
-from .algebroid import CourantAlgebroid, Section
+from .algebroid import CourantAlgebroid, Section, _require_fields, _scalar_rows
 from .battery import Battery
 from .cochain import (
-    EvalContext,
-    _check_arity,
-    _eval,
-    _first_residual,
-    _product_terms,
+    _differential,
+    _Leaf,
+    _lie_e,
+    _lie_f,
+    equal_combinations,
+    evaluate,
+    interior_e,
+    interior_f,
+    mul,
 )
-from .cochain import _Zero as _ScalarZero
-from .report import PreconditionError, Report
-from .scalar import Scalar, parse_scalar
+from .report import PreconditionError, Report, run_check
+from .scalar import ParseError, Scalar, parse_scalar
 
 __all__ = [
     "BSection",
@@ -45,7 +56,6 @@ __all__ = [
     "DualConnection",
     "dual_connection",
     "endo_connection",
-    "BValuedCochain",
     "b_leaf",
     "tensor",
     "product_b",
@@ -413,49 +423,27 @@ def verify_connection(conn, battery, b_elements=None):
                                           extras=battery.extras, seed=battery.seed)
     secs = battery.frame + battery.scaled[: 2 * alg.rank] + battery.randoms
     funs = battery.functions
-    bs = b_elements
+    sample = list(product(secs, funs[:6] + funs[-2:],
+                          b_elements[:: max(1, len(b_elements) // 8)]))
     report = Report(f"connection axioms of {conn!r}")
 
-    def record(name, failures, checked):
-        if failures:
-            witness, residual = failures[0]
-            report.add(name, False, checked, witness, residual)
-        else:
-            report.add(name, True, checked)
+    def section_scaling(sigma, f, b):
+        return (conn.apply(sigma.scale(f), b) - conn.apply(sigma, b).scale(f)
+                - bundle.d_B(f).scale(bundle.b_pairing(sigma, b)))
 
-    fails = []
-    checked = 0
-    for sigma in secs:
-        for f in funs[:6] + funs[-2:]:
-            for b in bs[:: max(1, len(bs) // 8)]:
-                checked += 1
-                res = (conn.apply(sigma.scale(f), b) - conn.apply(sigma, b).scale(f)
-                       - bundle.d_B(f).scale(bundle.b_pairing(sigma, b)))
-                if not res.is_zero():
-                    fails.append((f"{battery.label(sigma)}, f={f}, b={b}", str(res)))
-    record("scaling-in-the-section-slot", fails, checked)
+    def bundle_leibniz(sigma, f, b):
+        return (conn.apply(sigma, b.scale(f)) - conn.apply(sigma, b).scale(f)
+                - b.scale(alg.anchor_apply(sigma, f)))
 
-    fails = []
-    checked = 0
-    for sigma in secs:
-        for f in funs[:6] + funs[-2:]:
-            for b in bs[:: max(1, len(bs) // 8)]:
-                checked += 1
-                res = (conn.apply(sigma, b.scale(f)) - conn.apply(sigma, b).scale(f)
-                       - b.scale(alg.anchor_apply(sigma, f)))
-                if not res.is_zero():
-                    fails.append((f"{battery.label(sigma)}, f={f}, b={b}", str(res)))
-    record("leibniz-in-the-bundle-slot", fails, checked)
+    def at(sigma, f, b):
+        return f"{battery.label(sigma)}, f={f}, b={b}"
 
-    fails = []
-    checked = 0
-    for sigma in secs:
-        for f in funs:
-            checked += 1
-            res = conn.apply(sigma, bundle.d_B(f)) - bundle.d_B(alg.anchor_apply(sigma, f))
-            if not res.is_zero():
-                fails.append((f"{battery.label(sigma)}, f={f}", str(res)))
-    record("derivation-image-equivariance", fails, checked)
+    run_check(report, "scaling-in-the-section-slot", sample, section_scaling, at)
+    run_check(report, "leibniz-in-the-bundle-slot", sample, bundle_leibniz, at)
+    run_check(report, "derivation-image-equivariance", product(secs, funs),
+              lambda sigma, f: (conn.apply(sigma, bundle.d_B(f))
+                                - bundle.d_B(alg.anchor_apply(sigma, f))),
+              lambda sigma, f: f"{battery.label(sigma)}, f={f}")
     return report
 
 
@@ -482,42 +470,24 @@ def difference_check(conn0, conn1, battery, b_elements=None):
         b_elements = bundle.test_elements(degree=battery.degree,
                                           extras=battery.extras, seed=battery.seed)
     secs = battery.frame + battery.scaled[: alg.rank] + battery.randoms
+    sample = list(product(secs, battery.functions[:5],
+                          b_elements[:: max(1, len(b_elements) // 6)]))
     report = Report("difference of connections")
 
     def diff(sigma, b):
         return conn0.apply(sigma, b) - conn1.apply(sigma, b)
 
-    fails, checked = [], 0
-    for sigma in secs:
-        for f in battery.functions[:5]:
-            for b in b_elements[:: max(1, len(b_elements) // 6)]:
-                checked += 1
-                res = diff(sigma.scale(f), b) - diff(sigma, b).scale(f)
-                if not res.is_zero():
-                    fails.append((f"{battery.label(sigma)}, f={f}", str(res)))
-    report.add("linear-over-functions-in-the-section-slot", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+    def at(sigma, f, *_):
+        return f"{battery.label(sigma)}, f={f}"
 
-    fails, checked = [], 0
-    for sigma in secs:
-        for f in battery.functions[:5]:
-            for b in b_elements[:: max(1, len(b_elements) // 6)]:
-                checked += 1
-                res = diff(sigma, b.scale(f)) - diff(sigma, b).scale(f)
-                if not res.is_zero():
-                    fails.append((f"{battery.label(sigma)}, f={f}", str(res)))
-    report.add("linear-over-functions-in-the-bundle-slot", not fails, checked,
-               *(fails[0] if fails else (None, None)))
-
-    fails, checked = [], 0
-    for sigma in secs:
-        for f in battery.functions:
-            checked += 1
-            res = diff(sigma, bundle.d_B(f))
-            if not res.is_zero():
-                fails.append((f"{battery.label(sigma)}, f={f}", str(res)))
-    report.add("kills-derivation-images", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+    run_check(report, "linear-over-functions-in-the-section-slot", sample,
+              lambda sigma, f, b: diff(sigma.scale(f), b) - diff(sigma, b).scale(f),
+              at)
+    run_check(report, "linear-over-functions-in-the-bundle-slot", sample,
+              lambda sigma, f, b: diff(sigma, b.scale(f)) - diff(sigma, b).scale(f),
+              at)
+    run_check(report, "kills-derivation-images", product(secs, battery.functions),
+              lambda sigma, f: diff(sigma, bundle.d_B(f)), at)
     return report
 
 
@@ -602,30 +572,20 @@ def verify_linear_connection(lin, battery, b_elements=None):
         b_elements = bundle.test_elements(degree=battery.degree,
                                           extras=battery.extras, seed=battery.seed)
     secs = battery.frame + battery.scaled[: alg.rank] + battery.randoms
+    sample = list(product(b_elements[:: max(1, len(b_elements) // 8)],
+                          battery.functions[:5], secs))
     report = Report(f"module-connection laws ({lin.case})")
 
-    fails, checked = [], 0
-    for b in b_elements[:: max(1, len(b_elements) // 8)]:
-        for f in battery.functions[:5]:
-            for e in secs:
-                checked += 1
-                res = lin.apply(b.scale(f), e) - lin.apply(b, e).scale(f)
-                if not res.is_zero():
-                    fails.append((f"b={b}, f={f}, {battery.label(e)}", str(res)))
-    report.add("tensorial-in-the-bundle-slot", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+    def at(b, f, e):
+        return f"b={b}, f={f}, {battery.label(e)}"
 
-    fails, checked = [], 0
-    for b in b_elements[:: max(1, len(b_elements) // 8)]:
-        for f in battery.functions[:5]:
-            for e in secs:
-                checked += 1
-                res = (lin.apply(b, e.scale(f)) - lin.apply(b, e).scale(f)
-                       - e.scale(lin.anchor_apply(b, f)))
-                if not res.is_zero():
-                    fails.append((f"b={b}, f={f}, {battery.label(e)}", str(res)))
-    report.add("leibniz-in-the-section-slot", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+    run_check(report, "tensorial-in-the-bundle-slot", sample,
+              lambda b, f, e: lin.apply(b.scale(f), e) - lin.apply(b, e).scale(f),
+              at)
+    run_check(report, "leibniz-in-the-section-slot", sample,
+              lambda b, f, e: (lin.apply(b, e.scale(f)) - lin.apply(b, e).scale(f)
+                               - e.scale(lin.anchor_apply(b, f))),
+              at)
     return report
 
 
@@ -638,20 +598,17 @@ def compatibility_check(conn, lin, battery, b_elements=None):
                                           extras=battery.extras, seed=battery.seed)
     secs = battery.frame + battery.scaled[: alg.rank] + battery.randoms[:2]
     report = Report("bracket-connection compatibility")
-    fails, checked = [], 0
-    for e in secs:
-        for ep in secs:
-            for b in b_elements[:: max(1, len(b_elements) // 6)]:
-                checked += 1
-                res = (alg.anchor_apply(e, bundle.b_pairing(ep, b))
-                       - bundle.b_pairing(alg.bracket(e, ep), b)
-                       + alg.pairing(lin.apply(b, e), ep)
-                       - bundle.b_pairing(ep, conn.apply(e, b)))
-                if not res.is_zero():
-                    fails.append(
-                        (f"{battery.label(e)}, {battery.label(ep)}, b={b}", str(res)))
-    report.add("pairing-compatibility-with-connection", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+
+    def defect(e, ep, b):
+        return (alg.anchor_apply(e, bundle.b_pairing(ep, b))
+                - bundle.b_pairing(alg.bracket(e, ep), b)
+                + alg.pairing(lin.apply(b, e), ep)
+                - bundle.b_pairing(ep, conn.apply(e, b)))
+
+    run_check(report, "pairing-compatibility-with-connection",
+              product(secs, secs, b_elements[:: max(1, len(b_elements) // 6)]),
+              defect,
+              lambda e, ep, b: f"{battery.label(e)}, {battery.label(ep)}, b={b}")
     return report
 
 
@@ -786,244 +743,54 @@ def matrix_apply(matrix, b):
 # ---------------------------------------------------------------------------
 
 
-class BValuedCochain:
-    """Cochain with values in the predual bundle; components take section
-    and function arguments exactly like scalar cochains."""
-
-    __slots__ = ("bundle", "degree", "order")
-
-    def __init__(self, bundle, degree, order):
-        self.bundle = bundle
-        self.degree = degree
-        self.order = order
-
-    def _eval(self, k, es, fs, ctx):
-        raise NotImplementedError
-
-
-class _BZero(BValuedCochain):
-    def __init__(self, bundle, degree):
-        super().__init__(bundle, degree, 1)
-
-    def _eval(self, k, es, fs, ctx):
-        return self.bundle.zero()
-
-
-class _BLeaf(BValuedCochain):
-    __slots__ = ("value",)
-
-    def __init__(self, bundle, value):
-        super().__init__(bundle, 0, 1)
-        self.value = value
-
-    def _eval(self, k, es, fs, ctx):
-        return self.value
-
-
-class _BTensor(BValuedCochain):
-    __slots__ = ("omega", "value")
-
-    def __init__(self, omega, bundle, value):
-        super().__init__(bundle, omega.degree, omega.order)
-        self.omega = omega
-        self.value = value
-
-    def _eval(self, k, es, fs, ctx):
-        coeff = _eval(self.omega, k, es, fs, ctx)
-        if coeff.is_zero():
-            return self.bundle.zero()
-        return self.value.scale(coeff)
-
-
-class _BProduct(BValuedCochain):
-    __slots__ = ("omega", "child")
-
-    def __init__(self, omega, child):
-        super().__init__(child.bundle, omega.degree + child.degree,
-                         max(omega.order, child.order))
-        self.omega = omega
-        self.child = child
-
-    def _eval(self, k, es, fs, ctx):
-        total = self.bundle.zero()
-        for sign, v1, v2 in _product_terms(self.omega, self.child, k, es, fs, ctx):
-            term = v2.scale(v1)
-            total = total + term if sign > 0 else total - term
-        return total
-
-
-class _BCovariantDifferential(BValuedCochain):
-    __slots__ = ("conn", "child")
-
-    def __init__(self, conn, child):
-        super().__init__(child.bundle, child.degree + 1, child.order + 1)
-        self.conn = conn
-        self.child = child
-
-    def _eval(self, k, es, fs, ctx):
-        conn = self.conn
-        alg = conn.alg
-        child = self.child
-        p = child.degree
-        total = self.bundle.zero()
-        if k >= 1 and p - 2 * (k - 1) >= 0:
-            for mu in range(k):
-                rest = fs[:mu] + fs[mu + 1 :]
-                total = total + _eval(child, k - 1,
-                                      (ctx.d_E(alg, fs[mu]),) + es, rest, ctx)
-        if p - 2 * k >= 0:
-            sections = ctx.sections
-            for i in range(len(es)):
-                v = _eval(child, k, es[:i] + es[i + 1 :], fs, ctx)
-                if not v.is_zero():
-                    dv = conn.apply(sections[es[i]], v)
-                    total = total + dv if i % 2 == 0 else total - dv
-            bracket = ctx.bracket
-            for i in range(len(es)):
-                for j in range(i + 1, len(es)):
-                    br = bracket(es[i], es[j])
-                    args = es[:i] + es[i + 1 : j] + (br,) + es[j + 1 :]
-                    v = _eval(child, k, args, fs, ctx)
-                    total = total - v if i % 2 == 0 else total + v
-        return total
-
-
-class _BInteriorE(BValuedCochain):
-    __slots__ = ("section", "child")
-
-    def __init__(self, section, child):
-        super().__init__(child.bundle, child.degree - 1, child.order)
-        self.section = section
-        self.child = child
-
-    def _eval(self, k, es, fs, ctx):
-        return _eval(self.child, k, (ctx.section_id(self.section),) + es, fs, ctx)
-
-
-class _BInteriorF(BValuedCochain):
-    __slots__ = ("function", "child")
-
-    def __init__(self, function, child):
-        super().__init__(child.bundle, child.degree - 2, child.order)
-        self.function = function
-        self.child = child
-
-    def _eval(self, k, es, fs, ctx):
-        return _eval(self.child, k + 1, es, (ctx.function_id(self.function),) + fs,
-                     ctx)
-
-
-class _BNablaE(BValuedCochain):
-    """Degree-0 operator: anticommutator of the interior product with the
-    covariant differential."""
-
-    __slots__ = ("_a", "_b")
-
-    def __init__(self, conn, section, child):
-        super().__init__(child.bundle, child.degree, child.order + 1)
-        self._a = interior_e_b(section, covariant_differential(conn, child))
-        self._b = covariant_differential(conn, interior_e_b(section, child))
-
-    def _eval(self, k, es, fs, ctx):
-        return _eval(self._a, k, es, fs, ctx) + _eval(self._b, k, es, fs, ctx)
-
-
-class _BLieF(BValuedCochain):
-    """Degree -1 operator: commutator of the function contraction with the
-    covariant differential."""
-
-    __slots__ = ("_a", "_b")
-
-    def __init__(self, conn, function, child):
-        super().__init__(child.bundle, child.degree - 1, child.order + 1)
-        self._a = interior_f_b(function, covariant_differential(conn, child))
-        self._b = covariant_differential(conn, interior_f_b(function, child))
-
-    def _eval(self, k, es, fs, ctx):
-        return _eval(self._a, k, es, fs, ctx) - _eval(self._b, k, es, fs, ctx)
-
-
 def b_leaf(bundle, b):
-    return _BLeaf(bundle, b)
+    """The degree-0 cochain with the constant value b."""
+    return _Leaf(bundle.alg, b, bundle.zero())
 
 
 def tensor(omega, bundle, b):
-    return _BTensor(omega, bundle, b)
+    """The scalar cochain omega times the constant bundle element b."""
+    return product_b(omega, b_leaf(bundle, b))
 
 
 def product_b(omega, child):
-    if isinstance(omega, _ScalarZero) or isinstance(child, _BZero):
-        return _BZero(child.bundle, omega.degree + child.degree)
-    return _BProduct(omega, child)
+    """The scalar cochain omega times the bundle-valued cochain child."""
+    return mul(omega, child)
 
 
 def covariant_differential(conn, child):
-    if isinstance(child, _BZero):
-        return _BZero(child.bundle, child.degree + 1)
-    return _BCovariantDifferential(conn, child)
+    return _differential(conn, child)
 
 
 def interior_e_b(section, child):
-    if child.degree - 1 < 0 or isinstance(child, _BZero):
-        return _BZero(child.bundle, child.degree - 1)
-    return _BInteriorE(section, child)
+    return interior_e(section, child)
 
 
 def interior_f_b(function, child):
-    if child.degree - 2 < 0 or isinstance(child, _BZero):
-        return _BZero(child.bundle, child.degree - 2)
-    return _BInteriorF(function, child)
+    return interior_f(function, child)
 
 
 def nabla_e(conn, section, child):
-    if isinstance(child, _BZero):
-        return child
-    return _BNablaE(conn, section, child)
+    """Covariant derivative along a section: the anticommutator of the
+    interior product with the covariant differential."""
+    return _lie_e(conn, section, child)
 
 
 def lie_f_nabla(conn, function, child):
-    if child.degree - 1 < 0 or isinstance(child, _BZero):
-        return _BZero(child.bundle, child.degree - 1)
-    return _BLieF(conn, function, child)
+    """Commutator of the function contraction with the covariant
+    differential."""
+    return _lie_f(conn, function, child)
 
 
 def evaluateB(node, k, sections, functions=(), ctx=None):
-    """Component k of a bundle-valued cochain on the given argument tuples.
-
-    ctx is a ``cochain.EvalContext``, shared with scalar cochains; pass one
-    to share its memo and tables across calls, or None for a fresh one.
-    """
-    sections = tuple(sections)
-    functions = tuple(functions)
-    _check_arity(node, k, sections, functions)
-    if ctx is None:
-        ctx = EvalContext()
-    return _eval(node, k, *ctx.ids(sections, functions), ctx)
+    """Component k of a bundle-valued cochain, as ``cochain.evaluate``."""
+    return evaluate(node, k, sections, functions, ctx)
 
 
 def equal_b(lhs, rhs, battery, reduced=True, ctx=None):
-    """Exact equality of signed sums of bundle-valued cochains on the battery.
-
-    Returns (equal, tuples checked, witness, residual).  The tuples and the
-    equality loop are those of ``cochain.equal_combinations``; ctx is a
-    ``cochain.EvalContext``, or None for a fresh one.
-    """
-    terms = [(c, w) for c, w in lhs] + [(-c, w) for c, w in rhs]
-    live = [(c, w) for c, w in terms if not isinstance(w, _BZero)]
-    if not live:
-        return True, 0, None, None
-    degree = live[0][1].degree
-    bundle = live[0][1].bundle
-    for _, w in live:
-        if w.degree != degree:
-            return False, 0, "degree mismatch", f"{w.degree} != {degree}"
-    if degree < 0:
-        return True, 0, None, None
-    n = bundle.alg.n
-    checked, witness, residual = _first_residual(
-        live, degree, battery, reduced, ctx, bundle.zero(),
-        lambda c, v: v.scale(Scalar.const(n, c)))
-    return witness is None, checked, witness, residual
+    """Equality of signed sums of bundle-valued cochains on the battery, as
+    ``cochain.equal_combinations``; returns its ``EqualityResult``."""
+    return equal_combinations(lhs, rhs, battery, reduced, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -1094,43 +861,37 @@ def curvature_symbol_checks(conn, lin, battery, b_elements=None):
         pairs.append((battery.randoms[0], battery.randoms[-1]))
     funs = [f for f in battery.functions if not f.is_constant()][:3] \
         or battery.functions[:2]
-    bs = b_elements[:: max(1, len(b_elements) // 4)]
+    sample = [(e1, e2, f, b) for e1, e2 in pairs for f in funs
+              for b in b_elements[:: max(1, len(b_elements) // 4)]]
     report = Report("curvature slot symbols")
 
-    fails, checked = [], 0
-    for e1, e2 in pairs:
-        for f in funs:
-            for b in bs:
-                checked += 1
-                lhs = (curvature_R0(conn, e1, e2.scale(f), b)
-                       - curvature_R0(conn, e1, e2, b).scale(f))
-                rhs = bundle.d_B(f).scale(-alg.pairing(lin.apply(b, e1), e2))
-                if not (lhs - rhs).is_zero():
-                    fails.append(
-                        (f"{battery.label(e1)}, {battery.label(e2)}, f={f}, b={b}",
-                         str(lhs - rhs)))
-    report.add("second-slot-symbol", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+    def second_slot(e1, e2, f, b):
+        lhs = (curvature_R0(conn, e1, e2.scale(f), b)
+               - curvature_R0(conn, e1, e2, b).scale(f))
+        return lhs - bundle.d_B(f).scale(-alg.pairing(lin.apply(b, e1), e2))
 
-    fails, checked = [], 0
-    for e1, e2 in pairs:
-        for f in funs:
-            for b in bs:
-                checked += 1
-                lhs = (curvature_R0(conn, e1.scale(f), e2, b)
-                       - curvature_R0(conn, e1, e2, b).scale(f))
-                pair12 = alg.pairing(e1, e2)
-                rhs = bundle.d_B(f).scale(alg.pairing(e1, lin.apply(b, e2)))
-                rhs = rhs - bundle.d_B(f).scale(
-                    bundle.b_pairing(alg.d_E(pair12), b))
-                rhs = rhs - conn.apply(alg.d_E(f).scale(pair12), b)
-                if not (lhs - rhs).is_zero():
-                    fails.append(
-                        (f"{battery.label(e1)}, {battery.label(e2)}, f={f}, b={b}",
-                         str(lhs - rhs)))
-    report.add("first-slot-symbol", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+    def first_slot(e1, e2, f, b):
+        lhs = (curvature_R0(conn, e1.scale(f), e2, b)
+               - curvature_R0(conn, e1, e2, b).scale(f))
+        pair12 = alg.pairing(e1, e2)
+        rhs = bundle.d_B(f).scale(alg.pairing(e1, lin.apply(b, e2)))
+        rhs = rhs - bundle.d_B(f).scale(bundle.b_pairing(alg.d_E(pair12), b))
+        rhs = rhs - conn.apply(alg.d_E(f).scale(pair12), b)
+        return lhs - rhs
+
+    def at(e1, e2, f, b):
+        return f"{battery.label(e1)}, {battery.label(e2)}, f={f}, b={b}"
+
+    run_check(report, "second-slot-symbol", sample, second_slot, at)
+    run_check(report, "first-slot-symbol", sample, first_slot, at)
     return report
+
+
+class _MatrixResidual(list):
+    """An endomorphism matrix as a check residual."""
+
+    def is_zero(self):
+        return linalg.mat_is_zero(self)
 
 
 def bianchi_check(conn, battery, b_elements=None, dual_check=True):
@@ -1148,9 +909,7 @@ def bianchi_check(conn, battery, b_elements=None, dual_check=True):
     report = Report("Bianchi identity")
     r0_cache = {}
 
-    fails, checked = [], 0
-    for e1, e2, e3 in battery.section_tuples(3, reduced=True):
-        checked += 1
+    def degree_3(e1, e2, e3):
         m = endo_apply(conn, e1, curvature_matrix_R0(conn, e2, e3, r0_cache))
         m = linalg.mat_sub(m, endo_apply(
             conn, e2, curvature_matrix_R0(conn, e1, e3, r0_cache)))
@@ -1162,22 +921,20 @@ def bianchi_check(conn, battery, b_elements=None, dual_check=True):
             conn, e2, alg.bracket(e1, e3), r0_cache))
         m = linalg.mat_add(m, curvature_matrix_R0(
             conn, e1, alg.bracket(e2, e3), r0_cache))
-        if not linalg.mat_is_zero(m):
-            fails.append((" , ".join(battery.describe((e1, e2, e3))), str(m)))
-    report.add("degree-3-component", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+        return _MatrixResidual(m)
 
-    fails, checked = [], 0
-    for (sigma,) in battery.section_tuples(1):
-        for f in battery.functions:
-            checked += 1
-            m = curvature_matrix_R0(conn, alg.d_E(f), sigma, r0_cache)
-            m = linalg.mat_add(m, endo_apply(conn, sigma,
-                                             curvature_matrix_R1(conn, f)))
-            if not linalg.mat_is_zero(m):
-                fails.append((f"{battery.label(sigma)}, f={f}", str(m)))
-    report.add("function-component", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+    def function_component(sigma, f):
+        m = curvature_matrix_R0(conn, alg.d_E(f), sigma, r0_cache)
+        return _MatrixResidual(linalg.mat_add(
+            m, endo_apply(conn, sigma, curvature_matrix_R1(conn, f))))
+
+    run_check(report, "degree-3-component", battery.section_tuples(3, reduced=True),
+              degree_3, lambda *secs: " , ".join(battery.describe(secs)))
+    run_check(report, "function-component",
+              ((sigma, f) for (sigma,) in battery.section_tuples(1)
+               for f in battery.functions),
+              function_component,
+              lambda sigma, f: f"{battery.label(sigma)}, f={f}")
 
     if dual_check:
         dual = dual_connection(conn)
@@ -1185,20 +942,23 @@ def bianchi_check(conn, battery, b_elements=None, dual_check=True):
         zero, one = Scalar.zero(alg.n), Scalar.one(alg.n)
         dual_frame = [tuple(one if i == j else zero for j in range(s))
                       for i in range(s)]
-        fails, checked = [], 0
-        for e1, e2 in battery.section_tuples(2, reduced=True):
-            for i, beta in enumerate(dual_frame):
-                r0s = dual.curvature_R0(e1, e2, beta)
-                for b in b_elements[:: max(1, len(b_elements) // 4)]:
-                    checked += 1
-                    res = dual.dual_pair(r0s, b) + dual.dual_pair(
-                        beta, curvature_R0(conn, e1, e2, b))
-                    if not res.is_zero():
-                        fails.append(
-                            (f"{battery.label(e1)}, {battery.label(e2)}, "
-                             f"beta={i}, b={b}", str(res)))
-        report.add("dual-curvature-duality", not fails, checked,
-                   *(fails[0] if fails else (None, None)))
+        sample = b_elements[:: max(1, len(b_elements) // 4)]
+
+        def dual_tuples():
+            for e1, e2 in battery.section_tuples(2, reduced=True):
+                for i, beta in enumerate(dual_frame):
+                    r0s = dual.curvature_R0(e1, e2, beta)
+                    for b in sample:
+                        yield e1, e2, i, beta, r0s, b
+
+        def duality(e1, e2, i, beta, r0s, b):
+            return dual.dual_pair(r0s, b) + dual.dual_pair(
+                beta, curvature_R0(conn, e1, e2, b))
+
+        def at(e1, e2, i, beta, r0s, b):
+            return f"{battery.label(e1)}, {battery.label(e2)}, beta={i}, b={b}"
+
+        run_check(report, "dual-curvature-duality", dual_tuples(), duality, at)
     return report
 
 
@@ -1396,16 +1156,11 @@ def bott_connection(alg, l_sections, battery_degree=2, extras=3, seed=0):
     report = Report("quotient connection of the subbundle")
     report.extend(verify_connection(conn, battery))
     bs = bundle.test_elements(degree=battery_degree, extras=extras, seed=seed)
-    fails, checked = [], 0
-    for s1, s2 in battery.section_tuples(2):
-        for b in bs[:: max(1, len(bs) // 6)]:
-            checked += 1
-            res = curvature_R0(conn, s1, s2, b)
-            if not res.is_zero():
-                fails.append(
-                    (f"{battery.label(s1)}, {battery.label(s2)}, b={b}", str(res)))
-    report.add("curvature-vanishes", not fails, checked,
-               *(fails[0] if fails else (None, None)))
+    sample = bs[:: max(1, len(bs) // 6)]
+    run_check(report, "curvature-vanishes",
+              ((s1, s2, b) for s1, s2 in battery.section_tuples(2) for b in sample),
+              lambda s1, s2, b: curvature_R0(conn, s1, s2, b),
+              lambda s1, s2, b: f"{battery.label(s1)}, {battery.label(s2)}, b={b}")
     # the isotropic restriction has no pairing-dual differential, so the
     # function component of the curvature is empty; record it as trivial
     report.add("function-curvature-trivial", True, 0)
@@ -1418,17 +1173,41 @@ def bott_connection(alg, l_sections, battery_degree=2, extras=3, seed=0):
 
 
 def predual_from_json(alg, doc):
-    """{ "rank": s, "pairing_P": [[scalar-string]], "alpha_A": [[scalar-string]] }"""
+    """{ "rank": s, "pairing_P": [[scalar-string]], "alpha_A": [[scalar-string]] }
+
+    A document that does not fit the schema raises ParseError; well-formed
+    data of the wrong shape raises PreconditionError.
+    """
+    _require_fields(doc, "predual", ("rank", "pairing_P", "alpha_A"))
     try:
         s = int(doc["rank"])
-        p_rows = doc["pairing_P"]
-        a_rows = doc["alpha_A"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"malformed predual document: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f'"rank" must be an integer: {exc}') from exc
     n = alg.n
-    p = [[parse_scalar(x, n) for x in row] for row in p_rows]
-    a = [[parse_scalar(x, n) for x in row] for row in a_rows]
-    return PredualBundle(alg, s, p, a)
+    return PredualBundle(alg, s, _scalar_rows(doc["pairing_P"], "pairing_P", n),
+                         _scalar_rows(doc["alpha_A"], "alpha_A", n))
+
+
+def _gamma_entries(doc, kind, rows, size, n):
+    """The entries of { "gamma": { "i,j": [scalar-string x size] } }.
+
+    Yields (i, j, scalars) with 0-based 0 <= i < rows and 0 <= j < size;
+    an omitted "gamma" has no entries.
+    """
+    entries = doc.get("gamma", {})
+    if not isinstance(entries, dict):
+        raise ParseError('"gamma" must be an object of "i,j" keys')
+    for key, comps in entries.items():
+        if not isinstance(comps, list):
+            raise ParseError(f"{kind} entry {key!r} must be a list of scalar strings")
+        try:
+            i_s, j_s = key.split(",")
+            i, j = int(i_s) - 1, int(j_s) - 1
+        except ValueError as exc:
+            raise PreconditionError(f"bad {kind} key {key!r}") from exc
+        if not (0 <= i < rows and 0 <= j < size) or len(comps) != size:
+            raise PreconditionError(f"{kind} entry {key!r} out of shape")
+        yield i, j, [parse_scalar(x, n) for x in comps]
 
 
 def connection_from_json(bundle, doc):
@@ -1437,15 +1216,9 @@ def connection_from_json(bundle, doc):
     r, s = bundle.alg.rank, bundle.rank
     zero = Scalar.zero(n)
     gamma = [[[zero] * s for _ in range(s)] for _ in range(r)]
-    for key, comps in doc.get("gamma", {}).items():
-        try:
-            i_s, j_s = key.split(",")
-            i, j = int(i_s) - 1, int(j_s) - 1
-        except ValueError as exc:
-            raise PreconditionError(f"bad gamma key {key!r}") from exc
-        if not (0 <= i < r and 0 <= j < s) or len(comps) != s:
-            raise PreconditionError(f"gamma entry {key!r} out of shape")
-        gamma[i][j] = [parse_scalar(x, n) for x in comps]
+    _require_fields(doc, "connection", ())
+    for i, j, comps in _gamma_entries(doc, "gamma", r, s, n):
+        gamma[i][j] = comps
     return DorfmanConnection(bundle, gamma)
 
 
@@ -1460,11 +1233,8 @@ def connection_to_json(conn):
 
 def dirac_from_json(alg, doc):
     """{ "frame": [[scalar-string x r] x r/2] } spanning sections."""
-    try:
-        rows = doc["frame"]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"malformed dirac document: {exc}") from exc
-    return [alg.section_from_strings(row) for row in rows]
+    _require_fields(doc, "dirac", ("frame",))
+    return [alg.section(row) for row in _scalar_rows(doc["frame"], "frame", alg.n)]
 
 
 def christoffel_from_json(doc, n, size=None):
@@ -1473,13 +1243,7 @@ def christoffel_from_json(doc, n, size=None):
         size = n
     zero = Scalar.zero(n)
     ch = [[[zero] * size for _ in range(size)] for _ in range(n)]
-    for key, comps in doc.get("gamma", {}).items():
-        try:
-            i_s, j_s = key.split(",")
-            i, j = int(i_s) - 1, int(j_s) - 1
-        except ValueError as exc:
-            raise PreconditionError(f"bad christoffel key {key!r}") from exc
-        if not (0 <= i < n and 0 <= j < size) or len(comps) != size:
-            raise PreconditionError(f"christoffel entry {key!r} out of shape")
-        ch[i][j] = [parse_scalar(x, n) for x in comps]
+    _require_fields(doc, "christoffel", ())
+    for i, j, comps in _gamma_entries(doc, "christoffel", n, size, n):
+        ch[i][j] = comps
     return ch

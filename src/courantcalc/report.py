@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["Check", "Report", "PreconditionError"]
+__all__ = ["Check", "Report", "PreconditionError", "run_check"]
 
 
 class PreconditionError(ValueError):
@@ -80,3 +80,21 @@ class Report:
 
     def __repr__(self):
         return self.render()
+
+
+def run_check(report, name, tuples, residual_fn, witness_fn):
+    """Add the check `name` to report: residual_fn(*t) vanishes for every t.
+
+    Every tuple t counts towards the check; the first one with a nonzero
+    residual is its witness, witness_fn(*t), reported with str(residual).
+    """
+    checked = 0
+    passed = True
+    witness = residual = None
+    for t in tuples:
+        checked += 1
+        res = residual_fn(*t)
+        if passed and not res.is_zero():
+            passed = False
+            witness, residual = witness_fn(*t), str(res)
+    report.add(name, passed, checked, witness, residual)

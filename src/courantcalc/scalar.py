@@ -486,6 +486,10 @@ class Scalar:
             return Scalar(n, *_normalize(num, {0: d}), _canonical=True)
         return Scalar(n, num, _p_mul(da, db, top))
 
+    def scale(self, f):
+        """f * self, so that scalars scale like sections and bundle elements."""
+        return f * self
+
     def __truediv__(self, other):
         other = self._check(other)
         if other.is_zero():

@@ -155,3 +155,29 @@ def test_witness_keeps_frame_labels_when_a_random_section_repeats_one():
                    "--seed", "3")
     assert proc.returncode == 1
     assert "witness: e1 , e2 , e3" in proc.stdout
+
+
+STD2 = str(DATA / "standard2.json")
+PRE2 = str(DATA / "predual_standard2.json")
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("bott", {"frame": 5}),
+    ("bott", []),
+    ("connection-build", {}),
+    ("connection-build", {"rank": 4, "pairing_P": 5, "alpha_A": []}),
+    ("connection-verify", []),
+    ("connection-verify", {"gamma": 5}),
+], ids=["dirac-frame-not-a-list", "dirac-top-level-list", "predual-empty",
+        "predual-pairing-not-a-list", "connection-top-level-list",
+        "connection-gamma-not-an-object"])
+def test_malformed_predual_connection_and_dirac_documents(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    inputs = {"bott": [STD2, str(path)],
+              "connection-build": [STD2, str(path)],
+              "connection-verify": [STD2, PRE2, str(path)]}[command]
+    proc = run_cli(command, *inputs)
+    assert proc.returncode == 2
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr

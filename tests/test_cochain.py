@@ -171,7 +171,7 @@ def test_shared_context_serves_bundle_valued_cochains(standard1, standard2):
 
     def run(ctx):
         # ctx None gives every call a fresh context
-        return [(dc.evaluateB if isinstance(w, dc.BValuedCochain) else co.evaluate)(
+        return [(dc.evaluateB if isinstance(w.zero, dc.BSection) else co.evaluate)(
                     w, k, secs, funs, ctx) for w, k, secs, funs in calls]
 
     assert run(co.EvalContext()) == run(None)
@@ -189,8 +189,10 @@ def test_equal_b_with_shared_context(standard2, battery2):
     assert co.vanishes(co.differential(co.differential(w)), battery2,
                        reduced=True, ctx=ctx)
     shared = dc.equal_b([(1, lhs)], rhs, battery2, ctx=ctx)
-    assert shared == dc.equal_b([(1, lhs)], rhs, battery2)
-    assert shared[0] and shared[1] > 0
+    fresh = dc.equal_b([(1, lhs)], rhs, battery2)
+    assert (shared.equal, shared.checked, shared.witness, shared.residual) == \
+        (fresh.equal, fresh.checked, fresh.witness, fresh.residual)
+    assert shared.equal and shared.checked > 0
 
 
 # -- structural laws --------------------------------------------------------------

@@ -458,9 +458,9 @@ def test_covariant_leibniz_for_tensors(standard2, conn_poly2, battery2):
            ((-1) ** w.degree,
             dc.product_b(w, dc.covariant_differential(
                 conn_poly2, dc.b_leaf(bundle, b))))]
-    ok, checked, witness, residual = dc.equal_b([(1, lhs)], rhs, battery2)
-    assert ok, (witness, residual)
-    assert checked > 0
+    res = dc.equal_b([(1, lhs)], rhs, battery2)
+    assert res.equal, (res.witness, res.residual)
+    assert res.checked > 0
 
 
 def test_nabla_product_rule(standard2, conn_poly2, battery2):
@@ -473,8 +473,8 @@ def test_nabla_product_rule(standard2, conn_poly2, battery2):
         lhs = dc.nabla_e(conn_poly2, e, t)
         rhs = [(1, dc.tensor(co.lie_e(e, w), bundle, b)),
                (1, dc.product_b(w, dc.b_leaf(bundle, conn_poly2.apply(e, b))))]
-        ok, _, witness, residual = dc.equal_b([(1, lhs)], rhs, battery2)
-        assert ok, (witness, residual)
+        res = dc.equal_b([(1, lhs)], rhs, battery2)
+        assert res.equal, (res.witness, res.residual)
 
 
 def test_lie_f_nabla_rule(standard2, conn_poly2, battery2):
@@ -486,8 +486,8 @@ def test_lie_f_nabla_rule(standard2, conn_poly2, battery2):
     for f in (S2("x1"), S2("x1*x2")):
         lhs = dc.lie_f_nabla(conn_poly2, f, t)
         rhs = [(1, dc.tensor(co.interior_e(standard2.d_E(f), w), bundle, b))]
-        ok, _, witness, residual = dc.equal_b([(1, lhs)], rhs, battery2)
-        assert ok, (witness, residual)
+        res = dc.equal_b([(1, lhs)], rhs, battery2)
+        assert res.equal, (res.witness, res.residual)
 
 
 def test_nabla_interior_commutator(standard2, conn_poly2, battery2):
@@ -499,8 +499,8 @@ def test_nabla_interior_commutator(standard2, conn_poly2, battery2):
             lhs = [(1, dc.nabla_e(conn_poly2, e1, dc.interior_e_b(e2, h))),
                    (-1, dc.interior_e_b(e2, dc.nabla_e(conn_poly2, e1, h)))]
             rhs = [(1, dc.interior_e_b(standard2.bracket(e1, e2), h))]
-            ok, _, witness, residual = dc.equal_b(lhs, rhs, battery2)
-            assert ok, (witness, residual)
+            res = dc.equal_b(lhs, rhs, battery2)
+            assert res.equal, (res.witness, res.residual)
 
 
 def test_interior_f_product_rule(standard2, conn_poly2, battery2):
@@ -513,8 +513,8 @@ def test_interior_f_product_rule(standard2, conn_poly2, battery2):
     lhs = dc.interior_f_b(f, dc.product_b(w, db))
     rhs = [(1, dc.product_b(co.interior_f(f, w), db)),
            (1, dc.product_b(w, dc.interior_f_b(f, db)))]
-    ok, _, witness, residual = dc.equal_b([(1, lhs)], rhs, battery2)
-    assert ok, (witness, residual)
+    res = dc.equal_b([(1, lhs)], rhs, battery2)
+    assert res.equal, (res.witness, res.residual)
 
 
 # -- Bianchi and flatness -----------------------------------------------------------------
