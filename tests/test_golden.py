@@ -27,6 +27,11 @@ GOLDEN = ROOT / "tests" / "golden"
 CONNECTION = "tests/golden/connection.json"
 # negative control: a frame coefficient that breaks d_B-equivariance
 BROKEN = "tests/golden/connection_broken.json"
+# negative control for Bianchi: an su(2) connection over an algebroid that
+# fails Jacobi ([e1,e2] = e2, [e2,e3] = e1), so d_nabla R = 0 fails too
+BAD_JACOBI = ["tests/golden/bianchi_bad_algebroid.json",
+              "tests/golden/bianchi_bad_predual.json",
+              "tests/golden/bianchi_bad_connection.json"]
 
 STD2 = "demos/data/standard2.json"
 PRE2 = "demos/data/predual_standard2.json"
@@ -47,6 +52,7 @@ CLI_CASES = {
                                  "--battery-degree", "1", "--extras", "1"],
     "curvature_broken": ["curvature", STD2, PRE2, BROKEN,
                          "--battery-degree", "1", "--extras", "1"],
+    "bianchi_broken": ["bianchi", *BAD_JACOBI],
 }
 
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0*_*.py"))
