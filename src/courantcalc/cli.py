@@ -19,7 +19,7 @@ from .algebroid import algebroid_from_json, verify_axioms
 from .battery import Battery
 from .cohomology import PointComplex
 from .report import PreconditionError, Report, run_check
-from .scalar import ParseError, Scalar
+from .scalar import ParseError
 
 __all__ = ["main"]
 
@@ -171,18 +171,9 @@ def cmd_connection_verify(args):
 def _resolve_case(args, bundle):
     if args.case != "auto":
         return args.case
-    alg = bundle.alg
-    s, r = bundle.rank, alg.rank
-    if s <= r and all(bundle.pairing_matrix[i][j] == alg.pairing_matrix[i][j]
-                      for i in range(s) for j in range(r)):
-        return "F"
-    if s >= r:
-        zero = Scalar.zero(alg.n)
-        ok = all(bundle.pairing_matrix[i][j] ==
-                 (alg.pairing_matrix[i][j] if i < r else zero)
-                 for i in range(s) for j in range(r))
-        if ok:
-            return "K"
+    for case in ("F", "K"):
+        if dc.adapted_frame_defect(bundle, case) is None:
+            return case
     raise PreconditionError(
         "cannot infer an adapted-frame case from the pairing; pass --case")
 

@@ -4,19 +4,21 @@ A cochain of degree p is a tuple of components; component k takes p - 2k
 section arguments and k function arguments (function slots stand for the
 differentials of their entries) and returns a value.  The values form a
 module over the scalars: the scalars themselves, or the elements of a
-predual bundle (``dorfman``); a node carries the zero of its module.  Nodes
-of the DAG are never evaluated at construction: :func:`evaluate` recurses
-through the component formulas for products (signed shuffle sums of a
-scalar cochain times a cochain), the degree +1 differential, interior
-products and Lie derivatives.  Equality of cochains is battery-relative:
-exact agreement of all components on every battery tuple.
+bundle of ``dorfman`` (a predual B, its dual B*, or End(B)); a node carries
+the zero of its module.  Nodes of the DAG are never evaluated at
+construction: :func:`evaluate` recurses through the component formulas for
+products (signed shuffle sums of a scalar cochain times a cochain), the
+degree +1 differential, interior products and Lie derivatives.  Equality
+of cochains is battery-relative: exact agreement of all components on every
+battery tuple.
 
-One DAG serves both kinds of value because the differential is taken along
+One DAG serves every kind of value because the differential is taken along
 a connection: ``along.apply(sigma, v)`` differentiates a value v along a
 section.  For scalar cochains that is the anchor, so d is the covariant
 differential of the anchor connection on the trivial line bundle; for
-bundle-valued cochains it is a Dorfman connection, and the Lie derivative
-along a section becomes the covariant derivative nabla_e.
+bundle-valued cochains it is a Dorfman connection or one it induces on B*
+or End(B), and the Lie derivative along a section becomes the covariant
+derivative nabla_e.
 
 Every evaluation runs in an :class:`EvalContext`.  The context interns each
 section and function argument to a small int, so the DAG works on id

@@ -1,23 +1,26 @@
 """Predual bundles and Dorfman connections, with curvature and Bianchi data.
 
-A predual of an algebroid pairs a rank-s bundle against the sections through
-an s x r pairing matrix and carries a derivation map taking a function f to
-a bundle element d_B f; the compatibility `alpha^T P = anchor` is enforced
-at construction, which makes the pairing of d_B f against a section equal
-the anchor derivative of f.
+A predual of an algebroid pairs a rank-s bundle B against the sections
+through an s x r pairing matrix and carries a derivation map taking a
+function f to a bundle element d_B f; the compatibility `alpha^T P = anchor`
+is enforced at construction, which makes the pairing of d_B f against a
+section equal the anchor derivative of f.
 
 A connection is stored through its frame coefficients and extended to all
 arguments by its two Leibniz axioms; the third axiom (d_B-equivariance) is
-what construction has to arrange and what verification checks.  Curvature
-is evaluated by the operator formulas (it is not tensorial in the section
-slots), and the Bianchi identity is checked on both displayed components.
+what construction has to arrange and what verification checks.
 
 Bundle-valued cochains are not a second DAG: they are nodes of the cochain
-DAG of ``cochain`` whose values are bundle elements, and the covariant
-differential of a connection is that DAG's differential taken along the
-connection instead of the anchor.  ``b_leaf``, ``tensor``, ``product_b``,
+DAG of ``cochain`` whose values lie in a module with a connection, and the
+covariant differential is that DAG's differential taken along the
+connection instead of the anchor.  Three value modules carry one: B with a
+Dorfman connection, its dual B* with the dual connection, and End(B) with
+the commutator connection.  The curvature R is an End(B)-valued cochain of
+degree 2 (its components are the operators R0 and R1, which are not
+tensorial in the section slots), and the Bianchi identity is d_nabla~ R = 0
+along the End(B) connection.  ``b_leaf``, ``tensor``, ``product_b``,
 ``covariant_differential``, ``interior_e_b``, ``interior_f_b``, ``nabla_e``,
-``lie_f_nabla``, ``evaluateB`` and ``equal_b`` name those uses.
+``lie_f_nabla``, ``evaluateB`` and ``equal_b`` name uses of the DAG.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from . import linalg
 from .algebroid import CourantAlgebroid, Section, _require_fields, _scalar_rows
 from .battery import Battery
 from .cochain import (
+    Cochain,
+    EvalContext,
     _differential,
     _Leaf,
     _lie_e,
@@ -50,12 +55,14 @@ __all__ = [
     "verify_connection",
     "affine_combine",
     "difference_check",
+    "adapted_frame_defect",
     "LinearConnection",
     "induced_linear_connection",
     "compatibility_check",
+    "DualBundle",
     "DualConnection",
-    "dual_connection",
-    "endo_connection",
+    "Endomorphism",
+    "EndConnection",
     "b_leaf",
     "tensor",
     "product_b",
@@ -68,9 +75,7 @@ __all__ = [
     "equal_b",
     "curvature_R0",
     "curvature_R1",
-    "curvature_matrix_R0",
-    "curvature_matrix_R1",
-    "endo_apply",
+    "curvature",
     "curvature_symbol_checks",
     "bianchi_check",
     "bott_connection",
@@ -140,7 +145,26 @@ class BSection:
         return f"BSection{self}"
 
 
-class PredualBundle:
+class _FramedBundle:
+    """Rank-s bundle over an algebroid, with its frame as bundle sections."""
+
+    def __init__(self, alg, rank):
+        self.alg = alg
+        self.rank = rank
+        one, zero = Scalar.one(alg.n), Scalar.zero(alg.n)
+        self.frame = tuple(
+            BSection(self, tuple(one if k == i else zero for k in range(rank)))
+            for i in range(rank))
+        self._zero = BSection(self, (zero,) * rank)
+
+    def zero(self):
+        return self._zero
+
+    def element(self, components):
+        return BSection(self, components)
+
+
+class PredualBundle(_FramedBundle):
     """Rank-s bundle paired against an algebroid.
 
     pairing_matrix[i][j] pairs frame section j of the algebroid with bundle
@@ -149,8 +173,6 @@ class PredualBundle:
     """
 
     def __init__(self, alg, rank, pairing_matrix, alpha_matrix):
-        self.alg = alg
-        self.rank = rank
         if len(pairing_matrix) != rank or any(len(r) != alg.rank for r in pairing_matrix):
             raise PreconditionError("pairing matrix must be rank x algebroid-rank")
         if len(alpha_matrix) != rank or any(len(r) != alg.n for r in alpha_matrix):
@@ -162,23 +184,8 @@ class PredualBundle:
             raise PreconditionError(
                 "alpha^T . pairing must equal the anchor matrix; "
                 f"got {lhs} vs {alg.anchor_matrix}")
-        n = alg.n
-        self._frame = tuple(
-            BSection(self, tuple(Scalar.one(n) if k == i else Scalar.zero(n)
-                                 for k in range(rank)))
-            for i in range(rank))
-        self._zero = BSection(self, tuple(Scalar.zero(n) for _ in range(rank)))
+        super().__init__(alg, rank)
         self._dB_cache = {}
-
-    @property
-    def frame(self):
-        return self._frame
-
-    def zero(self):
-        return self._zero
-
-    def element(self, components):
-        return BSection(self, components)
 
     def element_from_strings(self, strings):
         return BSection(self, tuple(parse_scalar(s, self.alg.n) for s in strings))
@@ -222,12 +229,12 @@ class PredualBundle:
         from .scalar import monomials_up_to
 
         n = self.alg.n
-        out = list(self._frame)
+        out = list(self.frame)
         for mono in monomials_up_to(n, degree):
             if not any(mono):
                 continue
             m = Scalar.monomial(n, mono)
-            for b in self._frame:
+            for b in self.frame:
                 out.append(b.scale(m))
         rng = _random.Random(f"b-battery:{seed}:{n}:{self.rank}")
         from .battery import _random_poly
@@ -496,44 +503,46 @@ def difference_check(conn0, conn1, battery, b_elements=None):
 # ---------------------------------------------------------------------------
 
 
+def adapted_frame_defect(bundle, case):
+    """Why the predual's pairing does not fit the adapted-frame case, or None.
+
+    case "K": the bundle frame starts with a copy of the algebroid frame
+    (pairing rows above the kernel block equal the algebroid pairing, rows
+    below it vanish).  case "F": the algebroid frame starts with a copy of
+    the bundle frame (every pairing row equals the algebroid's).
+    """
+    alg = bundle.alg
+    r, s = alg.rank, bundle.rank
+    zero = Scalar.zero(alg.n)
+    if case not in ("K", "F"):
+        return f"case must be 'K' or 'F', got {case!r}"
+    if case == "K" and s < r:
+        return "case K needs bundle rank >= algebroid rank"
+    if case == "F" and s > r:
+        return "case F needs bundle rank <= algebroid rank"
+    for i in range(s):
+        for j in range(r):
+            want = alg.pairing_matrix[i][j] if i < r else zero
+            if bundle.pairing_matrix[i][j] != want:
+                return (f"case {case} adapted-frame check failed at "
+                        f"({i}, {j}): {bundle.pairing_matrix[i][j]} != {want}")
+    return None
+
+
 class LinearConnection:
     """Classical module connection induced on the algebroid sections.
 
-    case "K": the bundle frame starts with a copy of the algebroid frame
-    (pairing rows above the kernel block equal the algebroid pairing); a
-    bundle element acts through its algebroid part.
-    case "F": the algebroid frame starts with a copy of the bundle frame;
-    bundle elements embed as sections.
+    In case "K" (see :func:`adapted_frame_defect`) a bundle element acts
+    through its algebroid part; in case "F" bundle elements embed as
+    sections.
     """
 
     def __init__(self, conn, case):
+        defect = adapted_frame_defect(conn.bundle, case)
+        if defect is not None:
+            raise PreconditionError(defect)
         self.conn = conn
         self.case = case
-        bundle, alg = conn.bundle, conn.alg
-        r, s = alg.rank, bundle.rank
-        zero = Scalar.zero(alg.n)
-        if case == "K":
-            if s < r:
-                raise PreconditionError("case K needs bundle rank >= algebroid rank")
-            for i in range(s):
-                for j in range(r):
-                    want = alg.pairing_matrix[i][j] if i < r else zero
-                    if bundle.pairing_matrix[i][j] != want:
-                        raise PreconditionError(
-                            "case K adapted-frame check failed at "
-                            f"({i}, {j}): {bundle.pairing_matrix[i][j]} != {want}")
-        elif case == "F":
-            if s > r:
-                raise PreconditionError("case F needs bundle rank <= algebroid rank")
-            for i in range(s):
-                for j in range(r):
-                    if bundle.pairing_matrix[i][j] != alg.pairing_matrix[i][j]:
-                        raise PreconditionError(
-                            "case F adapted-frame check failed at "
-                            f"({i}, {j}): {bundle.pairing_matrix[i][j]} != "
-                            f"{alg.pairing_matrix[i][j]}")
-        else:
-            raise PreconditionError(f"case must be 'K' or 'F', got {case!r}")
 
     def _to_section(self, b):
         alg = self.conn.alg
@@ -613,129 +622,93 @@ def compatibility_check(conn, lin, battery, b_elements=None):
 
 
 # ---------------------------------------------------------------------------
-# dual and endomorphism connections
+# the value modules B* and End(B) with their induced connections
 # ---------------------------------------------------------------------------
 
 
-class DualConnection:
-    """Connection on the dual bundle pinned by the duality identity:
-    the anchor derivative of a dual pairing splits across the two slots."""
+class DualBundle(_FramedBundle):
+    """The dual B* of a bundle B of the same rank, over the frame dual to
+    B's frame."""
 
-    def __init__(self, conn):
-        self.conn = conn
-        self.bundle = conn.bundle
-        self.alg = conn.alg
-        s = self.bundle.rank
-        # frame coefficients: minus the transposed block of the base coefficients
-        self.dual_gamma = [[[-conn.gamma[k][j][i] for j in range(s)]
-                            for i in range(s)] for k in range(self.alg.rank)]
-
-    def apply(self, sigma, beta):
-        """beta is a components tuple over the dual frame."""
-        alg, bundle = self.alg, self.bundle
-        n, r, s = alg.n, alg.rank, bundle.rank
-        g = sigma.components
-        out = [Scalar.zero(n) for _ in range(s)]
-        for k in range(r):
-            if g[k].is_zero():
-                continue
-            dg = self.dual_gamma[k]
-            for i in range(s):
-                if beta[i].is_zero():
-                    continue
-                coeff = g[k] * beta[i]
-                for j in range(s):
-                    c = dg[i][j]
-                    if not c.is_zero():
-                        out[j] = out[j] + coeff * c
-        row = alg._anchor_row(sigma)
-        for j in range(s):
-            acc = out[j]
-            for l in range(n):
-                if row[l].is_zero():
-                    continue
-                d = beta[j].partial(l + 1)
-                if not d.is_zero():
-                    acc = acc + row[l] * d
-            out[j] = acc
-        # correction for non-constant section coefficients
-        for k in range(r):
-            if g[k].is_zero() or g[k].is_constant():
-                continue
-            db = bundle.d_B(g[k]).components
-            coeff = Scalar.zero(n)
-            for i in range(s):
-                if not (beta[i].is_zero() or db[i].is_zero()):
-                    coeff = coeff + beta[i] * db[i]
-            if coeff.is_zero():
-                continue
-            for j in range(s):
-                p = bundle.pairing_matrix[j][k]
-                if not p.is_zero():
-                    out[j] = out[j] - coeff * p
-        return tuple(out)
-
-    def dual_pair(self, beta, b):
+    def pair(self, beta, b):
+        """The dual pairing of beta in B* with b in B."""
         total = Scalar.zero(self.alg.n)
-        for c, h in zip(beta, b.components):
+        for c, h in zip(beta.components, b.components):
             if not (c.is_zero() or h.is_zero()):
                 total = total + c * h
         return total
 
-    def curvature_R0(self, sigma, tau, beta):
-        br = self.alg.bracket(sigma, tau)
-        return tuple(a - b - c for a, b, c in zip(
-            self.apply(sigma, self.apply(tau, beta)),
-            self.apply(tau, self.apply(sigma, beta)),
-            self.apply(br, beta)))
+
+class DualConnection:
+    """The connection on B* pinned by duality: the anchor derivative of a
+    dual pairing splits across the two slots, so
+    (nabla*_sigma beta)_j = rho(sigma) beta_j - <beta, nabla_sigma e_j>."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.alg = conn.alg
+        self.bundle = DualBundle(conn.alg, conn.bundle.rank)
+
+    def apply(self, sigma, beta):
+        conn, dual = self.conn, self.bundle
+        return BSection(dual, tuple(
+            self.alg.anchor_apply(sigma, c) - dual.pair(beta, conn.apply(sigma, e))
+            for c, e in zip(beta.components, conn.bundle.frame)))
 
 
-def dual_connection(conn):
-    return DualConnection(conn)
+class Endomorphism:
+    """Element of End(B), held as its columns: the images of B's frame."""
+
+    __slots__ = ("bundle", "columns")
+
+    def __init__(self, bundle, columns):
+        self.bundle = bundle
+        self.columns = tuple(columns)
+
+    def __add__(self, other):
+        return Endomorphism(self.bundle, map(BSection.__add__, self.columns,
+                                             other.columns))
+
+    def __sub__(self, other):
+        return Endomorphism(self.bundle, map(BSection.__sub__, self.columns,
+                                             other.columns))
+
+    def scale(self, f):
+        return Endomorphism(self.bundle, (c.scale(f) for c in self.columns))
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, Endomorphism):
+            return NotImplemented
+        return self.bundle is other.bundle and self.columns == other.columns
+
+    def __call__(self, b):
+        """The image of the bundle element b."""
+        out = self.bundle.zero()
+        for h, col in zip(b.components, self.columns):
+            if not h.is_zero():
+                out = out + col.scale(h)
+        return out
+
+    def __str__(self):
+        return str([list(row) for row in zip(*(c.components for c in self.columns))])
 
 
-def endo_connection(conn):
-    """Operator form of the induced connection on bundle endomorphisms:
-    the commutator of the covariant derivative with the endomorphism."""
+class EndConnection:
+    """The connection on End(B) induced by a connection on B: the
+    commutator nabla_sigma o M - M o nabla_sigma."""
 
-    def nabla_tilde(sigma, matrix):
-        return endo_apply(conn, sigma, matrix)
+    def __init__(self, conn):
+        self.conn = conn
+        self.alg = conn.alg
 
-    return nabla_tilde
-
-
-def endo_apply(conn, sigma, matrix):
-    """Matrix of the commutator derivative of an endomorphism matrix."""
-    bundle = conn.bundle
-    s = bundle.rank
-    cols = []
-    for j in range(s):
-        mb = BSection(bundle, tuple(matrix[q][j] for q in range(s)))
-        direct = conn.apply(sigma, mb)
-        back = conn.apply(sigma, bundle.frame[j])
-        corrected = [direct.components[q] for q in range(s)]
-        for q in range(s):
-            acc = corrected[q]
-            for t in range(s):
-                m = matrix[q][t]
-                if not (m.is_zero() or back.components[t].is_zero()):
-                    acc = acc - m * back.components[t]
-            corrected[q] = acc
-        cols.append(corrected)
-    return [[cols[j][q] for j in range(s)] for q in range(s)]
-
-
-def matrix_apply(matrix, b):
-    s = len(matrix)
-    comps = []
-    for q in range(s):
-        acc = Scalar.zero(b.bundle.alg.n)
-        for j in range(s):
-            m = matrix[q][j]
-            if not (m.is_zero() or b.components[j].is_zero()):
-                acc = acc + m * b.components[j]
-        comps.append(acc)
-    return BSection(b.bundle, comps)
+    def apply(self, sigma, m):
+        conn = self.conn
+        return Endomorphism(conn.bundle, (
+            conn.apply(sigma, col) - m(conn.apply(sigma, e))
+            for col, e in zip(m.columns, conn.bundle.frame)))
 
 
 # ---------------------------------------------------------------------------
@@ -810,35 +783,34 @@ def curvature_R1(conn, f, b):
     return conn.apply(conn.alg.d_E(f), b)
 
 
-def curvature_matrix_R0(conn, sigma, tau, cache=None):
-    """Endomorphism matrix of the curvature at fixed section arguments.
-
+class _Curvature(Cochain):
+    """The curvature as a degree-2 End(B)-valued cochain: component 0 at
+    (sigma, tau) is R0 and component 1 at f is R1, column by column.
     Linearity over functions in the bundle slot is a consequence of the
-    connection axioms, so the frame columns determine the operator.
-    """
-    if cache is not None:
-        hit = cache.get((sigma, tau))
-        if hit is not None:
-            return hit
-    bundle = conn.bundle
-    cols = [curvature_R0(conn, sigma, tau, bj).components for bj in bundle.frame]
-    out = [[cols[j][q] for j in range(bundle.rank)] for q in range(bundle.rank)]
-    if cache is not None:
-        cache[(sigma, tau)] = out
-    return out
+    connection axioms, so the frame columns determine each operator."""
+
+    __slots__ = ("conn",)
+
+    def __init__(self, conn):
+        bundle = conn.bundle
+        super().__init__(conn.alg, Endomorphism(bundle, (bundle.zero(),) * bundle.rank),
+                         2, 2)
+        self.conn = conn
+
+    def _eval(self, k, es, fs, ctx):
+        conn = self.conn
+        if k == 0:
+            sigma, tau = ctx.sections[es[0]], ctx.sections[es[1]]
+            cols = (curvature_R0(conn, sigma, tau, b) for b in conn.bundle.frame)
+        else:
+            f = ctx.functions[fs[0]]
+            cols = (curvature_R1(conn, f, b) for b in conn.bundle.frame)
+        return Endomorphism(conn.bundle, cols)
 
 
-def curvature_matrix_R1(conn, f, cache=None):
-    if cache is not None:
-        hit = cache.get(f)
-        if hit is not None:
-            return hit
-    bundle = conn.bundle
-    cols = [curvature_R1(conn, f, bj).components for bj in bundle.frame]
-    out = [[cols[j][q] for j in range(bundle.rank)] for q in range(bundle.rank)]
-    if cache is not None:
-        cache[f] = out
-    return out
+def curvature(conn):
+    """The curvature of conn as an End(B)-valued cochain of degree 2."""
+    return _Curvature(conn)
 
 
 def curvature_symbol_checks(conn, lin, battery, b_elements=None):
@@ -887,75 +859,50 @@ def curvature_symbol_checks(conn, lin, battery, b_elements=None):
     return report
 
 
-class _MatrixResidual(list):
-    """An endomorphism matrix as a check residual."""
-
-    def is_zero(self):
-        return linalg.mat_is_zero(self)
-
-
 def bianchi_check(conn, battery, b_elements=None, dual_check=True):
-    """Both components of the covariant differential of the curvature.
+    """The Bianchi identity d_nabla~ R = 0, component by component.
 
-    The degree-3 component combines commutator derivatives of the curvature
-    endomorphisms with curvature at bracket arguments (evaluated by the
-    operator formula, never by contraction); the second component ties the
-    curvature along dual differentials to the endomorphism derivative.
+    R is :func:`curvature` and nabla~ the induced connection on End(B); the
+    degree-3 component evaluates at three sections, the function component
+    at a section and a function.  The dual check pairs the curvature of the
+    dual connection, the square of its covariant differential on the dual
+    frame, against the curvature of conn.
     """
-    bundle, alg = conn.bundle, conn.alg
+    bundle = conn.bundle
     if b_elements is None:
         b_elements = bundle.test_elements(degree=battery.degree,
                                           extras=battery.extras, seed=battery.seed)
     report = Report("Bianchi identity")
-    r0_cache = {}
-
-    def degree_3(e1, e2, e3):
-        m = endo_apply(conn, e1, curvature_matrix_R0(conn, e2, e3, r0_cache))
-        m = linalg.mat_sub(m, endo_apply(
-            conn, e2, curvature_matrix_R0(conn, e1, e3, r0_cache)))
-        m = linalg.mat_add(m, endo_apply(
-            conn, e3, curvature_matrix_R0(conn, e1, e2, r0_cache)))
-        m = linalg.mat_sub(m, curvature_matrix_R0(
-            conn, alg.bracket(e1, e2), e3, r0_cache))
-        m = linalg.mat_sub(m, curvature_matrix_R0(
-            conn, e2, alg.bracket(e1, e3), r0_cache))
-        m = linalg.mat_add(m, curvature_matrix_R0(
-            conn, e1, alg.bracket(e2, e3), r0_cache))
-        return _MatrixResidual(m)
-
-    def function_component(sigma, f):
-        m = curvature_matrix_R0(conn, alg.d_E(f), sigma, r0_cache)
-        return _MatrixResidual(linalg.mat_add(
-            m, endo_apply(conn, sigma, curvature_matrix_R1(conn, f))))
+    ctx = EvalContext()
+    bianchi = _differential(EndConnection(conn), curvature(conn))
 
     run_check(report, "degree-3-component", battery.section_tuples(3, reduced=True),
-              degree_3, lambda *secs: " , ".join(battery.describe(secs)))
+              lambda *secs: evaluate(bianchi, 0, secs, (), ctx),
+              lambda *secs: " , ".join(battery.describe(secs)))
     run_check(report, "function-component",
               ((sigma, f) for (sigma,) in battery.section_tuples(1)
                for f in battery.functions),
-              function_component,
+              lambda sigma, f: evaluate(bianchi, 1, (sigma,), (f,), ctx),
               lambda sigma, f: f"{battery.label(sigma)}, f={f}")
 
     if dual_check:
-        dual = dual_connection(conn)
-        s = bundle.rank
-        zero, one = Scalar.zero(alg.n), Scalar.one(alg.n)
-        dual_frame = [tuple(one if i == j else zero for j in range(s))
-                      for i in range(s)]
+        dual = DualConnection(conn)
+        squares = [_differential(dual, _differential(dual, b_leaf(dual.bundle, beta)))
+                   for beta in dual.bundle.frame]
         sample = b_elements[:: max(1, len(b_elements) // 4)]
 
         def dual_tuples():
             for e1, e2 in battery.section_tuples(2, reduced=True):
-                for i, beta in enumerate(dual_frame):
-                    r0s = dual.curvature_R0(e1, e2, beta)
+                for i, square in enumerate(squares):
+                    r0s = evaluate(square, 0, (e1, e2), (), ctx)
                     for b in sample:
-                        yield e1, e2, i, beta, r0s, b
+                        yield e1, e2, i, r0s, b
 
-        def duality(e1, e2, i, beta, r0s, b):
-            return dual.dual_pair(r0s, b) + dual.dual_pair(
-                beta, curvature_R0(conn, e1, e2, b))
+        def duality(e1, e2, i, r0s, b):
+            return (dual.bundle.pair(r0s, b)
+                    + curvature_R0(conn, e1, e2, b).components[i])
 
-        def at(e1, e2, i, beta, r0s, b):
+        def at(e1, e2, i, r0s, b):
             return f"{battery.label(e1)}, {battery.label(e2)}, beta={i}, b={b}"
 
         run_check(report, "dual-curvature-duality", dual_tuples(), duality, at)
@@ -1069,12 +1016,14 @@ def build_port_hamiltonian_connections(alg):
 
 
 def bott_connection(alg, l_sections, battery_degree=2, extras=3, seed=0):
-    """Quotient connection of an involutive Lagrangian subbundle.
+    """Quotient connection of an involutive Lagrangian subbundle L.
 
     Verifies isotropy, rank and bracket-closure of the given spanning
-    sections (with witnesses), builds the quotient predual over a
-    deterministically chosen complement frame, and returns the flat
-    connection given by bracketing and projecting.
+    sections l_j (with witnesses).  The pairing identifies E/L with L*: the
+    class of e is <e, .> on L.  So the quotient predual is L* over the frame
+    eps_j dual to the l_j, with the identity pairing and d_B f = (rho(l_j) f)_j,
+    and the connection, bracketing and projecting, is the coadjoint one:
+    nabla_{l_i} eps_j = -sum_k c_ik^j eps_k where [l_i, l_k] = sum_m c_ik^m l_m.
 
     Returns (bundle, connection, report).
     """
@@ -1108,48 +1057,15 @@ def bott_connection(alg, l_sections, battery_degree=2, extras=3, seed=0):
             struct[i][j] = sol
     # restricted structure on the subbundle (isotropic: zero pairing block)
     n = alg.n
-    zero = Scalar.zero(n)
-    sub_pairing = [[zero] * half for _ in range(half)]
-    sub_anchor = [[alg._anchor_row(l_sections[j])[l] for j in range(half)]
-                  for l in range(n)]
-    sub_c = [[list(struct[i][j]) for j in range(half)] for i in range(half)]
-    sub = CourantAlgebroid(n, half, sub_pairing, sub_anchor, sub_c,
-                           _allow_degenerate=True)
-
-    # deterministic greedy complement from the ambient frame
-    chosen = []
-    work = [list(l.components) for l in l_sections]
-    for t in range(r):
-        cand = work + [[alg.frame[t].components[c] for c in range(r)]]
-        if linalg.rank(cand) > len(work):
-            work = cand
-            chosen.append(t)
-        if len(chosen) == half:
-            break
-    if len(chosen) != half:
-        raise PreconditionError("could not complete the subframe to a basis")
-    basis = [list(l.components) for l in l_sections] + \
-            [list(alg.frame[t].components) for t in chosen]
-    basis_t = linalg.mat_transpose(basis)
-    basis_inv = linalg.inverse(basis_t)
-
-    # quotient predual data over the complement classes
-    p_mat = [[alg.pairing(alg.frame[chosen[i]], l_sections[j])
-              for j in range(half)] for i in range(half)]
-    to_quotient = linalg.mat_mul(
-        basis_inv, linalg.mat_mul(alg._pairing_inv,
-                                  linalg.mat_transpose(alg.anchor_matrix)))
-    a_mat = [row for row in to_quotient[half:]]
-    bundle = PredualBundle(sub, half, p_mat, a_mat)
-
-    gamma = []
-    for i in range(half):
-        rows = []
-        for j in range(half):
-            br = alg.bracket(l_sections[i], alg.frame[chosen[j]])
-            coords = linalg.mat_vec(basis_inv, list(br.components))
-            rows.append(coords[half:])
-        gamma.append(rows)
+    zero, one = Scalar.zero(n), Scalar.one(n)
+    anchor_rows = [list(alg._anchor_row(l)) for l in l_sections]
+    sub = CourantAlgebroid(n, half, [[zero] * half for _ in range(half)],
+                           [[row[l] for row in anchor_rows] for l in range(n)],
+                           struct, _allow_degenerate=True)
+    eye = [[one if i == j else zero for j in range(half)] for i in range(half)]
+    bundle = PredualBundle(sub, half, eye, anchor_rows)
+    gamma = [[[-struct[i][k][j] for k in range(half)] for j in range(half)]
+             for i in range(half)]
     conn = DorfmanConnection(bundle, gamma)
 
     battery = Battery(sub, degree=battery_degree, extras=extras, seed=seed)
@@ -1161,9 +1077,16 @@ def bott_connection(alg, l_sections, battery_degree=2, extras=3, seed=0):
               ((s1, s2, b) for s1, s2 in battery.section_tuples(2) for b in sample),
               lambda s1, s2, b: curvature_R0(conn, s1, s2, b),
               lambda s1, s2, b: f"{battery.label(s1)}, {battery.label(s2)}, b={b}")
-    # the isotropic restriction has no pairing-dual differential, so the
-    # function component of the curvature is empty; record it as trivial
-    report.add("function-curvature-trivial", True, 0)
+    secs = battery.frame + battery.scaled[:half] + battery.randoms[:2]
+
+    def duality(l, lp, xi):
+        return (sub.anchor_apply(l, bundle.b_pairing(lp, xi))
+                - bundle.b_pairing(lp, conn.apply(l, xi))
+                - bundle.b_pairing(sub.bracket(l, lp), xi))
+
+    run_check(report, "duality-with-the-bracket", product(secs, secs, sample),
+              duality,
+              lambda l, lp, xi: f"{battery.label(l)}, {battery.label(lp)}, xi={xi}")
     return bundle, conn, report
 
 

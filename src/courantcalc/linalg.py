@@ -11,12 +11,10 @@ from .scalar import Scalar
 
 __all__ = [
     "LinAlgError",
-    "mat_zero",
     "mat_identity",
     "mat_transpose",
     "mat_add",
     "mat_sub",
-    "mat_scale",
     "mat_mul",
     "mat_vec",
     "mat_is_zero",
@@ -31,11 +29,6 @@ __all__ = [
 
 class LinAlgError(ValueError):
     pass
-
-
-def mat_zero(rows, cols, n):
-    z = Scalar.zero(n)
-    return [[z for _ in range(cols)] for _ in range(rows)]
 
 
 def mat_identity(size, n):
@@ -53,10 +46,6 @@ def mat_add(a, b):
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s):
-    return [[s * x for x in row] for row in a]
 
 
 def mat_mul(a, b):

@@ -1,12 +1,21 @@
+import json
+import pathlib
+
 import pytest
 
 from courantcalc import cochain as co
 from courantcalc import dorfman as dc
 from courantcalc import linalg
-from courantcalc.algebroid import build_port_hamiltonian, build_standard
+from courantcalc.algebroid import (
+    algebroid_from_json,
+    build_port_hamiltonian,
+    build_standard,
+)
 from courantcalc.battery import Battery
 from courantcalc.report import PreconditionError
 from courantcalc.scalar import Scalar, parse_scalar, random_polynomial
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def S1(text):
@@ -269,97 +278,110 @@ def test_linear_connection_laws(conn_poly2, battery2):
 
 # -- dual connection ---------------------------------------------------------------------
 
-def dual_covector(bundle, seeds):
-    return tuple(random_polynomial(bundle.alg.n, 1, s) for s in seeds)
+def dual_covector(dual, seeds):
+    return dual.bundle.element([random_polynomial(dual.alg.n, 1, s) for s in seeds])
 
 
 def test_dual_defining_identity(standard2, conn_poly2, battery2):
-    dual = dc.dual_connection(conn_poly2)
-    bundle = conn_poly2.bundle
-    beta = dual_covector(bundle, (21, 22, 23, 24))
+    dual = dc.DualConnection(conn_poly2)
+    bundle, pair = conn_poly2.bundle, dual.bundle.pair
+    beta = dual_covector(dual, (21, 22, 23, 24))
     b = bundle.element([random_polynomial(2, 1, 31 + i) for i in range(4)])
     for sigma in battery2.sections[:10]:
-        lhs = standard2.anchor_apply(sigma, dual.dual_pair(beta, b))
-        rhs = dual.dual_pair(dual.apply(sigma, beta), b) + \
-            dual.dual_pair(beta, conn_poly2.apply(sigma, b))
+        lhs = standard2.anchor_apply(sigma, pair(beta, b))
+        rhs = pair(dual.apply(sigma, beta), b) + pair(beta, conn_poly2.apply(sigma, b))
         assert (lhs - rhs).is_zero()
 
 
 def test_dual_scaling_law(standard2, conn_poly2, battery2):
-    dual = dc.dual_connection(conn_poly2)
+    dual = dc.DualConnection(conn_poly2)
     bundle = conn_poly2.bundle
-    beta = dual_covector(bundle, (41, 42, 43, 44))
+    beta = dual_covector(dual, (41, 42, 43, 44))
     f = S2("x1*x2")
     for sigma in list(standard2.frame) + battery2.randoms[:1]:
         lhs = dual.apply(sigma.scale(f), beta)
         base = dual.apply(sigma, beta)
-        coeff = dual.dual_pair(beta, bundle.d_B(f))
-        covector = tuple(
+        coeff = dual.bundle.pair(beta, bundle.d_B(f))
+        covector = dual.bundle.element([
             sum((bundle.pairing_matrix[j][k] * sigma.components[k]
                  for k in range(standard2.rank)), Scalar.zero(2))
-            for j in range(bundle.rank))
-        rhs = tuple(f * base[j] - coeff * covector[j]
-                    for j in range(bundle.rank))
-        assert all((x - y).is_zero() for x, y in zip(lhs, rhs))
+            for j in range(bundle.rank)])
+        assert (lhs - (base.scale(f) - covector.scale(coeff))).is_zero()
 
 
 def test_dual_zero_gamma_constant_anchor(standard1, self_predual1, battery1):
     conn = dc.build_connection(self_predual1, battery1)
-    dual = dc.dual_connection(conn)
-    assert all(x.is_zero() for row in dual.dual_gamma for cell in row
-               for x in cell)
-    beta = (Scalar.one(1), Scalar.zero(1))
-    assert all(x.is_zero() for x in dual.apply(standard1.frame[0], beta))
+    dual = dc.DualConnection(conn)
+    # the frame coefficients of the dual connection vanish
+    assert all(dual.apply(e, beta).is_zero()
+               for e in standard1.frame for beta in dual.bundle.frame)
+    beta = dual.bundle.element([Scalar.one(1), Scalar.zero(1)])
+    assert dual.apply(standard1.frame[0], beta).is_zero()
+
+
+def dual_curvature(dual, e1, e2, beta):
+    """R0 of the dual connection: the square of its covariant differential."""
+    square = dc.covariant_differential(
+        dual, dc.covariant_differential(dual, dc.b_leaf(dual.bundle, beta)))
+    return dc.evaluateB(square, 0, (e1, e2))
 
 
 def test_dual_curvature_duality(standard2, conn_poly2, battery2):
-    dual = dc.dual_connection(conn_poly2)
-    bundle = conn_poly2.bundle
-    zero, one = Scalar.zero(2), Scalar.one(2)
-    beta = tuple(one if i == 2 else zero for i in range(4))
+    dual = dc.DualConnection(conn_poly2)
+    bundle, pair = conn_poly2.bundle, dual.bundle.pair
+    beta = dual.bundle.frame[2]
     b = bundle.element([S2("x1"), S2("1"), S2("x2^2"), S2("0")])
     for e1, e2 in list(battery2.pairs())[:30]:
-        lhs = dual.dual_pair(dual.curvature_R0(e1, e2, beta), b)
-        rhs = dual.dual_pair(beta, dc.curvature_R0(conn_poly2, e1, e2, b))
+        lhs = pair(dual_curvature(dual, e1, e2, beta), b)
+        rhs = pair(beta, dc.curvature_R0(conn_poly2, e1, e2, b))
         assert (lhs + rhs).is_zero()
 
 
 # -- endomorphism connection ----------------------------------------------------------------
 
+def endomorphism(bundle, rows):
+    """The endomorphism of bundle with the given matrix rows."""
+    return dc.Endomorphism(bundle, (bundle.element(col) for col in zip(*rows)))
+
+
+def rows_of(m):
+    return [list(row) for row in zip(*(c.components for c in m.columns))]
+
+
 def test_endo_identity_matrix_is_parallel(conn_poly2, battery2):
-    eye = linalg.mat_identity(4, 2)
+    end = dc.EndConnection(conn_poly2)
+    eye = endomorphism(conn_poly2.bundle, linalg.mat_identity(4, 2))
     for sigma in battery2.sections[:8]:
-        assert linalg.mat_is_zero(dc.endo_apply(conn_poly2, sigma, eye))
+        assert end.apply(sigma, eye).is_zero()
 
 
 def test_endo_leibniz_property(standard2, conn_poly2, battery2):
     # scaling an endomorphism: derivative picks up an anchor term
-    m = [[random_polynomial(2, 1, 50 + 4 * i + j) for j in range(4)]
-         for i in range(4)]
+    end = dc.EndConnection(conn_poly2)
+    m = endomorphism(conn_poly2.bundle,
+                     [[random_polynomial(2, 1, 50 + 4 * i + j) for j in range(4)]
+                      for i in range(4)])
     f = S2("x1")
     for sigma in list(standard2.frame) + battery2.randoms[:1]:
-        scaled = [[f * x for x in row] for row in m]
-        lhs = dc.endo_apply(conn_poly2, sigma, scaled)
-        rhs = linalg.mat_add(
-            [[f * x for x in row] for row in dc.endo_apply(conn_poly2, sigma, m)],
-            [[standard2.anchor_apply(sigma, f) * x for x in row] for row in m])
-        assert linalg.mat_eq(lhs, rhs)
+        lhs = end.apply(sigma, m.scale(f))
+        rhs = end.apply(sigma, m).scale(f) + m.scale(standard2.anchor_apply(sigma, f))
+        assert lhs == rhs
 
 
 def test_endo_preserves_derivation_image_maps(standard2, conn_poly2, battery2):
     # endomorphism with image inside the derivation images stays there
+    end = dc.EndConnection(conn_poly2)
     bundle = conn_poly2.bundle
     db = bundle.d_B(S2("x1*x2"))
     covector = [S2("1"), S2("x1"), S2("0"), S2("2")]
-    m = [[db.components[q] * covector[j] for j in range(4)] for q in range(4)]
+    m = dc.Endomorphism(bundle, (db.scale(c) for c in covector))
     span = [list(bundle.d_B(f).components)
             for f in (S2("x1"), S2("x2"), S2("x1*x2"), S2("x1^2"), S2("x2^2"))]
     base_rank = linalg.rank(span)
     for sigma in list(standard2.frame)[:2]:
-        out = dc.endo_apply(conn_poly2, sigma, m)
+        out = end.apply(sigma, m)
         for b in bundle.test_elements()[:6]:
-            img = dc.matrix_apply(out, b)
-            assert linalg.rank(span + [list(img.components)]) == base_rank
+            assert linalg.rank(span + [list(out(b).components)]) == base_rank
 
 
 # -- curvature -------------------------------------------------------------------------------
@@ -527,29 +549,64 @@ def test_bianchi_polynomial(conn_poly2, battery2):
     assert dc.bianchi_check(conn_poly2, battery2).passed
 
 
+def commutator_rows(r, m):
+    r, m = rows_of(r), rows_of(m)
+    return linalg.mat_sub(linalg.mat_mul(r, m), linalg.mat_mul(m, r))
+
+
 def test_endo_curvature_is_commutator(standard2, conn_poly2, battery2):
     # the endomorphism-valued curvature acts by commutator with the plain one
-    m = [[random_polynomial(2, 1, 70 + 4 * i + j) for j in range(4)]
-         for i in range(4)]
+    end = dc.EndConnection(conn_poly2)
+    m = endomorphism(conn_poly2.bundle,
+                     [[random_polynomial(2, 1, 70 + 4 * i + j) for j in range(4)]
+                      for i in range(4)])
+    curvature = dc.curvature(conn_poly2)
     for e1, e2 in list(battery2.pairs())[:12]:
-        r0 = dc.curvature_matrix_R0(conn_poly2, e1, e2)
-        direct = linalg.mat_sub(
-            dc.endo_apply(conn_poly2, e1, dc.endo_apply(conn_poly2, e2, m)),
-            dc.endo_apply(conn_poly2, e2, dc.endo_apply(conn_poly2, e1, m)))
-        direct = linalg.mat_sub(
-            direct, dc.endo_apply(conn_poly2, standard2.bracket(e1, e2), m))
-        want = linalg.mat_sub(linalg.mat_mul(r0, m), linalg.mat_mul(m, r0))
-        assert linalg.mat_eq(direct, want)
+        r0 = dc.evaluateB(curvature, 0, (e1, e2))
+        direct = (end.apply(e1, end.apply(e2, m)) - end.apply(e2, end.apply(e1, m))
+                  - end.apply(standard2.bracket(e1, e2), m))
+        assert linalg.mat_eq(rows_of(direct), commutator_rows(r0, m))
 
 
 def test_endo_function_curvature_is_commutator(standard2, conn_poly2):
-    m = [[random_polynomial(2, 1, 80 + 4 * i + j) for j in range(4)]
-         for i in range(4)]
+    end = dc.EndConnection(conn_poly2)
+    m = endomorphism(conn_poly2.bundle,
+                     [[random_polynomial(2, 1, 80 + 4 * i + j) for j in range(4)]
+                      for i in range(4)])
+    curvature = dc.curvature(conn_poly2)
     for f in (S2("x1"), S2("x1*x2"), S2("x2^2")):
-        r1 = dc.curvature_matrix_R1(conn_poly2, f)
-        direct = dc.endo_apply(conn_poly2, standard2.d_E(f), m)
-        want = linalg.mat_sub(linalg.mat_mul(r1, m), linalg.mat_mul(m, r1))
-        assert linalg.mat_eq(direct, want)
+        r1 = dc.evaluateB(curvature, 1, (), (f,))
+        direct = end.apply(standard2.d_E(f), m)
+        assert linalg.mat_eq(rows_of(direct), commutator_rows(r1, m))
+
+
+def test_curvature_columns_are_the_curvature_operators(conn_poly2, battery2):
+    bundle = conn_poly2.bundle
+    curvature = dc.curvature(conn_poly2)
+    b = bundle.element([S2("x1"), S2("x2"), S2("1"), S2("x1*x2")])
+    for e1, e2 in list(battery2.pairs())[:10]:
+        r0 = dc.evaluateB(curvature, 0, (e1, e2))
+        assert r0(b) == dc.curvature_R0(conn_poly2, e1, e2, b)
+    f = S2("x1^2*x2")
+    assert dc.evaluateB(curvature, 1, (), (f,))(b) == dc.curvature_R1(conn_poly2, f, b)
+
+
+def test_bianchi_residual_is_the_covariant_differential_of_curvature():
+    # the negative control of the golden reports: an su(2) connection over an
+    # algebroid that fails Jacobi fails d_nabla~ R = 0 at e1, e2, e3
+    def load(kind):
+        return json.loads((GOLDEN / f"bianchi_bad_{kind}.json").read_text())
+
+    alg = algebroid_from_json(load("algebroid"))
+    conn = dc.connection_from_json(dc.predual_from_json(alg, load("predual")),
+                                   load("connection"))
+    bad = dc.bianchi_check(conn, Battery(alg))["degree-3-component"]
+    assert not bad.passed and bad.witness == "e1 , e2 , e3"
+    value = dc.evaluateB(dc.covariant_differential(dc.EndConnection(conn),
+                                                   dc.curvature(conn)),
+                         0, alg.frame)
+    assert bad.residual == str(value) == str(rows_of(value))
+    assert rows_of(value)[1][2] == Scalar.const(0, -1)
 
 
 def test_flatness_propagates_to_dual_and_endomorphisms(standard2):
@@ -559,14 +616,14 @@ def test_flatness_propagates_to_dual_and_endomorphisms(standard2):
     bundle, conn, report = dc.bott_connection(standard2, sections)
     assert report.passed
     battery = Battery(bundle.alg)
-    dual = dc.dual_connection(conn)
-    beta = (S2("x1"), S2("1 - x2"))
-    m = [[S2("x1"), S2("0")], [S2("x2^2"), S2("1")]]
+    dual = dc.DualConnection(conn)
+    beta = dual.bundle.element([S2("x1"), S2("1 - x2")])
+    m = endomorphism(bundle, [[S2("x1"), S2("0")], [S2("x2^2"), S2("1")]])
+    curvature = dc.curvature(conn)
     for e1, e2 in list(battery.pairs())[:30]:
-        assert all(x.is_zero() for x in dual.curvature_R0(e1, e2, beta))
-        r0 = dc.curvature_matrix_R0(conn, e1, e2)
-        comm = linalg.mat_sub(linalg.mat_mul(r0, m), linalg.mat_mul(m, r0))
-        assert linalg.mat_is_zero(comm)
+        assert dual_curvature(dual, e1, e2, beta).is_zero()
+        r0 = dc.evaluateB(curvature, 0, (e1, e2))
+        assert linalg.mat_is_zero(commutator_rows(r0, m))
 
 
 # -- quotient (Bott) connection --------------------------------------------------------------
@@ -587,6 +644,35 @@ def test_bott_graph_of_constant_closed_two_form(standard2):
     sections = [standard2.section_from_strings(r) for r in rows]
     bundle, conn, report = dc.bott_connection(standard2, sections)
     assert report.passed
+
+
+def two_form_graph(alg, c):
+    """Spanning sections of the graph of c dx1^dx2 on standard(2)."""
+    zero, one = Scalar.zero(2), Scalar.one(2)
+    return [alg.section([one, zero, zero, c]), alg.section([zero, one, -c, zero])]
+
+
+def test_bott_graph_of_x1_two_form_has_polynomial_gamma(standard2):
+    # the quotient is L*, so no complement frame can degenerate where x1 = 0
+    bundle, conn, report = dc.bott_connection(
+        standard2, two_form_graph(standard2, S2("x1")), battery_degree=1, extras=1)
+    assert report.passed
+    assert all(x.is_polynomial() for row in conn.gamma for cell in row for x in cell)
+
+
+def test_bott_poisson_graph_gamma_is_coadjoint(standard2):
+    # graph of f d1^d2: [l1, l2] = (d2 f) l1 + (d1 f) l2, and the coadjoint
+    # connection holds minus these structure functions, transposed
+    f = S2("x1*x2 + 1")
+    zero, one = Scalar.zero(2), Scalar.one(2)
+    sections = [standard2.section([zero, f, one, zero]),
+                standard2.section([-f, zero, zero, one])]
+    bundle, conn, report = dc.bott_connection(standard2, sections,
+                                              battery_degree=1, extras=1)
+    assert report.passed
+    assert [[[str(x) for x in cell] for cell in row] for row in conn.gamma] == \
+        [[["0", "-x2"], ["0", "-x1"]], [["x2", "0"], ["x1", "0"]]]
+    assert report["duality-with-the-bracket"].checked == 175
 
 
 def test_bott_rejects_non_isotropic(standard2):
