@@ -679,11 +679,6 @@ class Endomorphism:
     def is_zero(self):
         return all(c.is_zero() for c in self.columns)
 
-    def __eq__(self, other):
-        if not isinstance(other, Endomorphism):
-            return NotImplemented
-        return self.bundle is other.bundle and self.columns == other.columns
-
     def __call__(self, b):
         """The image of the bundle element b."""
         out = self.bundle.zero()
@@ -693,6 +688,7 @@ class Endomorphism:
         return out
 
     def __str__(self):
+        """The matrix as a list of rows, the form check residuals print."""
         return str([list(row) for row in zip(*(c.components for c in self.columns))])
 
 
@@ -702,7 +698,6 @@ class EndConnection:
 
     def __init__(self, conn):
         self.conn = conn
-        self.alg = conn.alg
 
     def apply(self, sigma, m):
         conn = self.conn
