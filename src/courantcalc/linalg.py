@@ -13,7 +13,6 @@ __all__ = [
     "LinAlgError",
     "mat_identity",
     "mat_transpose",
-    "mat_add",
     "mat_sub",
     "mat_mul",
     "mat_vec",
@@ -38,10 +37,6 @@ def mat_identity(size, n):
 
 def mat_transpose(m):
     return [list(row) for row in zip(*m)] if m else []
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):

@@ -661,7 +661,7 @@ def test_bott_graph_of_x1_two_form_has_polynomial_gamma(standard2):
 
 
 def test_bott_poisson_graph_gamma_is_coadjoint(standard2):
-    # graph of f d1^d2: [l1, l2] = (d2 f) l1 + (d1 f) l2, and the coadjoint
+    # graph of f d1^d2: [l1, l2] = (d1 f) l1 + (d2 f) l2, and the coadjoint
     # connection holds minus these structure functions, transposed
     f = S2("x1*x2 + 1")
     zero, one = Scalar.zero(2), Scalar.one(2)

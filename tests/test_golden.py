@@ -28,7 +28,9 @@ CONNECTION = "tests/golden/connection.json"
 # negative control: a frame coefficient that breaks d_B-equivariance
 BROKEN = "tests/golden/connection_broken.json"
 # negative control for Bianchi: an su(2) connection over an algebroid that
-# fails Jacobi ([e1,e2] = e2, [e2,e3] = e1), so d_nabla R = 0 fails too
+# fails Jacobi ([e1,e2] = e2, [e2,e3] = e1), so d_nabla R = 0 fails too; a
+# connection that breaks only d_B-equivariance, as BROKEN does, still
+# satisfies Bianchi
 BAD_JACOBI = ["tests/golden/bianchi_bad_algebroid.json",
               "tests/golden/bianchi_bad_predual.json",
               "tests/golden/bianchi_bad_connection.json"]
