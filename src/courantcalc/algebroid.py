@@ -60,7 +60,7 @@ class Section:
     def scale(self, f):
         if f.is_zero():
             return self.alg.zero_section()
-        return Section(self.alg, tuple(f * a for a in self.components))
+        return Section(self.alg, tuple(f * a if a.num else a for a in self.components))
 
     def is_zero(self):
         return all(a.is_zero() for a in self.components)
@@ -119,13 +119,16 @@ class CourantAlgebroid:
         self.degenerate = False
         if _allow_degenerate and linalg.det(self.pairing_matrix).is_zero():
             self.degenerate = True
-            self._pairing_inv = None
+            self._dual_anchor = None
         else:
             d = linalg.det(self.pairing_matrix)
             if d.is_zero() or not d.is_constant():
                 raise PreconditionError(
                     f"pairing determinant must be a nonzero constant, got {d}")
-            self._pairing_inv = linalg.inverse(self.pairing_matrix)
+            # pairing_inv . anchor^T (rank x n), the matrix of df -> d_E f
+            self._dual_anchor = linalg.mat_mul(
+                linalg.inverse(self.pairing_matrix),
+                linalg.mat_transpose(self.anchor_matrix)) if n else [[]] * rank
         self._frame = tuple(
             Section(self, tuple(Scalar.one(n) if k == i else Scalar.zero(n)
                                 for k in range(rank)))
@@ -134,6 +137,10 @@ class CourantAlgebroid:
             Section(self, tuple(self.bracket_coeffs[i][j]))
             for i in range(rank) for j in range(rank))
         self._zero = Section(self, tuple(Scalar.zero(n) for _ in range(rank)))
+        self._struct = _sparse_struct(self.bracket_coeffs)
+        self._anchor = _sparse_rows(
+            [[self.anchor_matrix[l][j] for l in range(n)] for j in range(rank)])
+        self._pairing = _sparse_rows(self.pairing_matrix)
         self._bracket_cache = {}
         self._pairing_cache = {}
         self._anchor_rows = {}
@@ -174,13 +181,11 @@ class CourantAlgebroid:
             return cached
         g, h = sigma.components, tau.components
         total = Scalar.zero(self.n)
-        for i in range(self.rank):
-            if g[i].is_zero():
-                continue
-            row = self.pairing_matrix[i]
-            for j in range(self.rank):
-                if not (row[j].is_zero() or h[j].is_zero()):
-                    total = total + g[i] * row[j] * h[j]
+        for i, gi in enumerate(g):
+            if gi.num:
+                for j, p in self._pairing[i]:
+                    if h[j].num:
+                        total = total + gi * p * h[j]
         self._pairing_cache[key] = total
         return total
 
@@ -188,15 +193,11 @@ class CourantAlgebroid:
         """Coefficients of the anchor image of sigma as a vector field."""
         row = self._anchor_rows.get(sigma)
         if row is None:
-            g = sigma.components
-            row = []
-            for l in range(self.n):
-                acc = Scalar.zero(self.n)
-                for j in range(self.rank):
-                    a = self.anchor_matrix[l][j]
-                    if not (a.is_zero() or g[j].is_zero()):
-                        acc = acc + g[j] * a
-                row.append(acc)
+            row = [Scalar.zero(self.n)] * self.n
+            for j, gj in enumerate(sigma.components):
+                if gj.num:
+                    for l, a in self._anchor[j]:
+                        row[l] = row[l] + gj * a
             row = tuple(row)
             self._anchor_rows[sigma] = row
         return row
@@ -204,101 +205,125 @@ class CourantAlgebroid:
     def anchor_apply(self, sigma, f):
         """Derivative of f along the anchor image of sigma."""
         self._same(sigma.alg)
-        row = self._anchor_row(sigma)
-        total = Scalar.zero(self.n)
-        for l in range(self.n):
-            if row[l].is_zero():
-                continue
-            df = f.partial(l + 1)
-            if not df.is_zero():
-                total = total + row[l] * df
-        return total
+        return _derivative(self._anchor_row(sigma), f)
 
     def d_E(self, f):
         """Section dual to df: the unique one pairing to anchor_apply(., f)."""
         if self.degenerate:
             raise PreconditionError("no pairing-dual differential: pairing is degenerate")
         cached = self._dE_cache.get(f)
-        if cached is not None:
-            return cached
-        grad = [f.partial(l + 1) for l in range(self.n)]
-        comps = []
-        for k in range(self.rank):
-            acc = Scalar.zero(self.n)
-            for j in range(self.rank):
-                gij = self._pairing_inv[k][j]
-                if gij.is_zero():
-                    continue
-                for l in range(self.n):
-                    a = self.anchor_matrix[l][j]
-                    if not (a.is_zero() or grad[l].is_zero()):
-                        acc = acc + gij * a * grad[l]
-            comps.append(acc)
-        result = Section(self, tuple(comps))
-        self._dE_cache[f] = result
-        return result
+        if cached is None:
+            cached = Section(self, _gradient_image(self._dual_anchor, f))
+            self._dE_cache[f] = cached
+        return cached
 
     def bracket(self, sigma, tau):
-        """Non-skew bracket, extended from the frame by the Leibniz rules."""
+        """Non-skew bracket, extended from the frame by the Leibniz rules.
+
+        It is the Dorfman connection of the algebroid on its self-predual
+        plus the term -rho(tau)(g) of the left Leibniz rule
+        [f s, t] = f [s, t] - rho(t)(f) s + <s, t> D f.
+        """
         self._same(sigma.alg)
         self._same(tau.alg)
         key = (sigma, tau)
         cached = self._bracket_cache.get(key)
         if cached is not None:
             return cached
-        g, h = sigma.components, tau.components
-        n, r = self.n, self.rank
-        out = [Scalar.zero(n) for _ in range(r)]
-        rho_sigma = self._anchor_row(sigma)
+        g = sigma.components
+        out = _leibniz(g, tau.components, self._anchor_row(sigma), self._struct,
+                       self._pairing, None if self.degenerate else self.d_E)
         rho_tau = self._anchor_row(tau)
-        for k in range(r):
-            acc = out[k]
-            # structure-function part
-            for i in range(r):
-                if g[i].is_zero():
-                    continue
-                ci = self.bracket_coeffs[i]
-                for j in range(r):
-                    c = ci[j][k]
-                    if not (c.is_zero() or h[j].is_zero()):
-                        acc = acc + g[i] * h[j] * c
-            # derivative of the right components along the anchor of sigma
-            for l in range(n):
-                if rho_sigma[l].is_zero():
-                    continue
-                d = h[k].partial(l + 1)
-                if not d.is_zero():
-                    acc = acc + rho_sigma[l] * d
-            # derivative of the left components along the anchor of tau
-            for l in range(n):
-                if rho_tau[l].is_zero():
-                    continue
-                d = g[k].partial(l + 1)
-                if not d.is_zero():
-                    acc = acc - rho_tau[l] * d
-            out[k] = acc
-        # pairing term with the dual differential of the left components
-        if not self.degenerate:
-            for i in range(r):
-                if g[i].is_zero() or g[i].is_constant():
-                    continue
-                coeff = Scalar.zero(n)
-                for j in range(r):
-                    p = self.pairing_matrix[i][j]
-                    if not (p.is_zero() or h[j].is_zero()):
-                        coeff = coeff + h[j] * p
-                if coeff.is_zero():
-                    continue
-                de = self.d_E(g[i])
-                for k in range(r):
-                    if not de.components[k].is_zero():
-                        out[k] = out[k] + coeff * de.components[k]
+        for k, gk in enumerate(g):
+            if gk.num:
+                out[k] = out[k] - _derivative(rho_tau, gk)
         result = Section(self, tuple(out))
         self._bracket_cache[key] = result
         return result
 
     def __repr__(self):
         return f"CourantAlgebroid(n={self.n}, rank={self.rank})"
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz kernel shared by the bracket and every Dorfman connection
+# ---------------------------------------------------------------------------
+
+
+def _sparse_rows(rows):
+    """For each row, the tuple of its nonzero entries as (column, value)."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c.num) for row in rows)
+
+
+def _sparse_struct(coeffs):
+    """For each i, the nonzero coeffs[i][j][q] as (j, ((q, c), ...)) pairs."""
+    return tuple(tuple((j, cells) for j, cells in enumerate(_sparse_rows(row)) if cells)
+                 for row in coeffs)
+
+
+def _derivative(row, f):
+    """sum_l row[l] * df/dx_l: f differentiated along a vector field."""
+    total = Scalar.zero(f.n)
+    for l, a in enumerate(row):
+        if a.num:
+            d = f.partial(l + 1)
+            if d.num:
+                total = total + a * d
+    return total
+
+
+def _gradient_image(matrix, f):
+    """The components sum_l matrix[k][l] * df/dx_l, one per row of matrix."""
+    grad = [f.partial(l + 1) for l in range(f.n)]
+    out = []
+    for row in matrix:
+        acc = Scalar.zero(f.n)
+        for a, d in zip(row, grad):
+            if a.num and d.num:
+                acc = acc + a * d
+        out.append(acc)
+    return tuple(out)
+
+
+def _leibniz(g, h, rho, struct, pairing, d):
+    """Components of Delta_sigma b, the frame values extended by Leibniz:
+
+        sum_ij g_i h_j C_ij^q + rho(sigma)(h_q) + sum_i <e_i, b> (D g_i)_q
+
+    for sigma = g_i e_i, b = h_j b_j and rho the anchor row of sigma.
+    ``struct[i]`` lists (j, ((q, C_ij^q), ...)) for the nonzero C_ij^q, and
+    ``pairing[i]`` lists (j, <e_i, b_j>) for the nonzero pairings.  ``d``
+    is D (d_E or d_B, returning an element with ``components``), or None
+    when there is no D term.
+    """
+    gs = [(i, gi) for i, gi in enumerate(g) if gi.num]
+    hs = {j: hj for j, hj in enumerate(h) if hj.num}
+    n = len(rho)
+    out = [Scalar.zero(n)] * len(h)
+    for i, gi in gs:
+        for j, cells in struct[i]:
+            hj = hs.get(j)
+            if hj is not None:
+                coeff = gi * hj
+                for q, c in cells:
+                    out[q] = out[q] + coeff * c
+    for q, hq in hs.items():
+        out[q] = out[q] + _derivative(rho, hq)
+    if d is None:
+        return out
+    for i, gi in gs:
+        if gi.is_constant():
+            continue
+        coeff = Scalar.zero(n)
+        for j, p in pairing[i]:
+            hj = hs.get(j)
+            if hj is not None:
+                coeff = coeff + hj * p
+        if coeff.num:
+            for q, c in enumerate(d(gi).components):
+                if c.num:
+                    out[q] = out[q] + coeff * c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +394,7 @@ def verify_axioms(alg, battery):
               bracket_dual_left, at_f)
 
     # anchor composed with its pairing-dual vanishes, as a matrix identity
-    ginv_rt = linalg.mat_mul(alg._pairing_inv, linalg.mat_transpose(alg.anchor_matrix))
-    prod = linalg.mat_mul(alg.anchor_matrix, ginv_rt)
+    prod = linalg.mat_mul(alg.anchor_matrix, alg._dual_anchor)
     ok = linalg.mat_is_zero(prod)
     report.add("anchor-isotropy-matrix-identity", ok, 1,
                None if ok else "anchor . pairing_inv . anchor^T",

@@ -1,7 +1,8 @@
 """Command-line front end: load JSON inputs, run suites, emit reports.
 
 Exit codes: 0 when every check passes, 1 on check failures, 2 on malformed
-input files, 3 on semantic precondition failures (bad shapes, gates).
+or unreadable input files, 3 on semantic precondition failures (bad shapes,
+gates), 4 on an internal error.
 Reports are deterministic: identical configurations produce byte-identical
 JSON output.
 """
@@ -335,24 +336,26 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report, config, payload = COMMANDS[args.command](args)
-    except (json.JSONDecodeError, ParseError, FileNotFoundError,
+        text = _render(args, report, config, payload)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                if args.command == "connection-build" and payload is not None:
+                    json.dump(payload[1], handle, sort_keys=True, indent=1)
+                    handle.write("\n")
+                else:
+                    handle.write(text)
+    except (json.JSONDecodeError, UnicodeDecodeError, ParseError, OSError,
             KeyError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except PreconditionError as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")
         return 3
-    text = _render(args, report, config, payload)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            if args.command == "connection-build" and payload is not None:
-                json.dump(payload[1], handle, sort_keys=True, indent=1)
-                handle.write("\n")
-            else:
-                handle.write(text)
-        if args.command == "connection-build":
-            sys.stdout.write(text)
-    else:
+    except Exception as exc:
+        # a fault of the program, never to be confused with a failed check
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 4
+    if not args.output or args.command == "connection-build":
         sys.stdout.write(text)
     return 0 if report.passed else 1
 

@@ -28,7 +28,16 @@ from __future__ import annotations
 from itertools import product
 
 from . import linalg
-from .algebroid import CourantAlgebroid, Section, _require_fields, _scalar_rows
+from .algebroid import (
+    CourantAlgebroid,
+    Section,
+    _gradient_image,
+    _leibniz,
+    _require_fields,
+    _scalar_rows,
+    _sparse_rows,
+    _sparse_struct,
+)
 from .battery import Battery
 from .cochain import (
     Cochain,
@@ -119,7 +128,7 @@ class BSection:
         return BSection(self.bundle, tuple(-a for a in self.components))
 
     def scale(self, f):
-        return BSection(self.bundle, tuple(f * a for a in self.components))
+        return BSection(self.bundle, tuple(f * a if a.num else a for a in self.components))
 
     def is_zero(self):
         return all(a.is_zero() for a in self.components)
@@ -193,21 +202,10 @@ class PredualBundle(_FramedBundle):
     def d_B(self, f):
         """Bundle element with components alpha . grad(f)."""
         cached = self._dB_cache.get(f)
-        if cached is not None:
-            return cached
-        n = self.alg.n
-        grad = [f.partial(l + 1) for l in range(n)]
-        comps = []
-        for i in range(self.rank):
-            acc = Scalar.zero(n)
-            for l in range(n):
-                a = self.alpha_matrix[i][l]
-                if not (a.is_zero() or grad[l].is_zero()):
-                    acc = acc + a * grad[l]
-            comps.append(acc)
-        out = BSection(self, tuple(comps))
-        self._dB_cache[f] = out
-        return out
+        if cached is None:
+            cached = BSection(self, _gradient_image(self.alpha_matrix, f))
+            self._dB_cache[f] = cached
+        return cached
 
     def b_pairing(self, sigma, b):
         """Pairing of an algebroid section against a bundle element."""
@@ -284,6 +282,10 @@ class DorfmanConnection:
         self.bundle = bundle
         self.alg = alg
         self.gamma = [[list(cell) for cell in row] for row in gamma]
+        self._struct = _sparse_struct(self.gamma)
+        self._pairing = _sparse_rows(
+            [[bundle.pairing_matrix[j][i] for j in range(bundle.rank)]
+             for i in range(alg.rank)])
         self._apply_cache = {}
 
     def apply(self, sigma, b):
@@ -295,50 +297,9 @@ class DorfmanConnection:
         cached = self._apply_cache.get(key)
         if cached is not None:
             return cached
-        alg, bundle = self.alg, self.bundle
-        n, r, s = alg.n, alg.rank, bundle.rank
-        g, h = sigma.components, b.components
-        out = [Scalar.zero(n) for _ in range(s)]
-        # frame coefficients
-        for i in range(r):
-            if g[i].is_zero():
-                continue
-            gi = self.gamma[i]
-            for j in range(s):
-                if h[j].is_zero():
-                    continue
-                coeff = g[i] * h[j]
-                for q in range(s):
-                    c = gi[j][q]
-                    if not c.is_zero():
-                        out[q] = out[q] + coeff * c
-        # derivative of the bundle components along the anchor
-        row = alg._anchor_row(sigma)
-        for q in range(s):
-            acc = out[q]
-            for l in range(n):
-                if row[l].is_zero():
-                    continue
-                d = h[q].partial(l + 1)
-                if not d.is_zero():
-                    acc = acc + row[l] * d
-            out[q] = acc
-        # pairing term against the derivative of the section components
-        for i in range(r):
-            if g[i].is_zero() or g[i].is_constant():
-                continue
-            coeff = Scalar.zero(n)
-            for j in range(s):
-                p = bundle.pairing_matrix[j][i]
-                if not (p.is_zero() or h[j].is_zero()):
-                    coeff = coeff + h[j] * p
-            if coeff.is_zero():
-                continue
-            db = bundle.d_B(g[i])
-            for q in range(s):
-                if not db.components[q].is_zero():
-                    out[q] = out[q] + coeff * db.components[q]
-        result = BSection(bundle, tuple(out))
+        result = BSection(self.bundle, _leibniz(
+            sigma.components, b.components, self.alg._anchor_row(sigma),
+            self._struct, self._pairing, self.bundle.d_B))
         self._apply_cache[key] = result
         return result
 
@@ -916,8 +877,7 @@ def _self_predual(alg):
     """
     cached = alg.metadata.get("self_predual")
     if cached is None:
-        a = linalg.mat_mul(alg._pairing_inv, linalg.mat_transpose(alg.anchor_matrix))
-        cached = PredualBundle(alg, alg.rank, alg.pairing_matrix, a)
+        cached = PredualBundle(alg, alg.rank, alg.pairing_matrix, alg._dual_anchor)
         alg.metadata["self_predual"] = cached
     return cached
 

@@ -1,6 +1,7 @@
 import pytest
 
 from courantcalc.algebroid import (
+    CourantAlgebroid,
     algebroid_from_json,
     algebroid_to_json,
     build_from_structure_data,
@@ -100,6 +101,23 @@ def test_standard_frame_brackets_vanish(standard2):
     for a in standard2.frame:
         for b in standard2.frame:
             assert standard2.bracket(a, b).is_zero()
+
+
+def test_bracket_with_a_degenerate_pairing_has_no_dual_differential_term():
+    # a singular pairing has no pairing-dual differential D, so the left
+    # Leibniz rule loses its <s, t> D f term: [f s, t] = f [s, t] - rho(t)(f) s
+    one, zero, x1 = Scalar.one(1), Scalar.zero(1), parse_scalar("x1", 1)
+    alg = CourantAlgebroid(
+        1, 2, [[one, zero], [zero, zero]], [[one, x1]],
+        [[[zero, zero], [x1, one]], [[-x1, -one], [zero, zero]]],
+        _allow_degenerate=True)
+    assert alg.degenerate
+    f = parse_scalar("x1^2 + 3", 1)
+    for ei in alg.frame:
+        for ej in alg.frame:
+            want = alg.bracket(ei, ej).scale(f) - ei.scale(alg.anchor_apply(ej, f))
+            assert alg.bracket(ei.scale(f), ej) == want
+    assert alg.pairing(alg.frame[0], alg.frame[0]) == one
 
 
 # -- verification -----------------------------------------------------------------

@@ -181,3 +181,40 @@ def test_malformed_predual_connection_and_dirac_documents(tmp_path, command, doc
     assert proc.returncode == 2
     assert "input error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "output-directory"])
+def test_unreadable_input_and_unwritable_output_exit_2(tmp_path, case):
+    binary = tmp_path / "alg.json"
+    binary.write_bytes(b"\xff\xfe")
+    argv = {"directory": ["verify-algebroid", str(DATA)],
+            "not-utf8": ["verify-algebroid", str(binary)],
+            "output-directory": ["verify-algebroid", str(DATA / "standard1.json"),
+                                 "-o", str(tmp_path)]}[case]
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_internal_error_exits_4_with_one_line(monkeypatch, capsys):
+    from courantcalc import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "verify-algebroid", broken)
+    assert cli.main(["verify-algebroid", str(DATA / "su2.json")]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "courantcalc", "verify-algebroid",
+         str(DATA / "su2_bad.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "pairing-compatibility" in proc.stdout
