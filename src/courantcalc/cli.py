@@ -96,7 +96,10 @@ def build_parser():
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def _battery(alg, args):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "Scalar",
@@ -253,14 +253,127 @@ def _p_content(coeffs, n):
     return g
 
 
+def _p_subs(a, shift, top, xi):
+    """a with the integer xi put for the variable whose field starts at shift."""
+    out = {}
+    get = out.get
+    for m, c in a.items():
+        e = (m >> shift) & _MASK
+        if e:
+            m -= (e << shift) + (e << top)
+            c *= xi**e
+        out[m] = get(m, 0) + c
+    if 0 in out.values():
+        out = {m: c for m, c in out.items() if c}
+    return out
+
+
+def _heu_lift(g, xi, shift, top, max_degree):
+    """The polynomial whose coefficients in the variable at shift are the
+    symmetric xi-adic digits of g; None past max_degree digits."""
+    out = {}
+    half = xi // 2
+    e = 0
+    while g:
+        if e > max_degree:
+            return None
+        step = (e << shift) + (e << top)
+        rest = {}
+        for m, c in g.items():
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[m + step] = d
+            q = (c - d) // xi
+            if q:
+                rest[m] = q
+        g = rest
+        e += 1
+    return out
+
+
+def _p_divides(d, a, n):
+    try:
+        _p_exact_div(a, d, n)
+    except ScalarError:
+        return False
+    return True
+
+
+_HEU_TRIES = 6
+
+
+def _p_heu_gcd(a, b, n):
+    """Heuristic gcd (GCDHEU) of nonzero a, b in Z[x1..xn]; None if it gives up.
+
+    Char, Geddes and Gonnet, "GCDHEU: heuristic polynomial GCD algorithm
+    based on integer GCD computation", J. Symbolic Comput. 7 (1989); Liao
+    and Fateman, "Evaluation of the heuristic polynomial GCD", ISSAC 1995.
+
+    Take out the joint integer content k, so a and b have joint content 1.
+    Put an integer xi >= 2*min(|a|, |b|) + 29 (|.| the largest coefficient
+    size) for one variable x that occurs, find gamma = gcd(a(xi), b(xi)) by
+    recursion down to ``math.gcd`` (each level is exact or gives up), and
+    let h be the primitive part of the polynomial in x whose coefficients
+    are the symmetric xi-adic digits of gamma.  h is accepted only when it
+    divides a and b exactly; k*h is then the gcd.  Proof: write a = h*A, b =
+    h*B, q = gcd(A, B).  gamma = c*h(xi) up to sign, with c the integer
+    content of the digits, each of size <= xi/2, so gcd(A(xi), B(xi)) = c
+    and q(xi) divides the integer c: q(xi) is a constant of size <= xi/2.
+    Say |a| <= |b|.  As polynomials in the other variables over Z[x], q
+    divides a, so the coefficient q0 in Z[x] of the leading monomial of q
+    divides that of a, whose coefficients are coefficients of a and whose
+    roots are below 1 + |a| < xi in size (Cauchy).  If q involves another
+    variable, q0(xi) = 0 because q(xi) is constant: impossible.  If q is in
+    Z[x] with positive degree, |q(xi)| >= xi - 1 - |a| > xi/2: impossible.
+    So q is an integer, and it is 1 because A and B have the joint content
+    of a and b.  When an evaluation vanishes or h fails, xi grows and the
+    heuristic tries again, up to six times, and then gives up; ``_p_gcd``
+    falls back to the primitive PRS.
+    """
+    k = gcd(*a.values(), *b.values())
+    if _p_is_const(a) or _p_is_const(b):
+        return {0: k}
+    if k != 1:
+        a = {m: c // k for m, c in a.items()}
+        b = {m: c // k for m, c in b.items()}
+    top = n * _W
+    shift = _main_shift(a, b, n)
+    max_degree = min(max((m >> shift) & _MASK for m in a),
+                     max((m >> shift) & _MASK for m in b))
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        fa, fb = _p_subs(a, shift, top, xi), _p_subs(b, shift, top, xi)
+        if fa and fb:
+            gamma = _p_heu_gcd(fa, fb, n)
+            if gamma is None:
+                return None
+            h = _heu_lift(gamma, xi, shift, top, max_degree)
+            if h is not None:
+                h, _ = _normalize(h, h)  # primitive, positive lc
+                if h == _ONE or (_p_divides(h, a, n) and _p_divides(h, b, n)):
+                    return _p_scale(h, k)
+        # the growth of Liao and Fateman, about 2.73 * xi^(5/4)
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
 def _p_gcd(a, b, n):
-    """gcd in Z[x1..xn] with positive leading coefficient ({} if both 0)."""
+    """gcd in Z[x1..xn] with positive leading coefficient ({} if both 0).
+
+    The heuristic of ``_p_heu_gcd`` answers almost every call; the primitive
+    PRS below runs only when it gives up.
+    """
     if not a:
         return _p_positive(b)
     if not b:
         return _p_positive(a)
     if _p_is_const(a) or _p_is_const(b):
         return {0: gcd(*a.values(), *b.values())}
+    g = _p_heu_gcd(a, b, n)
+    if g is not None:
+        return g
     top = n * _W
     shift = _main_shift(a, b, n)
     ua, ub = _to_univar(a, shift, top), _to_univar(b, shift, top)
@@ -628,6 +741,15 @@ def _p_format(a, n, lc):
 # parsing:  variables x1..xn, rational literals p/q, operators + - * / ^
 # ---------------------------------------------------------------------------
 
+# Caps that keep a short input from running away: an exponent literal, and
+# the size of every value the parser builds, including each step of a power.
+_MAX_EXPONENT = 64
+_MAX_TERMS = 4096  # terms of num and den together
+_MAX_COEFF_BITS = 4096
+# term pairs one product may multiply: two values under the term cap could
+# otherwise ask for 16 million, with as many terms in the result
+_MAX_WORK = 1 << 20
+
 
 def parse_scalar(text, n):
     """Parse the input-file syntax, e.g. "2*x1^2*x2 - 1/3", into a Scalar."""
@@ -639,6 +761,8 @@ def parse_scalar(text, n):
         value = parser.expr()
     except ScalarError as exc:
         raise ParseError(f"{exc} in {text!r}") from exc
+    except RecursionError:
+        raise ParseError(f"expression nested too deeply in {text!r}") from None
     if parser.peek() is not None:
         raise ParseError(f"unexpected token {parser.peek()!r} in {text!r}")
     return value
@@ -658,7 +782,12 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j])))
+            digits = text[i:j].lstrip("0") or "0"
+            # 10^1234 > 2^4096: longer literals are over the coefficient cap
+            if len(digits) > 1234:
+                raise ParseError(f"integer literal of {len(digits)} digits "
+                                 f"is wider than {_MAX_COEFF_BITS} bits")
+            tokens.append(("int", int(digits)))
             i = j
         elif ch == "x":
             j = i + 1
@@ -696,7 +825,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = _combine(op, value, rhs)
         return value
 
     def term(self):
@@ -704,12 +833,9 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.is_zero():
-                    raise ParseError("division by zero in input")
-                value = value / rhs
+            if op == "/" and rhs.is_zero():
+                raise ParseError("division by zero in input")
+            value = _combine(op, value, rhs)
         return value
 
     def factor(self):
@@ -722,7 +848,13 @@ class _Parser:
             tok = self.take()
             if not (isinstance(tok, tuple) and tok[0] == "int"):
                 raise ParseError("exponent must be a nonnegative integer")
-            return base ** tok[1]
+            k = tok[1]
+            if k > _MAX_EXPONENT:
+                raise ParseError(f"exponent {k} exceeds the cap of {_MAX_EXPONENT}")
+            out = Scalar.one(self.n)
+            for _ in range(k):
+                out = _combine("*", out, base)
+            return out
         return base
 
     def atom(self):
@@ -735,12 +867,40 @@ class _Parser:
         if isinstance(tok, tuple):
             kind, payload = tok
             if kind == "int":
-                return Scalar.const(self.n, payload)
+                return _capped(Scalar.const(self.n, payload))
             if kind == "var":
                 if not 1 <= payload <= self.n:
                     raise ParseError(f"unknown variable x{payload} (n = {self.n})")
                 return Scalar.variable(self.n, payload)
         raise ParseError(f"unexpected token {tok!r}")
+
+
+_OPS = {"+": Scalar.__add__, "-": Scalar.__sub__, "*": Scalar.__mul__,
+        "/": Scalar.__truediv__}
+
+
+def _combine(op, a, b):
+    """a op b, or ParseError when the work or the result is over a cap."""
+    if op in "*/" or not (a.is_polynomial() and b.is_polynomial()):
+        work = (len(a.num) + len(a.den)) * (len(b.num) + len(b.den))
+        if work > _MAX_WORK:
+            raise ParseError(f"a product of {work} term pairs is over the "
+                             f"cap of {_MAX_WORK}")
+    return _capped(_OPS[op](a, b))
+
+
+def _capped(value):
+    """value, or ParseError when it is over the term or coefficient cap."""
+    terms = len(value.num) + len(value.den)
+    if terms > _MAX_TERMS:
+        raise ParseError(f"intermediate value has {terms} terms, "
+                         f"over the cap of {_MAX_TERMS}")
+    bits = max(abs(c).bit_length()
+               for c in (*value.num.values(), *value.den.values()))
+    if bits > _MAX_COEFF_BITS:
+        raise ParseError(f"intermediate value has a {bits}-bit coefficient, "
+                         f"over the cap of {_MAX_COEFF_BITS} bits")
+    return value
 
 
 # ---------------------------------------------------------------------------

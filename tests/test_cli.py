@@ -218,3 +218,36 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert "pairing-compatibility" in proc.stdout
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("x1^65", "exponent 65 exceeds the cap of 64"),
+    ("(1+x1)^64*(1+x2)^64", "4226 terms, over the cap of 4096"),
+    ("(2^64)^64", "4097-bit coefficient, over the cap of 4096 bits"),
+    ("1" + "0" * 1300, "wider than 4096 bits"),
+    ("((1+x1)^63*(1+x2)^62)*((1+x1)^62*(1+x2)^63)",
+     "16265089 term pairs is over the cap of 1048576"),
+], ids=["exponent", "terms", "coefficient-bits", "long-literal", "work"])
+def test_parser_caps_exit_2(tmp_path, entry, message):
+    doc = json.loads((DATA / "standard2.json").read_text())
+    doc["anchor"][0][0] = entry
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("verify-algebroid", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                  '{"n": 1, "rank": 2, "pairing": [["'
+                                  + "(" * 5000 + "1" + ")" * 5000 + '"]]}'],
+                         ids=["json", "scalar"])
+def test_deeply_nested_input_exits_2(tmp_path, text):
+    path = tmp_path / "alg.json"
+    path.write_text(text)
+    proc = run_cli("verify-algebroid", str(path))
+    assert proc.returncode == 2
+    assert "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr

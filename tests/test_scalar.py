@@ -140,6 +140,20 @@ def test_exponent_guard():
         S(f"x1^{limit + 1}")
 
 
+def test_parser_caps_bound_each_intermediate_value():
+    # at or under the caps: exponent 64, 4,096 terms, 4,096-bit coefficients,
+    # 2^20 term pairs in one product
+    assert S("x1^64").total_degree() == 64
+    assert len(S("(1+x1)^63*(1+x2)^62").num) == 64 * 63
+    assert S("(2^64)^63") == Scalar.const(2, 2**4032)
+    for text in ("x1^65", "(1+x1+x2)^300", "3^30000000",
+                 "(1+x1)^64*(1+x2)^64", "(2^64)^64", "((2^64)^32)^2 - 1",
+                 "1" + "0" * 1300, "(" * 5000 + "1" + ")" * 5000,
+                 "((1+x1)^63*(1+x2)^62)*((1+x1)^62*(1+x2)^63)"):
+        with pytest.raises(ParseError):
+            S(text)
+
+
 def test_arithmetic_creates_no_fraction(monkeypatch):
     import courantcalc.scalar as scalar_module
 

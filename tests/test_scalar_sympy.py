@@ -9,13 +9,16 @@ the canonical form and the printed output at once.
 """
 
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.fields import field
 from sympy.polys.orderings import grlex
 
+from courantcalc import scalar
 from courantcalc.scalar import Scalar, parse_scalar
 
 K2, X1, X2 = field("x1,x2", QQ, grlex)
@@ -127,3 +130,62 @@ def test_gcd_heavy_operations_match_sympy(a_pair, b_pair):
     assert str(a.partial(2)) == normal_form(sa.diff(X2))
     if not b.is_zero():
         assert str(a / b) == normal_form(sa / sb)
+
+
+# --- the gcd on planted common factors ---------------------------------------
+
+FIELDS = {n: field(",".join(f"x{i + 1}" for i in range(n)), QQ, grlex)[0]
+          for n in (1, 2, 3)}
+big = st.integers(-(2**40), 2**40).filter(bool)
+
+
+def int_polys(n, max_size=3, max_exp=2):
+    monomials = st.tuples(*[st.integers(0, max_exp)] * n)
+    return st.dictionaries(monomials, big, min_size=1, max_size=max_size)
+
+
+@st.composite
+def planted(draw, constant_factor):
+    """(n, a, b), integer polynomials with a = g*p and b = g*q in sympy."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    R = FIELDS[n].ring
+    if constant_factor:
+        g = R(draw(big))
+    else:
+        g = R(draw(int_polys(n)))
+        assume(max(sum(m) for m in g.monoms()) > 0)
+    p, q = R(draw(int_polys(n))), R(draw(int_polys(n)))
+    return n, g * p, g * q
+
+
+def _packed(n, poly):
+    return {scalar._pack(n, m): int(c.numerator) for m, c in poly.terms()}
+
+
+def _reduced_like_sympy(n, a, b):
+    ours = Scalar(n, _packed(n, a), _packed(n, b))
+    K = FIELDS[n]
+    return str(ours), normal_form(K(a) / K(b))
+
+
+def _gives_up(a, b, n):
+    return None
+
+
+@pytest.mark.parametrize("heuristic", [True, False], ids=["heuristic", "prs"])
+@pytest.mark.parametrize("constant_factor", [True, False],
+                         ids=["coprime", "common-factor"])
+def test_gcd_of_planted_factors_matches_sympy(heuristic, constant_factor):
+    # with the heuristic patched to give up, the primitive PRS answers alone
+    @settings(max_examples=30, deadline=None)
+    @given(planted(constant_factor))
+    def check(case):
+        n, a, b = case
+        ours, theirs = _reduced_like_sympy(n, a, b)
+        assert ours == theirs
+
+    if heuristic:
+        check()
+    else:
+        with mock.patch.object(scalar, "_p_heu_gcd", _gives_up):
+            check()
