@@ -20,6 +20,16 @@ bundle-valued cochains it is a Dorfman connection or one it induces on B*
 or End(B), and the Lie derivative along a section becomes the covariant
 derivative nabla_e.
 
+Nodes are hash-consed: each constructor looks its node up by structure
+(the node class, the child nodes, the section, function or leaf value by
+value, and the connection d is taken along) in a table of the algebroid,
+and returns the node already built if there is one.  So an equal
+subexpression built twice is one node, and shares one memo entry when it is
+evaluated.  The table holds its nodes weakly: a node lives as long as a
+caller or a parent node refers to it, not as long as its algebroid.  The
+anchor connection is one object per algebroid, so ``differential`` and
+``lie_e`` build equal keys.
+
 Every evaluation runs in an :class:`EvalContext`.  The context interns each
 section and function argument to a small int, so the DAG works on id
 tuples, and it memoises node values, brackets and dual differentials on
@@ -37,7 +47,9 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from weakref import WeakValueDictionary
 
+from .algebroid import _require_fields
 from .battery import Battery
 from .report import Report, run_check
 from .scalar import Scalar
@@ -83,7 +95,7 @@ class Cochain:
     """Base node: owning algebroid, zero of the value module, degree, order
     bound."""
 
-    __slots__ = ("alg", "zero", "degree", "order")
+    __slots__ = ("alg", "zero", "degree", "order", "__weakref__")
 
     def __init__(self, alg, zero, degree, order):
         self.alg = alg
@@ -103,6 +115,8 @@ class Cochain:
 
 
 class _Zero(Cochain):
+    __slots__ = ()
+
     def __init__(self, alg, zero, degree):
         super().__init__(alg, zero, degree, 1)
 
@@ -155,6 +169,7 @@ class _Product(Cochain):
     def _eval(self, k, es, fs, ctx):
         left, right = self.left, self.right
         p, q = left.degree, right.degree
+        memo = ctx.memo
         total = self.zero
         for r in range(k + 1):
             t = k - r
@@ -169,10 +184,17 @@ class _Product(Cochain):
                 les = tuple(es[i] for i in left_idx)
                 res = tuple(es[i] for i in right_idx)
                 for lfs, rfs in fsplits:
-                    v1 = _eval(left, r, les, lfs, ctx)
+                    # the memo probe of _eval, inlined in this hot loop
+                    key = (left, r, les, lfs)
+                    v1 = memo.get(key)
+                    if v1 is None:
+                        v1 = memo[key] = left._eval(r, les, lfs, ctx)
                     if v1.is_zero():
                         continue
-                    v2 = _eval(right, t, res, rfs, ctx)
+                    key = (right, t, res, rfs)
+                    v2 = memo.get(key)
+                    if v2 is None:
+                        v2 = memo[key] = right._eval(t, res, rfs, ctx)
                     if v2.is_zero():
                         continue
                     term = v2.scale(v1)
@@ -207,6 +229,7 @@ class _Differential(Cochain):
         alg = self.alg
         child = self.child
         p = child.degree
+        memo = ctx.memo
         total = self.zero
         # function slots feed back through the dual differential
         if k >= 1 and p - 2 * (k - 1) >= 0:
@@ -215,21 +238,31 @@ class _Differential(Cochain):
                 v = _eval(child, k - 1, (ctx.d_E(alg, fs[mu]),) + es, rest, ctx)
                 total = total + v
         if p - 2 * k >= 0:
-            # derivative along each argument of the contracted component
+            # derivative along each argument of the contracted component; the
+            # memo probe of _eval is inlined in this loop and the next
             sections = ctx.sections
             along = self.along
             for i in range(len(es)):
-                v = _eval(child, k, es[:i] + es[i + 1 :], fs, ctx)
+                args = es[:i] + es[i + 1 :]
+                key = (child, k, args, fs)
+                v = memo.get(key)
+                if v is None:
+                    v = memo[key] = child._eval(k, args, fs, ctx)
                 if not v.is_zero():
                     dv = along.apply(sections[es[i]], v)
                     total = total + dv if i % 2 == 0 else total - dv
             # bracket insertion at the place of the later argument
-            bracket = ctx.bracket
+            brackets = ctx._brackets
             for i in range(len(es)):
                 for j in range(i + 1, len(es)):
-                    br = bracket(es[i], es[j])
+                    br = brackets.get((es[i], es[j]))
+                    if br is None:
+                        br = ctx.bracket(es[i], es[j])
                     args = es[:i] + es[i + 1 : j] + (br,) + es[j + 1 :]
-                    v = _eval(child, k, args, fs, ctx)
+                    key = (child, k, args, fs)
+                    v = memo.get(key)
+                    if v is None:
+                        v = memo[key] = child._eval(k, args, fs, ctx)
                     total = total - v if i % 2 == 0 else total + v
         return total
 
@@ -298,20 +331,45 @@ class _LieF(Cochain):
 # ---------------------------------------------------------------------------
 
 
+def _node(cls, alg, *args):
+    """The node cls(*args) of alg, hash-consed in alg's node table.
+
+    The key is the class and the arguments: child nodes and connections by
+    identity, sections, functions and values by value.  The table holds its
+    nodes weakly, so it keeps no node alive (see the module docstring).
+    """
+    table = alg.metadata.get("cochain_nodes")
+    if table is None:
+        table = alg.metadata["cochain_nodes"] = WeakValueDictionary()
+    key = (cls, *args)
+    node = table.get(key)
+    if node is None:
+        node = table[key] = cls(*args)
+    return node
+
+
+def _anchor(alg):
+    """The anchor connection of alg, one object per algebroid."""
+    along = alg.metadata.get("anchor_connection")
+    if along is None:
+        along = alg.metadata["anchor_connection"] = _AnchorConnection(alg)
+    return along
+
+
 def _zero_like(node, degree):
-    return _Zero(node.alg, node.zero, degree)
+    return _node(_Zero, node.alg, node.alg, node.zero, degree)
 
 
 def scalar_leaf(alg, f):
-    return _ScalarLeaf(alg, f)
+    return _node(_ScalarLeaf, alg, alg, f)
 
 
 def section_leaf(alg, section):
-    return _SectionLeaf(alg, section)
+    return _node(_SectionLeaf, alg, alg, section)
 
 
 def zero_cochain(alg, degree):
-    return _Zero(alg, Scalar.zero(alg.n), degree)
+    return _node(_Zero, alg, alg, Scalar.zero(alg.n), degree)
 
 
 def mul(left, right):
@@ -323,7 +381,7 @@ def mul(left, right):
     if left.degree + right.degree > PRODUCT_DEGREE_CAP:
         raise DegreeCapError(
             f"product degree {left.degree + right.degree} exceeds cap {PRODUCT_DEGREE_CAP}")
-    return _Product(left, right)
+    return _node(_Product, left.alg, left, right)
 
 
 def _differential(along, child):
@@ -332,45 +390,45 @@ def _differential(along, child):
         return _zero_like(child, child.degree + 1)
     if child.degree + 1 > DEGREE_CAP:
         raise DegreeCapError(f"degree {child.degree + 1} exceeds cap {DEGREE_CAP}")
-    return _Differential(along, child)
+    return _node(_Differential, child.alg, along, child)
 
 
 def differential(child):
-    return _differential(_AnchorConnection(child.alg), child)
+    return _differential(_anchor(child.alg), child)
 
 
 def interior_e(section, child):
     if child.degree - 1 < 0 or isinstance(child, _Zero):
         return _zero_like(child, child.degree - 1)
-    return _InteriorE(section, child)
+    return _node(_InteriorE, child.alg, section, child)
 
 
 def interior_f(function, child):
     if child.degree - 2 < 0 or isinstance(child, _Zero):
         return _zero_like(child, child.degree - 2)
-    return _InteriorF(function, child)
+    return _node(_InteriorF, child.alg, function, child)
 
 
 def _lie_e(along, section, child):
     """The Lie derivative along a section, with d taken along a connection."""
     if isinstance(child, _Zero):
         return _zero_like(child, child.degree)
-    return _LieE(along, section, child)
+    return _node(_LieE, child.alg, along, section, child)
 
 
 def lie_e(section, child):
-    return _lie_e(_AnchorConnection(child.alg), section, child)
+    return _lie_e(_anchor(child.alg), section, child)
 
 
 def _lie_f(along, function, child):
     """The Lie derivative along a function, with d taken along a connection."""
     if child.degree - 1 < 0 or isinstance(child, _Zero):
         return _zero_like(child, child.degree - 1)
-    return _LieF(along, function, child)
+    return _node(_LieF, child.alg, along, function, child)
 
 
 def lie_f(function, child):
-    return _lie_f(_AnchorConnection(child.alg), function, child)
+    return _lie_f(_anchor(child.alg), function, child)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +511,8 @@ def _shuffles(total, left):
 
 def _eval(node, k, es, fs, ctx):
     """Memoised component k of a scalar or bundle-valued node on id tuples."""
-    # node is keyed by identity; the memo entry keeps it alive, so ids
-    # cannot be recycled while the context is in use
+    # nodes are interned by structure per algebroid, so equal subexpressions
+    # are one node and share this entry; the entry keeps its node alive
     key = (node, k, es, fs)
     memo = ctx.memo
     hit = memo.get(key)
@@ -980,6 +1038,18 @@ def random_cochain(alg, degree, rng, battery=None):
 # ---------------------------------------------------------------------------
 
 
+_JSON_FIELDS = {
+    "scalar": ("value",),
+    "section": ("components",),
+    "mul": ("left", "right"),
+    "d": ("child",),
+    "ie": ("section", "child"),
+    "if": ("function", "child"),
+    "le": ("section", "child"),
+    "lf": ("function", "child"),
+}
+
+
 def cochain_from_json(alg, doc):
     """Small expression-tree format for cochains.
 
@@ -987,26 +1057,39 @@ def cochain_from_json(alg, doc):
     { "op": "section", "components": [scalar-string x r] }
     { "op": "d" | "ie" | "if" | "le" | "lf" | "mul", ... } with "child",
     "left"/"right", "section" (component strings) or "function" arguments.
+
+    A malformed tree raises ValueError: an unknown op, a node that is not
+    an object or lacks a field of its op (named in the message).
     """
     from .scalar import parse_scalar
 
+    _require_fields(doc, "cochain", ())
     op = doc.get("op")
+    fields = _JSON_FIELDS.get(op) if isinstance(op, str) else None
+    if fields is None:
+        raise ValueError(f"unknown cochain op {op!r}")
+    _require_fields(doc, f"cochain {op!r}", fields)
+
+    def section(field):
+        if not isinstance(doc[field], list):
+            raise ValueError(f"cochain {op!r} field {field!r} must be a list "
+                             "of scalar strings")
+        return alg.section_from_strings(doc[field])
+
     if op == "scalar":
         return scalar_leaf(alg, parse_scalar(doc["value"], alg.n))
     if op == "section":
-        return section_leaf(alg, alg.section_from_strings(doc["components"]))
+        return section_leaf(alg, section("components"))
     if op == "mul":
         return mul(cochain_from_json(alg, doc["left"]),
                    cochain_from_json(alg, doc["right"]))
+    child = cochain_from_json(alg, doc["child"])
     if op == "d":
-        return differential(cochain_from_json(alg, doc["child"]))
-    child = cochain_from_json(alg, doc["child"]) if "child" in doc else None
+        return differential(child)
     if op == "ie":
-        return interior_e(alg.section_from_strings(doc["section"]), child)
+        return interior_e(section("section"), child)
     if op == "if":
         return interior_f(parse_scalar(doc["function"], alg.n), child)
     if op == "le":
-        return lie_e(alg.section_from_strings(doc["section"]), child)
-    if op == "lf":
-        return lie_f(parse_scalar(doc["function"], alg.n), child)
-    raise ValueError(f"unknown cochain op {op!r}")
+        return lie_e(section("section"), child)
+    return lie_f(parse_scalar(doc["function"], alg.n), child)

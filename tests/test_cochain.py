@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import islice, permutations
 from math import comb
 
@@ -6,6 +8,7 @@ import pytest
 
 from courantcalc import cochain as co
 from courantcalc import dorfman as dc
+from courantcalc.algebroid import build_standard
 from courantcalc.battery import Battery
 from courantcalc.scalar import Scalar, parse_scalar
 
@@ -348,6 +351,96 @@ def test_function_slots_are_derivations(standard2, battery2, gens):
             assert co.symbol_Omega(w, 0, probes, battery2).passed
 
 
+# -- hash-consed nodes ------------------------------------------------------------
+
+def test_equal_values_built_separately_give_one_node(standard2, gens):
+    w = gens[-1]
+    assert w.degree >= 2
+    assert co.interior_f(S("x1"), w) is co.interior_f(S("x1"), w)
+    assert co.interior_f(S("x1"), w) is not co.interior_f(S("x2"), w)
+    comps = ["x1", "0", "1", "x2"]
+    a = co.section_leaf(standard2, standard2.section_from_strings(comps))
+    assert a is co.section_leaf(standard2, standard2.section_from_strings(comps))
+    assert co.scalar_leaf(standard2, S("x1*x2")) is co.scalar_leaf(standard2, S("x1*x2"))
+    e = standard2.section_from_strings(comps)
+    assert co.lie_e(e, w) is co.lie_e(standard2.section_from_strings(comps), w)
+    assert co.mul(a, w) is co.mul(a, w)
+    assert co.zero_cochain(standard2, 3) is co.interior_e(e, co.zero_cochain(standard2, 4))
+    assert co.zero_cochain(standard2, 3) is not co.zero_cochain(standard2, 2)
+
+
+def test_lie_derivative_parts_are_the_shared_nodes(standard2, gens):
+    e = standard2.frame[1]
+    f = S("x1^2")
+    for w in gens:
+        node = co.lie_e(e, w)
+        if isinstance(node, co._LieE):
+            assert node._a is co.interior_e(e, co.differential(w))
+            assert node._b is co.differential(co.interior_e(e, w))
+        node = co.lie_f(f, w)
+        if isinstance(node, co._LieF):
+            assert node._a is co.interior_f(f, co.differential(w))
+            assert node._b is co.differential(co.interior_f(f, w))
+
+
+def test_nodes_along_different_connections_are_distinct(standard2, battery2):
+    trivial = dc.build_standard_connection(standard2)
+    christoffel = [[[S("x1") if (i, j, k) == (0, 1, 1) else S("0")
+                     for k in range(2)] for j in range(2)] for i in range(2)]
+    other = dc.build_standard_connection(standard2, christoffel)
+    assert trivial.bundle is other.bundle
+    e = standard2.frame[0]
+    w = co.section_leaf(standard2, battery2.randoms[0])
+    b = dc.tensor(w, trivial.bundle, trivial.bundle.frame[1])
+    assert dc.nabla_e(trivial, e, b) is dc.nabla_e(trivial, e, b)
+    assert dc.nabla_e(trivial, e, b) is not dc.nabla_e(other, e, b)
+    assert dc.covariant_differential(trivial, b) is not \
+        dc.covariant_differential(other, b)
+    assert dc.lie_f_nabla(trivial, S("x2"), b) is not dc.lie_f_nabla(other, S("x2"), b)
+    # the anchor against a Dorfman connection, on the same scalar cochain
+    assert co.lie_e(e, w) is not dc.nabla_e(trivial, e, w)
+    assert co.differential(w) is not dc.covariant_differential(trivial, w)
+
+
+def test_nodes_of_two_algebroids_never_coincide():
+    a, b = build_standard(1), build_standard(1)
+    f = parse_scalar("x1", 1)
+    pairs = [(co.scalar_leaf(a, f), co.scalar_leaf(b, f)),
+             (co.zero_cochain(a, 2), co.zero_cochain(b, 2)),
+             (co.section_leaf(a, a.frame[0]), co.section_leaf(b, b.frame[0]))]
+    pairs.append((co.differential(pairs[0][0]), co.differential(pairs[0][1])))
+    pairs.append((co.lie_f(f, co.differential(pairs[2][0])),
+                  co.lie_f(f, co.differential(pairs[2][1]))))
+    for x, y in pairs:
+        assert x is not y
+        assert x.alg is a and y.alg is b
+    with pytest.raises(ValueError):
+        co.mul(pairs[0][0], pairs[2][1])
+
+
+def test_node_table_does_not_keep_nodes_alive():
+    # with the collector off only reference counts free a node, so a
+    # reference cycle through the algebroid would keep the entries
+    alg = build_standard(1)
+    f = parse_scalar("x1^3 + 2", 1)
+    gc.disable()
+    try:
+        w = co.lie_e(alg.frame[1], co.mul(co.section_leaf(alg, alg.frame[0]),
+                                          co.differential(co.scalar_leaf(alg, f))))
+        table = alg.metadata["cochain_nodes"]
+        assert len(table) >= 6
+        node = weakref.ref(w)
+        del w
+        assert node() is None
+        assert len(table) == 0
+    finally:
+        gc.enable()
+
+
+def test_zero_cochain_has_no_instance_dict(standard2):
+    assert not hasattr(co.zero_cochain(standard2, 1), "__dict__")
+
+
 # -- deterministic generators -----------------------------------------------------------
 
 def test_generator_cochains_cover_all_node_kinds(gens):
@@ -394,3 +487,24 @@ def test_cochain_from_json(standard2, battery2):
 def test_cochain_from_json_rejects_unknown_op(standard2):
     with pytest.raises(ValueError):
         co.cochain_from_json(standard2, {"op": "unknown"})
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"op": "ie", "section": ["1", "0", "0", "0"]}, "child"),
+    ({"op": "d"}, "child"),
+    ({"op": "mul", "left": {"op": "section", "components": ["x1", "0", "0", "0"]}},
+     "right"),
+    ({"op": "le", "child": {"op": "section", "components": ["1", "0", "0", "0"]}},
+     "section"),
+    ({"op": "d", "child": {"op": "scalar"}}, "value"),
+    ({"op": "ie", "section": "x1", "child": {"op": "d", "child": {
+        "op": "scalar", "value": "x1"}}}, "section"),
+    (["op", "d"], "object"),
+    ("d", "object"),
+    ({"op": "d", "child": 3}, "object"),
+], ids=["ie-without-child", "d-without-child", "mul-without-right",
+        "le-without-section", "nested-scalar-without-value", "section-not-a-list",
+        "list-document", "string-document", "child-not-an-object"])
+def test_cochain_from_json_names_the_missing_field(standard2, doc, field):
+    with pytest.raises(ValueError, match=field):
+        co.cochain_from_json(standard2, doc)
