@@ -25,6 +25,17 @@ from .scalar import ParseError
 __all__ = ["main"]
 
 
+def _non_negative_int(text):
+    """An argparse type: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="courantcalc",
@@ -33,9 +44,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--battery-degree", type=int, default=2,
+        p.add_argument("--battery-degree", type=_non_negative_int, default=2,
                        help="monomial degree cap for battery sections")
-        p.add_argument("--extras", type=int, default=3,
+        p.add_argument("--extras", type=_non_negative_int, default=3,
                        help="number of seeded random battery elements")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -48,7 +59,7 @@ def build_parser():
 
     p = sub.add_parser("cartan", help="check the commutation-relation suite")
     p.add_argument("algebroid")
-    p.add_argument("--max-degree", type=int, default=4,
+    p.add_argument("--max-degree", type=_non_negative_int, default=4,
                    help="degree cap for the test cochains")
     common(p)
 
@@ -84,7 +95,7 @@ def build_parser():
 
     p = sub.add_parser("cohomology", help="betti numbers over a point")
     p.add_argument("algebroid")
-    p.add_argument("--max-p", type=int, default=None)
+    p.add_argument("--max-p", type=_non_negative_int, default=None)
     common(p)
 
     p = sub.add_parser("predual-diagnose", help="pairing rank bookkeeping")
@@ -144,6 +155,14 @@ def cmd_cartan(args):
             per_degree.setdefault(w.degree, []).append(w)
     cochains = [w for d in sorted(per_degree) for w in per_degree[d][:2]]
     report = co.cartan_suite(alg, battery, cochains=cochains)
+    # a relation whose operators send every test cochain to zero rests on no
+    # tuples, and its pass would be vacuous
+    empty = [c.name for c in report.checks if c.checked == 0]
+    if empty:
+        raise PreconditionError(
+            f"--max-degree {args.max_degree} leaves {len(empty)} of "
+            f"{len(report.checks)} relations without a test cochain: "
+            + ", ".join(empty))
     return report, _config(args, alg, battery), None
 
 

@@ -36,6 +36,19 @@ tuples, and it memoises node values, brackets and dual differentials on
 those ids.  Functions taking a ``ctx`` accept such a context to share its
 tables across calls, or None for a fresh one.
 
+Every component is R-multilinear in its section slots (the description of
+the complex by Keller and Waldmann, arXiv:0807.0584): leaves pair linearly,
+products and the differential are built from R-bilinear operations, and a
+connection is R-linear in the section it differentiates along.  So a
+component with the zero section in some slot is zero, and the differential
+skips, before evaluating its child, each term that this shows to vanish: a
+bracket insertion of a zero bracket, a function-slot term whose dual
+differential is zero, and a derivative along a section where the connection
+is zero (a zero section, or one with no anchor image for the anchor).  The
+context flags zero and anchor-free section ids, so each skip is one set
+lookup.  Zero sections are not folded into zero cochains at construction:
+the battery counts tuples of every cochain that is not structurally zero.
+
 Degree bookkeeping clamps at zero: an interior product applied below degree
 0 is the zero cochain.  The ``order`` field is an upper bound for the
 differential-operator order of the components in their section slots
@@ -230,19 +243,32 @@ class _Differential(Cochain):
         child = self.child
         p = child.degree
         memo = ctx.memo
+        zero_ids = ctx.zero_ids
         total = self.zero
-        # function slots feed back through the dual differential
+        # function slots feed back through the dual differential; the child
+        # is R-multilinear in its section slots, so a zero d_E(f) there makes
+        # the term zero
         if k >= 1 and p - 2 * (k - 1) >= 0:
             for mu in range(k):
+                de = ctx.d_E(alg, fs[mu])
+                if de in zero_ids:
+                    continue
                 rest = fs[:mu] + fs[mu + 1 :]
-                v = _eval(child, k - 1, (ctx.d_E(alg, fs[mu]),) + es, rest, ctx)
-                total = total + v
+                total = total + _eval(child, k - 1, (de,) + es, rest, ctx)
         if p - 2 * k >= 0:
-            # derivative along each argument of the contracted component; the
-            # memo probe of _eval is inlined in this loop and the next
+            # derivative along each argument of the contracted component; a
+            # connection is R-linear in the section it differentiates along,
+            # so it vanishes along a zero section, and the anchor along one
+            # with no anchor image: those terms are skipped before the child
+            # is evaluated.  The memo probe of _eval is inlined in this loop
+            # and the next
             sections = ctx.sections
             along = self.along
+            inert = (ctx.anchor_free_ids() if type(along) is _AnchorConnection
+                     else zero_ids)
             for i in range(len(es)):
+                if es[i] in inert:
+                    continue
                 args = es[:i] + es[i + 1 :]
                 key = (child, k, args, fs)
                 v = memo.get(key)
@@ -251,13 +277,16 @@ class _Differential(Cochain):
                 if not v.is_zero():
                     dv = along.apply(sections[es[i]], v)
                     total = total + dv if i % 2 == 0 else total - dv
-            # bracket insertion at the place of the later argument
+            # bracket insertion at the place of the later argument; a zero
+            # bracket in a slot of the R-multilinear child makes the term zero
             brackets = ctx._brackets
             for i in range(len(es)):
                 for j in range(i + 1, len(es)):
                     br = brackets.get((es[i], es[j]))
                     if br is None:
                         br = ctx.bracket(es[i], es[j])
+                    if br in zero_ids:
+                        continue
                     args = es[:i] + es[i + 1 : j] + (br,) + es[j + 1 :]
                     key = (child, k, args, fs)
                     v = memo.get(key)
@@ -446,10 +475,16 @@ class EvalContext:
     differential of a function id, both as ids.  A context may serve
     cochains of several algebroids and bundle-valued cochains alike; it
     holds every value it has computed until it is dropped.
+
+    ``zero_ids`` holds the ids of zero sections, marked as they are
+    interned; :meth:`anchor_free_ids` is the set of ids of sections with a
+    zero anchor image, brought up to date when it is asked for.  The
+    differential skips the terms these flags show to vanish.
     """
 
     __slots__ = ("memo", "sections", "functions", "_section_ids",
-                 "_function_ids", "_brackets", "_d_e")
+                 "_function_ids", "_brackets", "_d_e", "zero_ids",
+                 "_anchor_free", "_anchor_checked")
 
     def __init__(self):
         self.memo = {}
@@ -459,13 +494,28 @@ class EvalContext:
         self._function_ids = {}
         self._brackets = {}
         self._d_e = {}
+        self.zero_ids = set()
+        self._anchor_free = set()
+        self._anchor_checked = 0
 
     def section_id(self, section):
         i = self._section_ids.get(section)
         if i is None:
             i = self._section_ids[section] = len(self.sections)
             self.sections.append(section)
+            if section.is_zero():
+                self.zero_ids.add(i)
         return i
+
+    def anchor_free_ids(self):
+        """Ids of the interned sections whose anchor image is zero."""
+        sections = self.sections
+        for i in range(self._anchor_checked, len(sections)):
+            sigma = sections[i]
+            if not any(c.num for c in sigma.alg._anchor_row(sigma)):
+                self._anchor_free.add(i)
+        self._anchor_checked = len(sections)
+        return self._anchor_free
 
     def function_id(self, function):
         i = self._function_ids.get(function)

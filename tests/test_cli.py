@@ -120,6 +120,34 @@ def test_cartan_command():
     assert "lie-section-lie-section" in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-algebroid", "--extras", "-2"],
+    ["verify-algebroid", "--battery-degree", "-1"],
+    ["cartan", "--max-degree", "-1"],
+    ["cohomology", "--max-p", "-3"],
+], ids=["extras", "battery-degree", "max-degree", "max-p"])
+def test_negative_numeric_flags_exit_2(argv):
+    proc = run_cli(argv[0], str(DATA / "su2.json"), *argv[1:])
+    assert proc.returncode == 2
+    assert f"argument {argv[1]}: must be >= 0" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("max_degree,empty", [("0", 10), ("1", 6), ("3", 1)])
+def test_cartan_without_a_test_cochain_is_a_failed_precondition(
+        capsys, max_degree, empty):
+    from courantcalc import cli
+
+    assert cli.main(["cartan", str(DATA / "su2.json"),
+                     "--max-degree", max_degree]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"precondition failed: --max-degree {max_degree} leaves "
+                          f"{empty} of 11 relations without a test cochain: ")
+    assert err.count("\n") == 1
+    assert "interior-function-interior-function" in err
+
+
 def test_numeric_entries_are_malformed_input(tmp_path):
     doc = {"n": 0, "rank": 2, "pairing": [[0, 1], [1, 0]],
            "anchor": [], "bracket": {}}

@@ -1,7 +1,9 @@
 import gc
+import json
+import pathlib
 import random
 import weakref
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 from math import comb
 
 import pytest
@@ -11,6 +13,9 @@ from courantcalc import dorfman as dc
 from courantcalc.algebroid import build_standard
 from courantcalc.battery import Battery
 from courantcalc.scalar import Scalar, parse_scalar
+
+
+DATA = pathlib.Path(__file__).parent.parent / "demos" / "data"
 
 
 def S(text):
@@ -101,6 +106,201 @@ def test_product_degree_cap(standard2):
         quad = leaf if quad is None else co.mul(quad, leaf)
     with pytest.raises(co.DegreeCapError):
         co.mul(quad, quad)
+
+
+# -- reference evaluator ---------------------------------------------------------
+# Each node formula written out on Section and Scalar values, with no memo, no
+# id interning and no skipped terms; `along` is the connection d is taken along.
+
+
+class _AnchorRef:
+    def __init__(self, alg):
+        self.alg = alg
+
+    def apply(self, sigma, f):
+        return self.alg.anchor_apply(sigma, f)
+
+
+class _EndRef:
+    """The commutator connection on End(B):
+    (nabla~_s M) b = nabla_s(M b) - M(nabla_s b)."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.alg = conn.alg
+
+    def apply(self, sigma, m):
+        conn = self.conn
+        return dc.Endomorphism(conn.bundle, (
+            conn.apply(sigma, m(e)) - m(conn.apply(sigma, e))
+            for e in conn.bundle.frame))
+
+
+def _parity(perm):
+    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+              if perm[i] > perm[j])
+    return -1 if inv % 2 else 1
+
+
+def _ref_d(w, p, k, secs, funs, along, zero):
+    """Component k of the differential of the degree-p cochain w(k, secs, funs)."""
+    alg = along.alg
+    total = zero
+    if 1 <= k <= p // 2 + 1:
+        for mu in range(k):
+            total = total + w(k - 1, (alg.d_E(funs[mu]),) + secs,
+                              funs[:mu] + funs[mu + 1:])
+    if k <= p // 2:
+        m = len(secs)
+        for i in range(m):
+            dv = along.apply(secs[i], w(k, secs[:i] + secs[i + 1:], funs))
+            total = total + dv if i % 2 == 0 else total - dv
+        for i in range(m):
+            for j in range(i + 1, m):
+                moved = (secs[:i] + secs[i + 1:j] + (alg.bracket(secs[i], secs[j]),)
+                         + secs[j + 1:])
+                v = w(k, moved, funs)
+                total = total - v if i % 2 == 0 else total + v
+    return total
+
+
+def _ref_eval(node, k, secs, funs, along):
+    zero = node.zero
+    if isinstance(node, co._Zero):
+        return zero
+    if isinstance(node, co._Leaf):
+        return node.value
+    if isinstance(node, co._SectionLeaf):
+        return node.alg.pairing(node.section, secs[0])
+    if isinstance(node, dc._Curvature):
+        conn = node.conn
+        if k == 0:
+            s, t = secs
+            cols = (conn.apply(s, conn.apply(t, b)) - conn.apply(t, conn.apply(s, b))
+                    - conn.apply(conn.alg.bracket(s, t), b) for b in conn.bundle.frame)
+        else:
+            cols = (conn.apply(conn.alg.d_E(funs[0]), b) for b in conn.bundle.frame)
+        return dc.Endomorphism(conn.bundle, cols)
+    if isinstance(node, co._Product):
+        left, right = node.left, node.right
+        scalar = _AnchorRef(node.alg)
+        total = zero
+        for r in range(k + 1):
+            a = left.degree - 2 * r
+            b = right.degree - 2 * (k - r)
+            if a < 0 or b < 0:
+                continue
+            for lidx in combinations(range(len(secs)), a):
+                ridx = tuple(i for i in range(len(secs)) if i not in lidx)
+                sign = _parity(lidx + ridx)
+                for lf in combinations(range(k), r):
+                    rf = tuple(i for i in range(k) if i not in lf)
+                    v1 = _ref_eval(left, r, tuple(secs[i] for i in lidx),
+                                   tuple(funs[i] for i in lf), scalar)
+                    v2 = _ref_eval(right, k - r, tuple(secs[i] for i in ridx),
+                                   tuple(funs[i] for i in rf), along)
+                    term = v2.scale(v1)
+                    total = total + term if sign > 0 else total - term
+        return total
+    if isinstance(node, co._InteriorE):
+        return _ref_eval(node.child, k, (node.section,) + secs, funs, along)
+    if isinstance(node, co._InteriorF):
+        return _ref_eval(node.child, k + 1, secs, (node.function,) + funs, along)
+
+    child = node.child
+    q = child.degree
+
+    def w(kk, ss, ff):
+        return _ref_eval(child, kk, ss, ff, along)
+
+    if isinstance(node, co._Differential):
+        return _ref_d(w, q, k, secs, funs, along, zero)
+
+    def dw(kk, ss, ff):
+        return _ref_d(w, q, kk, ss, ff, along, zero)
+
+    if isinstance(node, co._LieE):
+        e = node.section
+        out = dw(k, (e,) + secs, funs)
+        if q >= 1:
+            out = out + _ref_d(lambda kk, ss, ff: w(kk, (e,) + ss, ff), q - 1,
+                               k, secs, funs, along, zero)
+        return out
+    assert isinstance(node, co._LieF)
+    f = node.function
+    out = dw(k + 1, secs, (f,) + funs)
+    if q >= 2:
+        out = out - _ref_d(lambda kk, ss, ff: w(kk + 1, ss, (f,) + ff), q - 2,
+                           k, secs, funs, along, zero)
+    return out
+
+
+def _oracle_tuples(node, sections, functions, rng, per_component=3):
+    """Argument tuples for every component.  The first tuple of each
+    component ends in the last section and function of the pools; the others
+    are drawn from the rest, without repeating a section (a repeat often
+    makes the value zero)."""
+    out = []
+    for k in range(node.degree // 2 + 1):
+        arity = node.degree - 2 * k
+        for t in range(per_component):
+            secs = tuple(rng.sample(sections[:-1], arity))
+            funs = tuple(rng.choice(functions[:-1]) for _ in range(k))
+            if t == 0:
+                secs = secs[:-1] + (sections[-1],) if arity else secs
+                funs = funs[:-1] + (functions[-1],) if k else funs
+            out.append((k, secs, funs))
+    return out
+
+
+def _assert_agrees_with_reference(node, calls, along):
+    ctx = co.EvalContext()
+    for k, secs, funs in calls:
+        got = co.evaluate(node, k, secs, funs, ctx)
+        want = _ref_eval(node, k, secs, funs, along)
+        assert (got - want).is_zero(), (type(node).__name__, k, secs, funs)
+
+
+@pytest.mark.parametrize("name", ["standard2", "su2"])
+def test_evaluate_agrees_with_reference_evaluator(name, request):
+    alg = request.getfixturevalue(name)
+    battery = Battery(alg, degree=1, extras=1)
+    n = alg.n
+    # frame, scaled and random sections and a zero one; nonconstant, random
+    # and constant functions (over a point every function is a constant)
+    sections = (battery.frame + battery.scaled[:2] + battery.randoms
+                + [alg.zero_section()])
+    functions = ([f for f in battery.functions if not f.is_constant()][:2]
+                 + battery.functions[-1:] + [Scalar.const(n, 3)])
+    nodes = []
+    for w in co.generator_cochains(alg, battery):
+        if w.degree <= 3:
+            nodes.append(w)
+        if w.degree <= 2:
+            nodes.append(co.differential(w))
+    assert any(isinstance(w, co._Differential) and w.degree == 3 for w in nodes)
+    rng = random.Random(f"reference:{name}")
+    for node in nodes:
+        calls = _oracle_tuples(node, sections, functions, rng, per_component=6)
+        _assert_agrees_with_reference(node, calls, _AnchorRef(alg))
+
+
+def test_bianchi_cochain_agrees_with_reference_evaluator(standard2):
+    doc = json.loads((DATA / "christoffel_poly2.json").read_text())
+    conn = dc.build_standard_connection(standard2, dc.christoffel_from_json(doc, 2))
+    end = dc.EndConnection(conn)
+    battery = Battery(standard2, degree=1, extras=1)
+    sections = battery.frame[:2] + battery.scaled[:1] + battery.randoms[:1] \
+        + [standard2.zero_section()]
+    functions = [S("x1*x2"), S("2")]
+    rng = random.Random("bianchi")
+    # d_nabla~ R vanishes by the Bianchi identity; the differential of a
+    # contraction of R does not
+    curvature = dc.curvature(conn)
+    for node in (co._differential(end, curvature),
+                 co._differential(end, co.interior_e(battery.randoms[0], curvature))):
+        calls = _oracle_tuples(node, sections, functions, rng, per_component=2)
+        _assert_agrees_with_reference(node, calls, _EndRef(conn))
 
 
 # -- evaluation context --------------------------------------------------------------
@@ -196,6 +396,18 @@ def test_equal_b_with_shared_context(standard2, battery2):
     assert (shared.equal, shared.checked, shared.witness, shared.residual) == \
         (fresh.equal, fresh.checked, fresh.witness, fresh.residual)
     assert shared.equal and shared.checked > 0
+
+
+def test_differential_never_evaluates_at_a_zero_section(standard2):
+    # coordinate-frame brackets of standard(n) vanish; a bracket insertion
+    # of a zero section is a zero term, skipped before the memo is touched
+    battery = Battery(standard2, degree=1, extras=1)
+    assert not any(s.is_zero() for s in battery.sections)
+    w = next(w for w in co.generator_cochains(standard2, battery) if w.degree == 4)
+    ctx = co.EvalContext()
+    assert co.vanishes(co.differential(co.differential(w)), battery, ctx=ctx)
+    assert ctx.zero_ids
+    assert not [key for key in ctx.memo if ctx.zero_ids.intersection(key[2])]
 
 
 # -- structural laws --------------------------------------------------------------
