@@ -159,9 +159,6 @@ class CourantAlgebroid:
     def section_from_strings(self, strings):
         return Section(self, tuple(parse_scalar(s, self.n) for s in strings))
 
-    def frame_section(self, i):
-        return self._frame[i]
-
     @property
     def frame(self):
         return self._frame

@@ -20,6 +20,9 @@ from .scalar import Scalar, monomials_up_to
 
 __all__ = ["Battery"]
 
+FRAME_CAP = 4096  # the most full frame tuples of one arity in a section stream
+JOINT_CAP = 256  # the most joint tuples of the core functions in a stream
+
 
 class Battery:
     """Test data attached to one algebroid.
@@ -30,14 +33,11 @@ class Battery:
     seed    -- seed for the random extras.
     """
 
-    def __init__(self, alg, degree=2, extras=3, seed=0,
-                 frame_cap=4096, joint_cap=256):
+    def __init__(self, alg, degree=2, extras=3, seed=0):
         self.alg = alg
         self.degree = degree
         self.extras = extras
         self.seed = seed
-        self.frame_cap = frame_cap
-        self.joint_cap = joint_cap
         n, r = alg.n, alg.rank
         self._labels = {}
 
@@ -105,12 +105,12 @@ class Battery:
             return False
 
         r = len(self.frame)
-        if not reduced and r**arity <= self.frame_cap:
+        if not reduced and r**arity <= FRAME_CAP:
             for t in product(self.frame, repeat=arity):
                 if emit(t):
                     yield t
         else:
-            c = max(2, int(self.frame_cap ** (1.0 / arity))) if not reduced else 2
+            c = max(2, int(FRAME_CAP ** (1.0 / arity))) if not reduced else 2
             for t in product(self.frame[: min(c, r)], repeat=arity):
                 if emit(t):
                     yield t
@@ -147,7 +147,7 @@ class Battery:
             return
         seen = set()
         core = self.core_functions
-        if len(core) ** arity <= self.joint_cap:
+        if len(core) ** arity <= JOINT_CAP:
             for t in product(core, repeat=arity):
                 if t not in seen:
                     seen.add(t)
@@ -161,9 +161,6 @@ class Battery:
 
     def pairs(self):
         return self.section_tuples(2)
-
-    def triples(self):
-        return self.section_tuples(3)
 
 
 def _random_poly(rng, n, degree):

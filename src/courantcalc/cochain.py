@@ -13,12 +13,12 @@ of cochains is battery-relative: exact agreement of all components on every
 battery tuple.
 
 One DAG serves every kind of value because the differential is taken along
-a connection: ``along.apply(sigma, v)`` differentiates a value v along a
-section.  For scalar cochains that is the anchor, so d is the covariant
-differential of the anchor connection on the trivial line bundle; for
-bundle-valued cochains it is a Dorfman connection or one it induces on B*
-or End(B), and the Lie derivative along a section becomes the covariant
-derivative nabla_e.
+a connection, the ``along`` argument of :func:`differential`, :func:`lie_e`
+and :func:`lie_f`: ``along.apply(sigma, v)`` differentiates a value v along
+a section.  None, the default, is the anchor: the connection on the trivial
+line bundle of scalar cochains.  For bundle-valued cochains ``along`` is a
+Dorfman connection or one it induces on B* or End(B), and the Lie
+derivative along a section becomes the covariant derivative nabla_e.
 
 Nodes are hash-consed: each constructor looks its node up by structure
 (the node class, the child nodes, the section, function or leaf value by
@@ -27,8 +27,8 @@ and returns the node already built if there is one.  So an equal
 subexpression built twice is one node, and shares one memo entry when it is
 evaluated.  The table holds its nodes weakly: a node lives as long as a
 caller or a parent node refers to it, not as long as its algebroid.  The
-anchor connection is one object per algebroid, so ``differential`` and
-``lie_e`` build equal keys.
+anchor connection is one object per algebroid, so ``differential(w)`` and
+``differential(w, None)`` are one node.
 
 Every evaluation runs in an :class:`EvalContext`.  The context interns each
 section and function argument to a small int, so the DAG works on id
@@ -62,7 +62,6 @@ from functools import cache
 from itertools import combinations
 from weakref import WeakValueDictionary
 
-from .algebroid import _require_fields
 from .battery import Battery
 from .report import Report, run_check
 from .scalar import Scalar
@@ -93,7 +92,6 @@ __all__ = [
     "cartan_suite",
     "generator_cochains",
     "random_cochain",
-    "cochain_from_json",
 ]
 
 PRODUCT_DEGREE_CAP = 6
@@ -331,8 +329,8 @@ class _LieE(Cochain):
         super().__init__(child.alg, child.zero, child.degree, child.order + 1)
         self.section = section
         self.child = child
-        self._a = interior_e(section, _differential(along, child))
-        self._b = _differential(along, interior_e(section, child))
+        self._a = interior_e(section, differential(child, along))
+        self._b = differential(interior_e(section, child), along)
 
     def _eval(self, k, es, fs, ctx):
         return _eval(self._a, k, es, fs, ctx) + _eval(self._b, k, es, fs, ctx)
@@ -348,8 +346,8 @@ class _LieF(Cochain):
         super().__init__(child.alg, child.zero, child.degree - 1, child.order + 1)
         self.function = function
         self.child = child
-        self._a = interior_f(function, _differential(along, child))
-        self._b = _differential(along, interior_f(function, child))
+        self._a = interior_f(function, differential(child, along))
+        self._b = differential(interior_f(function, child), along)
 
     def _eval(self, k, es, fs, ctx):
         return _eval(self._a, k, es, fs, ctx) - _eval(self._b, k, es, fs, ctx)
@@ -377,11 +375,12 @@ def _node(cls, alg, *args):
     return node
 
 
-def _anchor(alg):
-    """The anchor connection of alg, one object per algebroid."""
-    along = alg.metadata.get("anchor_connection")
+def _along(alg, along):
+    """along, or for None the anchor connection of alg (one per algebroid)."""
     if along is None:
-        along = alg.metadata["anchor_connection"] = _AnchorConnection(alg)
+        along = alg.metadata.get("anchor_connection")
+        if along is None:
+            along = alg.metadata["anchor_connection"] = _AnchorConnection(alg)
     return along
 
 
@@ -413,17 +412,13 @@ def mul(left, right):
     return _node(_Product, left.alg, left, right)
 
 
-def _differential(along, child):
-    """The differential of child along a connection."""
+def differential(child, along=None):
+    """The differential of child along a connection (None: the anchor)."""
     if isinstance(child, _Zero):
         return _zero_like(child, child.degree + 1)
     if child.degree + 1 > DEGREE_CAP:
         raise DegreeCapError(f"degree {child.degree + 1} exceeds cap {DEGREE_CAP}")
-    return _node(_Differential, child.alg, along, child)
-
-
-def differential(child):
-    return _differential(_anchor(child.alg), child)
+    return _node(_Differential, child.alg, _along(child.alg, along), child)
 
 
 def interior_e(section, child):
@@ -438,26 +433,20 @@ def interior_f(function, child):
     return _node(_InteriorF, child.alg, function, child)
 
 
-def _lie_e(along, section, child):
-    """The Lie derivative along a section, with d taken along a connection."""
+def lie_e(section, child, along=None):
+    """The Lie derivative along a section, with d taken along a connection
+    (None: the anchor)."""
     if isinstance(child, _Zero):
         return _zero_like(child, child.degree)
-    return _node(_LieE, child.alg, along, section, child)
+    return _node(_LieE, child.alg, _along(child.alg, along), section, child)
 
 
-def lie_e(section, child):
-    return _lie_e(_anchor(child.alg), section, child)
-
-
-def _lie_f(along, function, child):
-    """The Lie derivative along a function, with d taken along a connection."""
+def lie_f(function, child, along=None):
+    """The Lie derivative along a function, with d taken along a connection
+    (None: the anchor)."""
     if child.degree - 1 < 0 or isinstance(child, _Zero):
         return _zero_like(child, child.degree - 1)
-    return _node(_LieF, child.alg, along, function, child)
-
-
-def lie_f(function, child):
-    return _lie_f(_anchor(child.alg), function, child)
+    return _node(_LieF, child.alg, _along(child.alg, along), function, child)
 
 
 # ---------------------------------------------------------------------------
@@ -855,17 +844,18 @@ def symbol_Omega(w, slot, probe, battery=None, reduced=True):
 # ---------------------------------------------------------------------------
 
 
-def cartan_suite(alg, battery=None, cochains=None, reduced=True):
+def cartan_suite(alg, battery=None, max_degree=4, reduced=True):
     """All eight commutation relations of the calculus plus the two
-    contraction brackets, verified as operator identities on test cochains."""
+    contraction brackets, verified as operator identities on test cochains:
+    the first two generator cochains of each degree up to max_degree."""
     if battery is None:
         battery = Battery(alg)
-    if cochains is None:
-        # a spread over degrees 0..4 so no identity is vacuous
-        per_degree = {}
-        for w in generator_cochains(alg, battery):
+    # a spread over the degrees, so at max_degree 4 no identity is vacuous
+    per_degree = {}
+    for w in generator_cochains(alg, battery):
+        if w.degree <= max_degree:
             per_degree.setdefault(w.degree, []).append(w)
-        cochains = [w for d in sorted(per_degree) for w in per_degree[d][:2]]
+    cochains = [w for d in sorted(per_degree) for w in per_degree[d][:2]]
     # the double Lie-derivative identities re-evaluate two differentials per
     # argument tuple, so they run on the low-degree part of the pool; the
     # contraction identities are cheap and keep the full spread
@@ -1081,65 +1071,3 @@ def random_cochain(alg, degree, rng, battery=None):
         return lie_f(rand_function(), build(p + 1, depth - 1))
 
     return build(degree, 3)
-
-
-# ---------------------------------------------------------------------------
-# JSON expression trees
-# ---------------------------------------------------------------------------
-
-
-_JSON_FIELDS = {
-    "scalar": ("value",),
-    "section": ("components",),
-    "mul": ("left", "right"),
-    "d": ("child",),
-    "ie": ("section", "child"),
-    "if": ("function", "child"),
-    "le": ("section", "child"),
-    "lf": ("function", "child"),
-}
-
-
-def cochain_from_json(alg, doc):
-    """Small expression-tree format for cochains.
-
-    { "op": "scalar", "value": scalar-string }
-    { "op": "section", "components": [scalar-string x r] }
-    { "op": "d" | "ie" | "if" | "le" | "lf" | "mul", ... } with "child",
-    "left"/"right", "section" (component strings) or "function" arguments.
-
-    A malformed tree raises ValueError: an unknown op, a node that is not
-    an object or lacks a field of its op (named in the message).
-    """
-    from .scalar import parse_scalar
-
-    _require_fields(doc, "cochain", ())
-    op = doc.get("op")
-    fields = _JSON_FIELDS.get(op) if isinstance(op, str) else None
-    if fields is None:
-        raise ValueError(f"unknown cochain op {op!r}")
-    _require_fields(doc, f"cochain {op!r}", fields)
-
-    def section(field):
-        if not isinstance(doc[field], list):
-            raise ValueError(f"cochain {op!r} field {field!r} must be a list "
-                             "of scalar strings")
-        return alg.section_from_strings(doc[field])
-
-    if op == "scalar":
-        return scalar_leaf(alg, parse_scalar(doc["value"], alg.n))
-    if op == "section":
-        return section_leaf(alg, section("components"))
-    if op == "mul":
-        return mul(cochain_from_json(alg, doc["left"]),
-                   cochain_from_json(alg, doc["right"]))
-    child = cochain_from_json(alg, doc["child"])
-    if op == "d":
-        return differential(child)
-    if op == "ie":
-        return interior_e(section("section"), child)
-    if op == "if":
-        return interior_f(parse_scalar(doc["function"], alg.n), child)
-    if op == "le":
-        return lie_e(section("section"), child)
-    return lie_f(parse_scalar(doc["function"], alg.n), child)

@@ -18,13 +18,15 @@ Dorfman connection, its dual B* with the dual connection, and End(B) with
 the commutator connection.  The curvature R is an End(B)-valued cochain of
 degree 2 (its components are the operators R0 and R1, which are not
 tensorial in the section slots), and the Bianchi identity is d_nabla~ R = 0
-along the End(B) connection.  ``b_leaf``, ``tensor``, ``product_b``,
-``covariant_differential``, ``interior_e_b``, ``interior_f_b``, ``nabla_e``,
-``lie_f_nabla``, ``evaluateB`` and ``equal_b`` name uses of the DAG.
+along the End(B) connection.  ``product_b``, ``covariant_differential``,
+``interior_e_b``, ``interior_f_b``, ``nabla_e``, ``lie_f_nabla``,
+``evaluateB`` and ``equal_b`` forward to ``cochain`` for the benchmark's
+traced layer; new code calls ``cochain``, with the connection as ``along``.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 from . import linalg
@@ -38,22 +40,22 @@ from .algebroid import (
     _sparse_rows,
     _sparse_struct,
 )
-from .battery import Battery
+from .battery import Battery, _random_poly
 from .cochain import (
     Cochain,
     EvalContext,
-    _differential,
     _Leaf,
-    _lie_e,
-    _lie_f,
+    differential,
     equal_combinations,
     evaluate,
     interior_e,
     interior_f,
+    lie_e,
+    lie_f,
     mul,
 )
 from .report import PreconditionError, Report, run_check
-from .scalar import ParseError, Scalar, parse_scalar
+from .scalar import ParseError, Scalar, monomials_up_to, parse_scalar
 
 __all__ = [
     "BSection",
@@ -86,6 +88,7 @@ __all__ = [
     "curvature_R1",
     "curvature",
     "curvature_symbol_checks",
+    "curvature_laws",
     "bianchi_check",
     "bott_connection",
     "build_standard_connection",
@@ -222,10 +225,6 @@ class PredualBundle(_FramedBundle):
 
     def test_elements(self, degree=2, extras=3, seed=0):
         """Frame, monomial-scaled frame and seeded random bundle elements."""
-        import random as _random
-
-        from .scalar import monomials_up_to
-
         n = self.alg.n
         out = list(self.frame)
         for mono in monomials_up_to(n, degree):
@@ -234,9 +233,7 @@ class PredualBundle(_FramedBundle):
             m = Scalar.monomial(n, mono)
             for b in self.frame:
                 out.append(b.scale(m))
-        rng = _random.Random(f"b-battery:{seed}:{n}:{self.rank}")
-        from .battery import _random_poly
-
+        rng = random.Random(f"b-battery:{seed}:{n}:{self.rank}")
         for _ in range(extras):
             out.append(BSection(self, [_random_poly(rng, n, min(2, max(degree, 1)))
                                        for _ in range(self.rank)]))
@@ -312,7 +309,7 @@ class DorfmanConnection:
 # ---------------------------------------------------------------------------
 
 
-def build_connection(bundle, battery=None, verify=True):
+def build_connection(bundle, battery=None):
     """Produce a connection on the predual bundle.
 
     The frame values start from the derivation term d_B of the pairing
@@ -371,24 +368,30 @@ def build_connection(bundle, battery=None, verify=True):
                 rows.append([base[q] + corrections[k][j][q] for q in range(s)])
         gamma.append(rows)
     conn = DorfmanConnection(bundle, gamma)
-    if verify:
-        if battery is None:
-            battery = Battery(alg)
-        report = verify_connection(conn, battery)
-        if not report.passed:
-            bad = report.failed_checks()[0]
-            raise ConstructionError(
-                f"constructed connection failed {bad.name} at {bad.witness} "
-                f"(residual {bad.residual})")
+    if battery is None:
+        battery = Battery(alg)
+    _self_test(verify_connection(conn, battery), "constructed connection")
     return conn
 
 
-def verify_connection(conn, battery, b_elements=None):
+def _self_test(report, what):
+    """Raise ConstructionError naming the first failed check of report."""
+    if not report.passed:
+        bad = report.failed_checks()[0]
+        raise ConstructionError(f"{what} failed {bad.name} at {bad.witness} "
+                                f"(residual {bad.residual})")
+
+
+def _b_elements(bundle, battery):
+    """The bundle's test elements at the battery's degree, extras and seed."""
+    return bundle.test_elements(degree=battery.degree, extras=battery.extras,
+                                seed=battery.seed)
+
+
+def verify_connection(conn, battery):
     """Exact check of the three connection axioms on battery data."""
     bundle, alg = conn.bundle, conn.alg
-    if b_elements is None:
-        b_elements = bundle.test_elements(degree=battery.degree,
-                                          extras=battery.extras, seed=battery.seed)
+    b_elements = _b_elements(bundle, battery)
     secs = battery.frame + battery.scaled[: 2 * alg.rank] + battery.randoms
     funs = battery.functions
     sample = list(product(secs, funs[:6] + funs[-2:],
@@ -428,15 +431,13 @@ def affine_combine(conn0, conn1, g):
     return DorfmanConnection(conn0.bundle, gamma)
 
 
-def difference_check(conn0, conn1, battery, b_elements=None):
+def difference_check(conn0, conn1, battery):
     """The difference of two connections is bilinear over the scalar ring
     and kills every d_B image."""
     bundle, alg = conn0.bundle, conn0.alg
     if conn1.bundle is not bundle:
         raise PreconditionError("connections live on different preduals")
-    if b_elements is None:
-        b_elements = bundle.test_elements(degree=battery.degree,
-                                          extras=battery.extras, seed=battery.seed)
+    b_elements = _b_elements(bundle, battery)
     secs = battery.frame + battery.scaled[: alg.rank] + battery.randoms
     sample = list(product(secs, battery.functions[:5],
                           b_elements[:: max(1, len(b_elements) // 6)]))
@@ -521,26 +522,19 @@ class LinearConnection:
         return self.conn.alg.anchor_apply(self._to_section(b), f)
 
 
-def induced_linear_connection(conn, case, battery=None, verify=True):
+def induced_linear_connection(conn, case, battery=None):
+    """The module connection induced in the case, self-tested."""
     lin = LinearConnection(conn, case)
-    if verify:
-        if battery is None:
-            battery = Battery(conn.alg)
-        report = verify_linear_connection(lin, battery)
-        if not report.passed:
-            bad = report.failed_checks()[0]
-            raise ConstructionError(
-                f"induced connection failed {bad.name} at {bad.witness} "
-                f"(residual {bad.residual})")
+    if battery is None:
+        battery = Battery(conn.alg)
+    _self_test(verify_linear_connection(lin, battery), "induced connection")
     return lin
 
 
-def verify_linear_connection(lin, battery, b_elements=None):
+def verify_linear_connection(lin, battery):
     conn = lin.conn
     bundle, alg = conn.bundle, conn.alg
-    if b_elements is None:
-        b_elements = bundle.test_elements(degree=battery.degree,
-                                          extras=battery.extras, seed=battery.seed)
+    b_elements = _b_elements(bundle, battery)
     secs = battery.frame + battery.scaled[: alg.rank] + battery.randoms
     sample = list(product(b_elements[:: max(1, len(b_elements) // 8)],
                           battery.functions[:5], secs))
@@ -559,13 +553,11 @@ def verify_linear_connection(lin, battery, b_elements=None):
     return report
 
 
-def compatibility_check(conn, lin, battery, b_elements=None):
+def compatibility_check(conn, lin, battery):
     """Pairing compatibility tying the bracket, the connection and its
     induced module connection."""
     bundle, alg = conn.bundle, conn.alg
-    if b_elements is None:
-        b_elements = bundle.test_elements(degree=battery.degree,
-                                          extras=battery.extras, seed=battery.seed)
+    b_elements = _b_elements(bundle, battery)
     secs = battery.frame + battery.scaled[: alg.rank] + battery.randoms[:2]
     report = Report("bracket-connection compatibility")
 
@@ -688,7 +680,7 @@ def product_b(omega, child):
 
 
 def covariant_differential(conn, child):
-    return _differential(conn, child)
+    return differential(child, conn)
 
 
 def interior_e_b(section, child):
@@ -702,13 +694,13 @@ def interior_f_b(function, child):
 def nabla_e(conn, section, child):
     """Covariant derivative along a section: the anticommutator of the
     interior product with the covariant differential."""
-    return _lie_e(conn, section, child)
+    return lie_e(section, child, conn)
 
 
 def lie_f_nabla(conn, function, child):
     """Commutator of the function contraction with the covariant
     differential."""
-    return _lie_f(conn, function, child)
+    return lie_f(function, child, conn)
 
 
 def evaluateB(node, k, sections, functions=(), ctx=None):
@@ -769,7 +761,7 @@ def curvature(conn):
     return _Curvature(conn)
 
 
-def curvature_symbol_checks(conn, lin, battery, b_elements=None):
+def curvature_symbol_checks(conn, lin, battery):
     """Scaling defects of the curvature in both section slots.
 
     The second-slot defect must contract to the induced module connection
@@ -777,9 +769,7 @@ def curvature_symbol_checks(conn, lin, battery, b_elements=None):
     terms (dual differential of the pairing and a rescaled derivative).
     """
     bundle, alg = conn.bundle, conn.alg
-    if b_elements is None:
-        b_elements = bundle.test_elements(degree=battery.degree,
-                                          extras=battery.extras, seed=battery.seed)
+    b_elements = _b_elements(bundle, battery)
     frame = battery.frame
     probes = battery.scaled[: 2] + battery.randoms[:1]
     pairs = [(a, b) for a in frame for b in frame]
@@ -815,7 +805,58 @@ def curvature_symbol_checks(conn, lin, battery, b_elements=None):
     return report
 
 
-def bianchi_check(conn, battery, b_elements=None, dual_check=True):
+def curvature_laws(conn, case, battery):
+    """The curvature laws of conn: its action on derivation images, the
+    square of its covariant differential, and the laws tying the curvature
+    to the module connection induced in the case."""
+    bundle = conn.bundle
+    b_elements = _b_elements(bundle, battery)
+    report = Report("curvature laws")
+    functions = battery.functions
+    run_check(report, "curvature-kills-derivation-images",
+              ((s1, s2, f) for s1, s2 in battery.section_tuples(2, reduced=True)
+               for f in functions[:5]),
+              lambda s1, s2, f: curvature_R0(conn, s1, s2, bundle.d_B(f)),
+              lambda s1, s2, f: f"{battery.label(s1)}, {battery.label(s2)}, f={f}")
+    run_check(report, "function-curvature-kills-derivation-images",
+              product(functions, functions[:5]),
+              lambda f, g: curvature_R1(conn, f, bundle.d_B(g)),
+              lambda f, g: f"f={f}, g={g}")
+
+    def square(b):
+        """The covariant differential applied twice to the constant b."""
+        return differential(differential(b_leaf(bundle, b), conn), conn)
+
+    run_check(report, "contracted-square-is-derivative-along-dual-differential",
+              ((b, square(b), f) for b in b_elements[:: max(1, len(b_elements) // 6)]
+               for f in functions[:6]),
+              lambda b, dd, f: (evaluate(interior_f(f, dd), 0, ())
+                                - curvature_R1(conn, f, b)),
+              lambda b, dd, f: f"b={b}, f={f}")
+
+    pairs = list(battery.section_tuples(2, reduced=True))[:20]
+
+    def scaled_squares():
+        for b in b_elements[:: max(1, len(b_elements) // 4)]:
+            dd = square(b)
+            for f in functions[:4]:
+                dds = square(b.scale(f))
+                for pair in pairs:
+                    yield b, dd, f, dds, pair
+
+    run_check(report, "squared-differential-linear-over-functions", scaled_squares(),
+              lambda b, dd, f, dds, pair: (evaluate(dds, 0, pair)
+                                           - evaluate(dd, 0, pair).scale(f)),
+              lambda b, dd, f, dds, pair: f"b={b}, f={f}, {battery.describe(pair)}")
+
+    lin = LinearConnection(conn, case)
+    report.extend(curvature_symbol_checks(conn, lin, battery))
+    report.extend(verify_linear_connection(lin, battery))
+    report.extend(compatibility_check(conn, lin, battery))
+    return report
+
+
+def bianchi_check(conn, battery):
     """The Bianchi identity d_nabla~ R = 0, component by component.
 
     R is :func:`curvature` and nabla~ the induced connection on End(B); the
@@ -824,13 +865,9 @@ def bianchi_check(conn, battery, b_elements=None, dual_check=True):
     dual connection, the square of its covariant differential on the dual
     frame, against the curvature of conn.
     """
-    bundle = conn.bundle
-    if b_elements is None:
-        b_elements = bundle.test_elements(degree=battery.degree,
-                                          extras=battery.extras, seed=battery.seed)
     report = Report("Bianchi identity")
     ctx = EvalContext()
-    bianchi = _differential(EndConnection(conn), curvature(conn))
+    bianchi = differential(curvature(conn), EndConnection(conn))
 
     run_check(report, "degree-3-component", battery.section_tuples(3, reduced=True),
               lambda *secs: evaluate(bianchi, 0, secs, (), ctx),
@@ -841,27 +878,27 @@ def bianchi_check(conn, battery, b_elements=None, dual_check=True):
               lambda sigma, f: evaluate(bianchi, 1, (sigma,), (f,), ctx),
               lambda sigma, f: f"{battery.label(sigma)}, f={f}")
 
-    if dual_check:
-        dual = DualConnection(conn)
-        squares = [_differential(dual, _differential(dual, b_leaf(dual.bundle, beta)))
-                   for beta in dual.bundle.frame]
-        sample = b_elements[:: max(1, len(b_elements) // 4)]
+    dual = DualConnection(conn)
+    squares = [differential(differential(b_leaf(dual.bundle, beta), dual), dual)
+               for beta in dual.bundle.frame]
+    b_elements = _b_elements(conn.bundle, battery)
+    sample = b_elements[:: max(1, len(b_elements) // 4)]
 
-        def dual_tuples():
-            for e1, e2 in battery.section_tuples(2, reduced=True):
-                for i, square in enumerate(squares):
-                    r0s = evaluate(square, 0, (e1, e2), (), ctx)
-                    for b in sample:
-                        yield e1, e2, i, r0s, b
+    def dual_tuples():
+        for e1, e2 in battery.section_tuples(2, reduced=True):
+            for i, square in enumerate(squares):
+                r0s = evaluate(square, 0, (e1, e2), (), ctx)
+                for b in sample:
+                    yield e1, e2, i, r0s, b
 
-        def duality(e1, e2, i, r0s, b):
-            return (dual.bundle.pair(r0s, b)
-                    + curvature_R0(conn, e1, e2, b).components[i])
+    def duality(e1, e2, i, r0s, b):
+        return (dual.bundle.pair(r0s, b)
+                + curvature_R0(conn, e1, e2, b).components[i])
 
-        def at(e1, e2, i, r0s, b):
-            return f"{battery.label(e1)}, {battery.label(e2)}, beta={i}, b={b}"
+    def at(e1, e2, i, r0s, b):
+        return f"{battery.label(e1)}, {battery.label(e2)}, beta={i}, b={b}"
 
-        run_check(report, "dual-curvature-duality", dual_tuples(), duality, at)
+    run_check(report, "dual-curvature-duality", dual_tuples(), duality, at)
     return report
 
 
@@ -1026,7 +1063,7 @@ def bott_connection(alg, l_sections, battery_degree=2, extras=3, seed=0):
     battery = Battery(sub, degree=battery_degree, extras=extras, seed=seed)
     report = Report("quotient connection of the subbundle")
     report.extend(verify_connection(conn, battery))
-    bs = bundle.test_elements(degree=battery_degree, extras=extras, seed=seed)
+    bs = _b_elements(bundle, battery)
     sample = bs[:: max(1, len(bs) // 6)]
     run_check(report, "curvature-vanishes",
               ((s1, s2, b) for s1, s2 in battery.section_tuples(2) for b in sample),

@@ -496,9 +496,6 @@ class Scalar:
     def is_zero(self):
         return not self.num
 
-    def is_one(self):
-        return self.num == _ONE and self.den == _ONE
-
     def is_constant(self):
         return _p_is_const(self.num) and _p_is_const(self.den)
 

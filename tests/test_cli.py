@@ -239,6 +239,21 @@ def test_internal_error_exits_4_with_one_line(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_internal_key_error_is_not_malformed_input(monkeypatch, capsys):
+    # every field the loaders read is checked first, so a KeyError is a fault
+    # of the program, not of the input
+    from courantcalc import cli
+
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli.COMMANDS, "verify-algebroid", broken)
+    assert cli.main(["verify-algebroid", str(DATA / "su2.json")]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: KeyError: 'internal'\n"
+
+
 def test_python_dash_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "courantcalc", "verify-algebroid",

@@ -297,8 +297,8 @@ def test_bianchi_cochain_agrees_with_reference_evaluator(standard2):
     # d_nabla~ R vanishes by the Bianchi identity; the differential of a
     # contraction of R does not
     curvature = dc.curvature(conn)
-    for node in (co._differential(end, curvature),
-                 co._differential(end, co.interior_e(battery.randoms[0], curvature))):
+    for node in (co.differential(curvature, end),
+                 co.differential(co.interior_e(battery.randoms[0], curvature), end)):
         calls = _oracle_tuples(node, sections, functions, rng, per_component=2)
         _assert_agrees_with_reference(node, calls, _EndRef(conn))
 
@@ -614,6 +614,17 @@ def test_nodes_along_different_connections_are_distinct(standard2, battery2):
     assert co.differential(w) is not dc.covariant_differential(trivial, w)
 
 
+def test_along_is_the_connection_argument_and_none_is_the_anchor(standard2, battery2):
+    conn = dc.build_standard_connection(standard2)
+    e = standard2.frame[0]
+    w = co.section_leaf(standard2, battery2.randoms[0])
+    x = dc.tensor(w, conn.bundle, conn.bundle.frame[1])
+    assert co.differential(w) is co.differential(w, None)
+    assert dc.covariant_differential(conn, x) is co.differential(x, conn)
+    assert dc.nabla_e(conn, e, x) is co.lie_e(e, x, conn)
+    assert dc.lie_f_nabla(conn, S("x2"), x) is co.lie_f(S("x2"), x, conn)
+
+
 def test_nodes_of_two_algebroids_never_coincide():
     a, b = build_standard(1), build_standard(1)
     f = parse_scalar("x1", 1)
@@ -677,46 +688,3 @@ def test_random_cochain_determinism(standard2, battery2):
     b = co.random_cochain(standard2, 3, random.Random("seed-1"), battery2)
     assert a.degree == b.degree == 3
     assert co.equal(a, b, battery2, reduced=True)
-
-
-# -- JSON expression trees ----------------------------------------------------------------
-
-def test_cochain_from_json(standard2, battery2):
-    doc = {"op": "d", "child": {
-        "op": "mul",
-        "left": {"op": "section", "components": ["x1", "0", "0", "0"]},
-        "right": {"op": "section", "components": ["0", "0", "1", "0"]}}}
-    w = co.cochain_from_json(standard2, doc)
-    assert w.degree == 3
-    direct = co.differential(co.mul(
-        co.section_leaf(standard2, standard2.section_from_strings(
-            ["x1", "0", "0", "0"])),
-        co.section_leaf(standard2, standard2.section_from_strings(
-            ["0", "0", "1", "0"]))))
-    assert co.equal(w, direct, battery2, reduced=True)
-
-
-def test_cochain_from_json_rejects_unknown_op(standard2):
-    with pytest.raises(ValueError):
-        co.cochain_from_json(standard2, {"op": "unknown"})
-
-
-@pytest.mark.parametrize("doc, field", [
-    ({"op": "ie", "section": ["1", "0", "0", "0"]}, "child"),
-    ({"op": "d"}, "child"),
-    ({"op": "mul", "left": {"op": "section", "components": ["x1", "0", "0", "0"]}},
-     "right"),
-    ({"op": "le", "child": {"op": "section", "components": ["1", "0", "0", "0"]}},
-     "section"),
-    ({"op": "d", "child": {"op": "scalar"}}, "value"),
-    ({"op": "ie", "section": "x1", "child": {"op": "d", "child": {
-        "op": "scalar", "value": "x1"}}}, "section"),
-    (["op", "d"], "object"),
-    ("d", "object"),
-    ({"op": "d", "child": 3}, "object"),
-], ids=["ie-without-child", "d-without-child", "mul-without-right",
-        "le-without-section", "nested-scalar-without-value", "section-not-a-list",
-        "list-document", "string-document", "child-not-an-object"])
-def test_cochain_from_json_names_the_missing_field(standard2, doc, field):
-    with pytest.raises(ValueError, match=field):
-        co.cochain_from_json(standard2, doc)
