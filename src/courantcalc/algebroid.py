@@ -117,11 +117,11 @@ class CourantAlgebroid:
         self.anchor_matrix = [list(row) for row in anchor_matrix]
         self.bracket_coeffs = [[list(cell) for cell in row] for row in bracket_coeffs]
         self.degenerate = False
-        if _allow_degenerate and linalg.det(self.pairing_matrix).is_zero():
+        d = linalg.det(self.pairing_matrix)
+        if _allow_degenerate and d.is_zero():
             self.degenerate = True
             self._dual_anchor = None
         else:
-            d = linalg.det(self.pairing_matrix)
             if d.is_zero() or not d.is_constant():
                 raise PreconditionError(
                     f"pairing determinant must be a nonzero constant, got {d}")
@@ -557,23 +557,33 @@ def algebroid_from_json(doc):
         raise ParseError(f'"n" and "rank" must be integers: {exc}') from exc
     pairing = _scalar_rows(doc["pairing"], "pairing", n)
     anchor = _scalar_rows(doc.get("anchor", []), "anchor", n)
-    bracket_map = doc.get("bracket", {})
-    if not isinstance(bracket_map, dict):
-        raise ParseError('"bracket" must be an object of "i,j" keys')
     zero = Scalar.zero(n)
     bracket = [[[zero] * r for _ in range(r)] for _ in range(r)]
-    for key, comps in bracket_map.items():
+    for i, j, comps in _keyed_entries(doc, "bracket", "bracket", r, r, n):
+        bracket[i][j] = comps
+    return build_from_structure_data(n, r, pairing, anchor, bracket)
+
+
+def _keyed_entries(doc, field, kind, rows, size, n):
+    """The entries of { field: { "i,j": [scalar-string x size] } }, 1-based.
+
+    Yields (i, j, scalars) with 0-based 0 <= i < rows and 0 <= j < size; an
+    omitted field has no entries.  Messages name the entries as kind.
+    """
+    entries = doc.get(field, {})
+    if not isinstance(entries, dict):
+        raise ParseError(f'"{field}" must be an object of "i,j" keys')
+    for key, comps in entries.items():
         if not isinstance(comps, list):
-            raise ParseError(f"bracket entry {key!r} must be a list of scalar strings")
+            raise ParseError(f"{kind} entry {key!r} must be a list of scalar strings")
         try:
             i_s, j_s = key.split(",")
             i, j = int(i_s) - 1, int(j_s) - 1
         except ValueError as exc:
-            raise PreconditionError(f"bad bracket key {key!r}") from exc
-        if not (0 <= i < r and 0 <= j < r) or len(comps) != r:
-            raise PreconditionError(f"bracket entry {key!r} out of shape")
-        bracket[i][j] = [parse_scalar(s, n) for s in comps]
-    return build_from_structure_data(n, r, pairing, anchor, bracket)
+            raise PreconditionError(f"bad {kind} key {key!r}") from exc
+        if not (0 <= i < rows and 0 <= j < size) or len(comps) != size:
+            raise PreconditionError(f"{kind} entry {key!r} out of shape")
+        yield i, j, [parse_scalar(x, n) for x in comps]
 
 
 def _require_fields(doc, kind, fields):

@@ -4,21 +4,22 @@ A cochain of degree p is a tuple of components; component k takes p - 2k
 section arguments and k function arguments (function slots stand for the
 differentials of their entries) and returns a value.  The values form a
 module over the scalars: the scalars themselves, or the elements of a
-bundle of ``dorfman`` (a predual B, its dual B*, or End(B)); a node carries
-the zero of its module.  Nodes of the DAG are never evaluated at
-construction: :func:`evaluate` recurses through the component formulas for
-products (signed shuffle sums of a scalar cochain times a cochain), the
-degree +1 differential, interior products and Lie derivatives.  Equality
-of cochains is battery-relative: exact agreement of all components on every
-battery tuple.
+bundle of ``dorfman`` (a predual B or one of its tensor bundles T^{p,q}(B),
+B* and End(B) among them); a node carries the zero of its module.  Nodes
+of the DAG are never evaluated at construction: :func:`evaluate` recurses
+through the component formulas for products (signed shuffle sums of a
+scalar cochain times a cochain), the degree +1 differential, interior
+products and Lie derivatives.  Equality of cochains is battery-relative:
+exact agreement of all components on every battery tuple.
 
 One DAG serves every kind of value because the differential is taken along
 a connection, the ``along`` argument of :func:`differential`, :func:`lie_e`
 and :func:`lie_f`: ``along.apply(sigma, v)`` differentiates a value v along
 a section.  None, the default, is the anchor: the connection on the trivial
 line bundle of scalar cochains.  For bundle-valued cochains ``along`` is a
-Dorfman connection or one it induces on B* or End(B), and the Lie
-derivative along a section becomes the covariant derivative nabla_e.
+Dorfman connection or the one it induces on T^{p,q}(B) by the derivation
+rule, and the Lie derivative along a section becomes the covariant
+derivative nabla_e.
 
 Nodes are hash-consed: each constructor looks its node up by structure
 (the node class, the child nodes, the section, function or leaf value by

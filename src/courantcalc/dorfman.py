@@ -13,15 +13,19 @@ what construction has to arrange and what verification checks.
 Bundle-valued cochains are not a second DAG: they are nodes of the cochain
 DAG of ``cochain`` whose values lie in a module with a connection, and the
 covariant differential is that DAG's differential taken along the
-connection instead of the anchor.  Three value modules carry one: B with a
-Dorfman connection, its dual B* with the dual connection, and End(B) with
-the commutator connection.  The curvature R is an End(B)-valued cochain of
-degree 2 (its components are the operators R0 and R1, which are not
-tensorial in the section slots), and the Bianchi identity is d_nabla~ R = 0
-along the End(B) connection.  ``product_b``, ``covariant_differential``,
-``interior_e_b``, ``interior_f_b``, ``nabla_e``, ``lie_f_nabla``,
-``evaluateB`` and ``equal_b`` forward to ``cochain`` for the benchmark's
-traced layer; new code calls ``cochain``, with the connection as ``along``.
+connection instead of the anchor.  The value modules are the tensor bundles
+T^{p,q}(B), p copies of B tensored with q of its dual B*, and a Dorfman
+connection on B induces one on each by the derivation rule: rho(sigma) on
+every component, nabla on each upper slot and minus its transpose on each
+lower slot.  B is T^{1,0}; on B* = T^{0,1} the rule gives the dual
+connection, on End(B) = T^{1,1} the commutator with nabla.  The curvature R
+is an End(B)-valued cochain of degree 2 (its components are the operators
+R0 and R1, which are not tensorial in the section slots), and the Bianchi
+identity is d_nabla~ R = 0 along the connection induced on End(B).
+``product_b``, ``covariant_differential``, ``interior_e_b``,
+``interior_f_b``, ``nabla_e``, ``lie_f_nabla``, ``evaluateB`` and
+``equal_b`` forward to ``cochain`` for the benchmark's traced layer; new
+code calls ``cochain``, with the connection as ``along``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .algebroid import (
     CourantAlgebroid,
     Section,
     _gradient_image,
+    _keyed_entries,
     _leibniz,
     _require_fields,
     _scalar_rows,
@@ -70,10 +75,8 @@ __all__ = [
     "LinearConnection",
     "induced_linear_connection",
     "compatibility_check",
-    "DualBundle",
-    "DualConnection",
-    "Endomorphism",
-    "EndConnection",
+    "TensorBundle",
+    "TensorConnection",
     "b_leaf",
     "tensor",
     "product_b",
@@ -151,18 +154,20 @@ class BSection:
         return h
 
     def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
+        return self.bundle.show(self.components)
 
     def __repr__(self):
         return f"BSection{self}"
 
 
 class _FramedBundle:
-    """Rank-s bundle over an algebroid, with its frame as bundle sections."""
+    """Rank-s bundle over an algebroid, with its frame as bundle sections
+    and its tensor bundles (see :meth:`TensorBundle.of`)."""
 
     def __init__(self, alg, rank):
         self.alg = alg
         self.rank = rank
+        self.tensors = {}
         one, zero = Scalar.one(alg.n), Scalar.zero(alg.n)
         self.frame = tuple(
             BSection(self, tuple(one if k == i else zero for k in range(rank)))
@@ -174,6 +179,9 @@ class _FramedBundle:
 
     def element(self, components):
         return BSection(self, components)
+
+    def show(self, components):
+        return "(" + ", ".join(str(c) for c in components) + ")"
 
 
 class PredualBundle(_FramedBundle):
@@ -575,88 +583,85 @@ def compatibility_check(conn, lin, battery):
 
 
 # ---------------------------------------------------------------------------
-# the value modules B* and End(B) with their induced connections
+# the tensor bundles T^{p,q}(B) with their induced connections
 # ---------------------------------------------------------------------------
 
 
-class DualBundle(_FramedBundle):
-    """The dual B* of a bundle B of the same rank, over the frame dual to
-    B's frame."""
+class TensorBundle(_FramedBundle):
+    """T^{p,q}(B), the tensor product of p copies of B and q of its dual B*,
+    over the product of B's frame (upper slots) and its dual frame (lower
+    slots), the last slot varying fastest.  So (0, 1) is B* and (1, 1) is
+    End(B), its component (i, j) the i-th component of the image of e_j."""
 
-    def pair(self, beta, b):
-        """The dual pairing of beta in B* with b in B."""
-        total = Scalar.zero(self.alg.n)
-        for c, h in zip(beta.components, b.components):
-            if not (c.is_zero() or h.is_zero()):
-                total = total + c * h
-        return total
+    def __init__(self, base, p, q):
+        self.base, self.p, self.q = base, p, q
+        super().__init__(base.alg, base.rank ** (p + q))
 
+    @classmethod
+    def of(cls, base, p, q):
+        """The one T^{p,q} of base, cached on base; (1, 0) is base itself."""
+        if (p, q) == (1, 0):
+            return base
+        if (p, q) not in base.tensors:
+            base.tensors[(p, q)] = cls(base, p, q)
+        return base.tensors[(p, q)]
 
-class DualConnection:
-    """The connection on B* pinned by duality: the anchor derivative of a
-    dual pairing splits across the two slots, so
-    (nabla*_sigma beta)_j = rho(sigma) beta_j - <beta, nabla_sigma e_j>."""
+    def contract(self, t, b):
+        """t with its last lower slot contracted against b in B: a Scalar at
+        (0, 1), an element of B at (1, 1), of T^{p,q-1} in general."""
+        if not self.q:
+            raise PreconditionError(f"T^{self.p},0 has no lower slot to contract")
+        zero, s = Scalar.zero(self.alg.n), self.base.rank
+        out = [sum((c * h for c, h in zip(t.components[k:k + s], b.components)
+                    if not (c.is_zero() or h.is_zero())), zero)
+               for k in range(0, self.rank, s)]
+        if self.p + self.q == 1:
+            return out[0]
+        return BSection(TensorBundle.of(self.base, self.p, self.q - 1), out)
 
-    def __init__(self, conn):
-        self.conn = conn
-        self.alg = conn.alg
-        self.bundle = DualBundle(conn.alg, conn.bundle.rank)
-
-    def apply(self, sigma, beta):
-        conn, dual = self.conn, self.bundle
-        return BSection(dual, tuple(
-            self.alg.anchor_apply(sigma, c) - dual.pair(beta, conn.apply(sigma, e))
-            for c, e in zip(beta.components, conn.bundle.frame)))
-
-
-class Endomorphism:
-    """Element of End(B), held as its columns: the images of B's frame."""
-
-    __slots__ = ("bundle", "columns")
-
-    def __init__(self, bundle, columns):
-        self.bundle = bundle
-        self.columns = tuple(columns)
-
-    def __add__(self, other):
-        return Endomorphism(self.bundle, map(BSection.__add__, self.columns,
-                                             other.columns))
-
-    def __sub__(self, other):
-        return Endomorphism(self.bundle, map(BSection.__sub__, self.columns,
-                                             other.columns))
-
-    def scale(self, f):
-        return Endomorphism(self.bundle, (c.scale(f) for c in self.columns))
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.columns)
-
-    def __call__(self, b):
-        """The image of the bundle element b."""
-        out = self.bundle.zero()
-        for h, col in zip(b.components, self.columns):
-            if not h.is_zero():
-                out = out + col.scale(h)
-        return out
-
-    def __str__(self):
-        """The matrix as a list of rows, the form check residuals print."""
-        return str([list(row) for row in zip(*(c.components for c in self.columns))])
+    def show(self, components):
+        """Rows of the matrix whose column index is the last slot, from
+        two slots on; End(B) prints its matrix this way."""
+        if self.p + self.q < 2:
+            return super().show(components)
+        s = self.base.rank
+        return str([list(components[k:k + s]) for k in range(0, self.rank, s)])
 
 
-class EndConnection:
-    """The connection on End(B) induced by a connection on B: the
-    commutator nabla_sigma o M - M o nabla_sigma."""
+class TensorConnection:
+    """The connection induced on T^{p,q}(B) by a connection on B, extended as
+    a derivation: rho(sigma) on every component, plus A_sigma on each upper
+    slot and minus its transpose on each lower slot, where
+    nabla_sigma e_j = sum_m A_sigma[j][m] e_m (Kobayashi-Nomizu I, ch. III).
+    On B* this is the dual connection, on End(B) the commutator with nabla."""
 
-    def __init__(self, conn):
-        self.conn = conn
+    def __init__(self, conn, p, q):
+        self.conn, self.alg, self.p, self.q = conn, conn.alg, p, q
+        self.bundle = TensorBundle.of(conn.bundle, p, q)
+        self._apply_cache = {}
 
-    def apply(self, sigma, m):
-        conn = self.conn
-        return Endomorphism(conn.bundle, (
-            conn.apply(sigma, col) - m(conn.apply(sigma, e))
-            for col, e in zip(m.columns, conn.bundle.frame)))
+    def apply(self, sigma, t):
+        key = (sigma, t)
+        cached = self._apply_cache.get(key)
+        if cached is not None:
+            return cached
+        frame = self.conn.bundle.frame
+        a = [self.conn.apply(sigma, e).components for e in frame]
+        # the matrix each slot acts by, row j the image of its j-th frame element
+        mats = [a] * self.p + [[[-x for x in col] for col in zip(*a)]] * self.q
+        out = [self.alg.anchor_apply(sigma, c) for c in t.components]
+        for k, c in enumerate(t.components):
+            if c.is_zero():
+                continue
+            for slot, mat in enumerate(mats):
+                stride = len(frame) ** (len(mats) - 1 - slot)
+                j = k // stride % len(frame)
+                for m, coef in enumerate(mat[j]):
+                    if not coef.is_zero():
+                        i = k + (m - j) * stride
+                        out[i] = out[i] + coef * c
+        cached = self._apply_cache[key] = BSection(self.bundle, out)
+        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -732,17 +737,16 @@ def curvature_R1(conn, f, b):
 
 
 class _Curvature(Cochain):
-    """The curvature as a degree-2 End(B)-valued cochain: component 0 at
-    (sigma, tau) is R0 and component 1 at f is R1, column by column.
-    Linearity over functions in the bundle slot is a consequence of the
-    connection axioms, so the frame columns determine each operator."""
+    """The curvature as a degree-2 End(B)-valued cochain, End(B) being
+    T^{1,1}(B): component 0 at (sigma, tau) is R0 and component 1 at f is
+    R1, column by column.  Linearity over functions in the bundle slot is a
+    consequence of the connection axioms, so the frame columns determine
+    each operator."""
 
     __slots__ = ("conn",)
 
     def __init__(self, conn):
-        bundle = conn.bundle
-        super().__init__(conn.alg, Endomorphism(bundle, (bundle.zero(),) * bundle.rank),
-                         2, 2)
+        super().__init__(conn.alg, TensorBundle.of(conn.bundle, 1, 1).zero(), 2, 2)
         self.conn = conn
 
     def _eval(self, k, es, fs, ctx):
@@ -753,7 +757,8 @@ class _Curvature(Cochain):
         else:
             f = ctx.functions[fs[0]]
             cols = (curvature_R1(conn, f, b) for b in conn.bundle.frame)
-        return Endomorphism(conn.bundle, cols)
+        rows = zip(*(col.components for col in cols))
+        return BSection(self.zero.bundle, (c for row in rows for c in row))
 
 
 def curvature(conn):
@@ -859,15 +864,16 @@ def curvature_laws(conn, case, battery):
 def bianchi_check(conn, battery):
     """The Bianchi identity d_nabla~ R = 0, component by component.
 
-    R is :func:`curvature` and nabla~ the induced connection on End(B); the
-    degree-3 component evaluates at three sections, the function component
-    at a section and a function.  The dual check pairs the curvature of the
-    dual connection, the square of its covariant differential on the dual
-    frame, against the curvature of conn.
+    R is :func:`curvature` and nabla~ the connection induced on End(B),
+    T^{1,1}(B); the degree-3 component evaluates at three sections, the
+    function component at a section and a function.  The dual check pairs
+    the curvature of the connection induced on B*, T^{0,1}(B), the square of
+    its covariant differential on the dual frame, against the curvature of
+    conn.
     """
     report = Report("Bianchi identity")
     ctx = EvalContext()
-    bianchi = differential(curvature(conn), EndConnection(conn))
+    bianchi = differential(curvature(conn), TensorConnection(conn, 1, 1))
 
     run_check(report, "degree-3-component", battery.section_tuples(3, reduced=True),
               lambda *secs: evaluate(bianchi, 0, secs, (), ctx),
@@ -878,7 +884,7 @@ def bianchi_check(conn, battery):
               lambda sigma, f: evaluate(bianchi, 1, (sigma,), (f,), ctx),
               lambda sigma, f: f"{battery.label(sigma)}, f={f}")
 
-    dual = DualConnection(conn)
+    dual = TensorConnection(conn, 0, 1)
     squares = [differential(differential(b_leaf(dual.bundle, beta), dual), dual)
                for beta in dual.bundle.frame]
     b_elements = _b_elements(conn.bundle, battery)
@@ -892,7 +898,7 @@ def bianchi_check(conn, battery):
                     yield e1, e2, i, r0s, b
 
     def duality(e1, e2, i, r0s, b):
-        return (dual.bundle.pair(r0s, b)
+        return (dual.bundle.contract(r0s, b)
                 + curvature_R0(conn, e1, e2, b).components[i])
 
     def at(e1, e2, i, r0s, b):
@@ -1103,28 +1109,6 @@ def predual_from_json(alg, doc):
                          _scalar_rows(doc["alpha_A"], "alpha_A", n))
 
 
-def _gamma_entries(doc, kind, rows, size, n):
-    """The entries of { "gamma": { "i,j": [scalar-string x size] } }.
-
-    Yields (i, j, scalars) with 0-based 0 <= i < rows and 0 <= j < size;
-    an omitted "gamma" has no entries.
-    """
-    entries = doc.get("gamma", {})
-    if not isinstance(entries, dict):
-        raise ParseError('"gamma" must be an object of "i,j" keys')
-    for key, comps in entries.items():
-        if not isinstance(comps, list):
-            raise ParseError(f"{kind} entry {key!r} must be a list of scalar strings")
-        try:
-            i_s, j_s = key.split(",")
-            i, j = int(i_s) - 1, int(j_s) - 1
-        except ValueError as exc:
-            raise PreconditionError(f"bad {kind} key {key!r}") from exc
-        if not (0 <= i < rows and 0 <= j < size) or len(comps) != size:
-            raise PreconditionError(f"{kind} entry {key!r} out of shape")
-        yield i, j, [parse_scalar(x, n) for x in comps]
-
-
 def connection_from_json(bundle, doc):
     """{ "gamma": { "i,j": [scalar-string x s] } } with 1-based indices."""
     n = bundle.alg.n
@@ -1132,7 +1116,7 @@ def connection_from_json(bundle, doc):
     zero = Scalar.zero(n)
     gamma = [[[zero] * s for _ in range(s)] for _ in range(r)]
     _require_fields(doc, "connection", ())
-    for i, j, comps in _gamma_entries(doc, "gamma", r, s, n):
+    for i, j, comps in _keyed_entries(doc, "gamma", "gamma", r, s, n):
         gamma[i][j] = comps
     return DorfmanConnection(bundle, gamma)
 
@@ -1159,6 +1143,6 @@ def christoffel_from_json(doc, n, size=None):
     zero = Scalar.zero(n)
     ch = [[[zero] * size for _ in range(size)] for _ in range(n)]
     _require_fields(doc, "christoffel", ())
-    for i, j, comps in _gamma_entries(doc, "christoffel", n, size, n):
+    for i, j, comps in _keyed_entries(doc, "gamma", "christoffel", n, size, n):
         ch[i][j] = comps
     return ch

@@ -84,10 +84,12 @@ def mat_eq(a, b):
 
 
 def _eliminate(m, aug=None):
-    """In-place forward elimination; returns list of pivot columns."""
+    """In-place forward elimination, with the rows of aug following the rows
+    of m; returns the pivot columns and the sign of the row permutation."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     piv_cols = []
+    sign = 1
     r = 0
     for c in range(cols):
         pivot_row = None
@@ -99,6 +101,7 @@ def _eliminate(m, aug=None):
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
             if aug is not None:
                 aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
         piv = m[r][c]
@@ -118,17 +121,17 @@ def _eliminate(m, aug=None):
         r += 1
         if r == rows:
             break
-    return piv_cols
+    return piv_cols, sign
 
 
 def rank(m):
     if not m or not m[0]:
         return 0
-    work = [list(row) for row in m]
-    return len(_eliminate(work))
+    return len(_eliminate([list(row) for row in m])[0])
 
 
 def det(m):
+    """The product of the pivots of the elimination, signed by its row swaps."""
     size = len(m)
     if size == 0:
         raise LinAlgError("determinant of an empty matrix")
@@ -136,94 +139,59 @@ def det(m):
         raise LinAlgError("determinant of a non-square matrix")
     n = m[0][0].n
     work = [list(row) for row in m]
-    sign = 1
+    piv_cols, sign = _eliminate(work)
+    if len(piv_cols) < size:
+        return Scalar.zero(n)
     result = Scalar.one(n)
-    for c in range(size):
-        pivot_row = None
-        for i in range(c, size):
-            if not work[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Scalar.zero(n)
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            sign = -sign
-        piv = work[c][c]
-        result = result * piv
-        for i in range(c + 1, size):
-            f = work[i][c]
-            if f.is_zero():
-                continue
-            ratio = f / piv
-            for j in range(c, size):
-                if not work[c][j].is_zero():
-                    work[i][j] = work[i][j] - ratio * work[c][j]
-    if sign < 0:
-        result = -result
-    return result
+    for r in range(size):
+        result = result * work[r][r]
+    return -result if sign < 0 else result
 
 
 def inverse(m):
+    """The solution of m X = 1; it exists exactly when m is invertible."""
     size = len(m)
     if size == 0 or any(len(row) != size for row in m):
         raise LinAlgError("inverse of a non-square matrix")
-    n = m[0][0].n
-    work = [list(row) for row in m]
-    aug = mat_identity(size, n)
-    piv_cols = _eliminate(work, aug)
-    if len(piv_cols) != size:
+    x = solve_matrix(m, mat_identity(size, m[0][0].n))
+    if x is None:
         raise LinAlgError("singular matrix")
-    # back substitution
-    for r in range(size - 1, -1, -1):
-        piv = work[r][r]
-        for j in range(size):
-            aug[r][j] = aug[r][j] / piv
-            work[r][j] = work[r][j] / piv
-        for i in range(r):
-            f = work[i][r]
-            if f.is_zero():
-                continue
-            for j in range(size):
-                aug[i][j] = aug[i][j] - f * aug[r][j]
-            work[i][r] = work[i][r] - f  # stays consistent; column is now e_r
-    return aug
-
-
-def solve(a, b):
-    """One solution of a x = b with free variables set to zero.
-
-    Pivot columns are the lexicographically first maximal independent set.
-    Returns None when the system is inconsistent.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    n = b[0].n if b else (a[0][0].n if rows and cols else 0)
-    work = [list(row) for row in a]
-    aug = [[x] for x in b]
-    piv_cols = _eliminate(work, aug)
-    r = len(piv_cols)
-    for i in range(r, rows):
-        if not aug[i][0].is_zero():
-            return None
-    x = [Scalar.zero(n) for _ in range(cols)]
-    for idx in range(r - 1, -1, -1):
-        c = piv_cols[idx]
-        acc = aug[idx][0]
-        for j in range(c + 1, cols):
-            if not (work[idx][j].is_zero() or x[j].is_zero()):
-                acc = acc - work[idx][j] * x[j]
-        x[c] = acc / work[idx][c]
     return x
 
 
+def _solve(a, aug):
+    """The solution X of a X = aug with free variables set to zero, from one
+    elimination; None when some column of aug is inconsistent.  Pivot
+    columns are the lexicographically first maximal independent set."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    width = len(aug[0]) if aug else 0
+    zero = Scalar.zero(next((x.n for row in a + aug for x in row), 0))
+    work = [list(row) for row in a]
+    piv_cols, _ = _eliminate(work, aug)
+    r = len(piv_cols)
+    if any(not x.is_zero() for row in aug[r:] for x in row):
+        return None
+    x = [[zero] * width for _ in range(cols)]
+    for col in range(width):
+        for idx in range(r - 1, -1, -1):
+            c = piv_cols[idx]
+            acc = aug[idx][col]
+            for j in range(c + 1, cols):
+                if not (work[idx][j].is_zero() or x[j][col].is_zero()):
+                    acc = acc - work[idx][j] * x[j][col]
+            x[c][col] = acc / work[idx][c]
+    return x
+
+
+def solve(a, b):
+    """One solution of a x = b with free variables set to zero (see
+    :func:`_solve`); None when the system is inconsistent."""
+    x = _solve(a, [[v] for v in b])
+    return None if x is None else [row[0] for row in x]
+
+
 def solve_matrix(a, rhs):
-    """Solve a X = rhs column by column; None if any column is inconsistent."""
-    cols_rhs = len(rhs[0]) if rhs else 0
-    out_cols = []
-    for j in range(cols_rhs):
-        col = solve(a, [row[j] for row in rhs])
-        if col is None:
-            return None
-        out_cols.append(col)
-    return mat_transpose(out_cols) if out_cols else []
+    """The solution of a X = rhs with free variables set to zero, from one
+    elimination for all columns; None if any column is inconsistent."""
+    return _solve(a, [list(row) for row in rhs])

@@ -294,3 +294,49 @@ def test_deeply_nested_input_exits_2(tmp_path, text):
     assert proc.returncode == 2
     assert "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+KEYED_CASES = [
+    ("not-an-object", 5, 2, 'input error: "{field}" must be an object of "i,j" keys'),
+    ("entry-not-a-list", {"1,2": "0"}, 2,
+     "input error: {kind} entry '1,2' must be a list of scalar strings"),
+    ("bad-key", {"1;2": []}, 3, "precondition failed: bad {kind} key '1;2'"),
+    ("out-of-shape", {"1,9": []}, 3,
+     "precondition failed: {kind} entry '1,9' out of shape"),
+]
+
+
+@pytest.mark.parametrize("kind", ["bracket", "gamma"])
+@pytest.mark.parametrize("case,entries,code,message", KEYED_CASES,
+                         ids=[c[0] for c in KEYED_CASES])
+def test_keyed_entry_errors(tmp_path, capsys, kind, case, entries, code, message):
+    # the algebroid's "bracket" and the connection's "gamma" share one reader
+    from courantcalc import cli
+
+    path = tmp_path / "doc.json"
+    if kind == "bracket":
+        doc = json.loads((DATA / "standard2.json").read_text())
+        argv = ["verify-algebroid", str(path)]
+    else:
+        doc = {}
+        argv = ["connection-verify", STD2, PRE2, str(path)]
+    doc[kind] = entries
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message.format(field=kind, kind=kind) + "\n"
+
+
+@pytest.mark.parametrize("case,entries,code,message", KEYED_CASES,
+                         ids=[c[0] for c in KEYED_CASES])
+def test_christoffel_entry_errors(case, entries, code, message):
+    # no command reads Christoffel data, so the loader's own errors are pinned
+    from courantcalc import dorfman as dc
+    from courantcalc.report import PreconditionError
+    from courantcalc.scalar import ParseError
+
+    with pytest.raises(ParseError if code == 2 else PreconditionError) as exc:
+        dc.christoffel_from_json({"gamma": entries}, 2)
+    _, text = message.format(field="gamma", kind="christoffel").split(": ", 1)
+    assert str(exc.value) == text

@@ -121,9 +121,17 @@ class _AnchorRef:
         return self.alg.anchor_apply(sigma, f)
 
 
+def _endomorphism(bundle, cols):
+    """The element of End(B) = T^{1,1}(B) with the given columns, the images
+    of B's frame."""
+    rows = zip(*(col.components for col in cols))
+    return dc.TensorBundle.of(bundle, 1, 1).element([c for row in rows for c in row])
+
+
 class _EndRef:
-    """The commutator connection on End(B):
-    (nabla~_s M) b = nabla_s(M b) - M(nabla_s b)."""
+    """The commutator connection on End(B), column by column:
+    (nabla~_s M) b = nabla_s(M b) - M(nabla_s b).  It shares no code with
+    the slot-wise rule of ``TensorConnection``."""
 
     def __init__(self, conn):
         self.conn = conn
@@ -131,8 +139,9 @@ class _EndRef:
 
     def apply(self, sigma, m):
         conn = self.conn
-        return dc.Endomorphism(conn.bundle, (
-            conn.apply(sigma, m(e)) - m(conn.apply(sigma, e))
+        return _endomorphism(conn.bundle, (
+            conn.apply(sigma, m.bundle.contract(m, e))
+            - m.bundle.contract(m, conn.apply(sigma, e))
             for e in conn.bundle.frame))
 
 
@@ -180,7 +189,7 @@ def _ref_eval(node, k, secs, funs, along):
                     - conn.apply(conn.alg.bracket(s, t), b) for b in conn.bundle.frame)
         else:
             cols = (conn.apply(conn.alg.d_E(funs[0]), b) for b in conn.bundle.frame)
-        return dc.Endomorphism(conn.bundle, cols)
+        return _endomorphism(conn.bundle, cols)
     if isinstance(node, co._Product):
         left, right = node.left, node.right
         scalar = _AnchorRef(node.alg)
@@ -288,7 +297,7 @@ def test_evaluate_agrees_with_reference_evaluator(name, request):
 def test_bianchi_cochain_agrees_with_reference_evaluator(standard2):
     doc = json.loads((DATA / "christoffel_poly2.json").read_text())
     conn = dc.build_standard_connection(standard2, dc.christoffel_from_json(doc, 2))
-    end = dc.EndConnection(conn)
+    end = dc.TensorConnection(conn, 1, 1)
     battery = Battery(standard2, degree=1, extras=1)
     sections = battery.frame[:2] + battery.scaled[:1] + battery.randoms[:1] \
         + [standard2.zero_section()]
