@@ -19,7 +19,7 @@ print(report.render())
 print()
 print("== the graph of a constant closed two-form is also Dirac ==")
 rows = [["1", "0", "0", "3"], ["0", "1", "-3", "0"]]
-graph = [alg.section_from_strings(r) for r in rows]
+graph = [alg.element_from_strings(r) for r in rows]
 bundle, conn, report = bott_connection(alg, graph)
 print(report.render())
 

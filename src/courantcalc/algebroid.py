@@ -19,6 +19,7 @@ from .scalar import ParseError, Scalar, parse_scalar
 
 __all__ = [
     "Section",
+    "FramedModule",
     "CourantAlgebroid",
     "verify_axioms",
     "build_standard",
@@ -31,36 +32,40 @@ __all__ = [
 
 
 class Section:
-    """Element of the section module, as a component vector over the frame."""
+    """Element of a framed module, as its component vector over the module's
+    frame: a section of an algebroid E, of a predual B or of a tensor bundle
+    T^{p,q}(B).  Arithmetic needs both operands in the same module."""
 
-    __slots__ = ("alg", "components", "_hash")
+    __slots__ = ("module", "components", "_hash")
 
-    def __init__(self, alg, components):
+    def __init__(self, module, components):
         components = tuple(components)
-        if len(components) != alg.rank:
+        if len(components) != module.rank:
             raise PreconditionError(
-                f"section has {len(components)} components, rank is {alg.rank}")
-        self.alg = alg
+                f"section has {len(components)} components, rank is {module.rank}")
+        self.module = module
         self.components = components
         self._hash = None
 
     def __add__(self, other):
-        self.alg._same(other.alg)
-        return Section(self.alg, tuple(a + b for a, b in
-                                       zip(self.components, other.components)))
+        if other.module is not self.module:
+            raise PreconditionError(_MIXED)
+        return Section(self.module, tuple(a + b for a, b in
+                                          zip(self.components, other.components)))
 
     def __sub__(self, other):
-        self.alg._same(other.alg)
-        return Section(self.alg, tuple(a - b for a, b in
-                                       zip(self.components, other.components)))
+        if other.module is not self.module:
+            raise PreconditionError(_MIXED)
+        return Section(self.module, tuple(a - b for a, b in
+                                          zip(self.components, other.components)))
 
     def __neg__(self):
-        return Section(self.alg, tuple(-a for a in self.components))
+        return Section(self.module, tuple(-a for a in self.components))
 
     def scale(self, f):
         if f.is_zero():
-            return self.alg.zero_section()
-        return Section(self.alg, tuple(f * a if a.num else a for a in self.components))
+            return self.module.zero()
+        return Section(self.module, tuple(f * a if a.num else a for a in self.components))
 
     def is_zero(self):
         return all(a.is_zero() for a in self.components)
@@ -70,23 +75,52 @@ class Section:
             return True
         if not isinstance(other, Section):
             return NotImplemented
-        return self.alg is other.alg and self.components == other.components
+        return self.module is other.module and self.components == other.components
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((id(self.alg), self.components))
+            h = hash((id(self.module), self.components))
             self._hash = h
         return h
 
     def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
+        return self.module.show(self.components)
 
     def __repr__(self):
         return f"Section{self}"
 
 
-class CourantAlgebroid:
+_MIXED = "sections belong to different modules"
+
+
+class FramedModule:
+    """Free module of rank ``rank`` over the scalars in n base variables,
+    with its frame and zero as :class:`Section` elements."""
+
+    def __init__(self, n, rank):
+        self.n = n
+        self.rank = rank
+        one, zero = Scalar.one(n), Scalar.zero(n)
+        self.frame = tuple(
+            Section(self, tuple(one if k == i else zero for k in range(rank)))
+            for i in range(rank))
+        self._zero = Section(self, (zero,) * rank)
+
+    def zero(self):
+        return self._zero
+
+    def element(self, components):
+        return Section(self, components)
+
+    def element_from_strings(self, strings):
+        return Section(self, tuple(parse_scalar(s, self.n) for s in strings))
+
+    def show(self, components):
+        return "(" + ", ".join(str(c) for c in components) + ")"
+
+
+class CourantAlgebroid(FramedModule):
     """Courant algebroid structure data on a trivialized patch.
 
     Fields: base dimension ``n``, frame rank ``rank``, an r x r symmetric
@@ -98,8 +132,7 @@ class CourantAlgebroid:
 
     def __init__(self, n, rank, pairing_matrix, anchor_matrix, bracket_coeffs,
                  _allow_degenerate=False):
-        self.n = n
-        self.rank = rank
+        super().__init__(n, rank)
         if len(pairing_matrix) != rank or any(len(row) != rank for row in pairing_matrix):
             raise PreconditionError("pairing matrix must be rank x rank")
         if len(anchor_matrix) != n or any(len(row) != rank for row in anchor_matrix):
@@ -129,14 +162,9 @@ class CourantAlgebroid:
             self._dual_anchor = linalg.mat_mul(
                 linalg.inverse(self.pairing_matrix),
                 linalg.mat_transpose(self.anchor_matrix)) if n else [[]] * rank
-        self._frame = tuple(
-            Section(self, tuple(Scalar.one(n) if k == i else Scalar.zero(n)
-                                for k in range(rank)))
-            for i in range(rank))
         self._frame_brackets = tuple(
             Section(self, tuple(self.bracket_coeffs[i][j]))
             for i in range(rank) for j in range(rank))
-        self._zero = Section(self, tuple(Scalar.zero(n) for _ in range(rank)))
         self._struct = _sparse_struct(self.bracket_coeffs)
         self._anchor = _sparse_rows(
             [[self.anchor_matrix[l][j] for l in range(n)] for j in range(rank)])
@@ -147,43 +175,15 @@ class CourantAlgebroid:
         self._dE_cache = {}
         self.metadata = {}
 
-    def _same(self, other):
-        if other is not self:
-            raise PreconditionError("sections belong to different algebroids")
-
-    # -- sections -----------------------------------------------------------
-
-    def section(self, components):
-        return Section(self, components)
-
-    def section_from_strings(self, strings):
-        return Section(self, tuple(parse_scalar(s, self.n) for s in strings))
-
-    @property
-    def frame(self):
-        return self._frame
-
-    def zero_section(self):
-        return self._zero
-
-    # -- structural operations ------------------------------------------------
-
     def pairing(self, sigma, tau):
         """The symmetric pairing of two sections."""
-        self._same(sigma.alg)
-        self._same(tau.alg)
+        if sigma.module is not self or tau.module is not self:
+            raise PreconditionError(_MIXED)
         key = (sigma, tau)
         cached = self._pairing_cache.get(key)
         if cached is not None:
             return cached
-        g, h = sigma.components, tau.components
-        total = Scalar.zero(self.n)
-        for i, gi in enumerate(g):
-            if gi.num:
-                for j, p in self._pairing[i]:
-                    if h[j].num:
-                        total = total + gi * p * h[j]
-        self._pairing_cache[key] = total
+        total = self._pairing_cache[key] = _pair(sigma, self._pairing, tau)
         return total
 
     def _anchor_row(self, sigma):
@@ -201,7 +201,8 @@ class CourantAlgebroid:
 
     def anchor_apply(self, sigma, f):
         """Derivative of f along the anchor image of sigma."""
-        self._same(sigma.alg)
+        if sigma.module is not self:
+            raise PreconditionError(_MIXED)
         return _derivative(self._anchor_row(sigma), f)
 
     def d_E(self, f):
@@ -221,8 +222,8 @@ class CourantAlgebroid:
         plus the term -rho(tau)(g) of the left Leibniz rule
         [f s, t] = f [s, t] - rho(t)(f) s + <s, t> D f.
         """
-        self._same(sigma.alg)
-        self._same(tau.alg)
+        if sigma.module is not self or tau.module is not self:
+            raise PreconditionError(_MIXED)
         key = (sigma, tau)
         cached = self._bracket_cache.get(key)
         if cached is not None:
@@ -256,6 +257,19 @@ def _sparse_struct(coeffs):
     """For each i, the nonzero coeffs[i][j][q] as (j, ((q, c), ...)) pairs."""
     return tuple(tuple((j, cells) for j, cells in enumerate(_sparse_rows(row)) if cells)
                  for row in coeffs)
+
+
+def _pair(sigma, rows, b):
+    """sum_ij g_i rows[i][j] h_j for sigma = (g_i) and b = (h_j), where
+    ``rows[i]`` lists (j, value) for the nonzero entries of row i."""
+    h = b.components
+    total = Scalar.zero(sigma.module.n)
+    for i, gi in enumerate(sigma.components):
+        if gi.num:
+            for j, p in rows[i]:
+                if h[j].num:
+                    total = total + gi * p * h[j]
+    return total
 
 
 def _derivative(row, f):

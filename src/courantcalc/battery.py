@@ -15,7 +15,6 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from .algebroid import Section
 from .scalar import Scalar, monomials_up_to
 
 __all__ = ["Battery"]
@@ -38,33 +37,14 @@ class Battery:
         self.degree = degree
         self.extras = extras
         self.seed = seed
-        n, r = alg.n, alg.rank
+        n = alg.n
+        rng = random.Random(f"battery:{seed}:{n}:{alg.rank}:{degree}")
+        parts = probes(alg, degree, extras, rng)
         self._labels = {}
-
-        self.frame = []
-        for i, e in enumerate(alg.frame):
-            self.frame.append(e)
-            self._labels[e] = f"e{i + 1}"
-
-        self.scaled = []
-        for mono in monomials_up_to(n, degree):
-            if not any(mono):
-                continue
-            m = Scalar.monomial(n, mono)
-            for i, e in enumerate(alg.frame):
-                s = e.scale(m)
-                self.scaled.append(s)
-                self._labels.setdefault(s, f"{m}*e{i + 1}")
-
-        rng = random.Random(f"battery:{seed}:{n}:{r}:{degree}")
-        self.randoms = []
-        for t in range(extras):
-            comps = [_random_poly(rng, n, min(2, max(degree, 1)))
-                     for _ in range(r)]
-            s = Section(alg, comps)
-            self.randoms.append(s)
-            self._labels.setdefault(s, f"rnd{t + 1}")
-
+        for part in parts:
+            for label, s in part:
+                self._labels.setdefault(s, label)
+        self.frame, self.scaled, self.randoms = ([s for _, s in part] for part in parts)
         self.sections = self.frame + self.scaled + self.randoms
 
         self.functions = [Scalar.monomial(n, mono)
@@ -159,8 +139,22 @@ class Battery:
                 seen.add(t)
                 yield t
 
-    def pairs(self):
-        return self.section_tuples(2)
+
+def probes(module, degree, extras, rng):
+    """The probe elements of a framed module, as three lists of (label,
+    element): its frame, the frame scaled by every nonconstant monomial of
+    degree <= degree, and extras random polynomial elements drawn from rng."""
+    n = module.n
+    frame = [(f"e{i + 1}", e) for i, e in enumerate(module.frame)]
+    scaled = []
+    for mono in monomials_up_to(n, degree):
+        if any(mono):
+            m = Scalar.monomial(n, mono)
+            scaled += [(f"{m}*{label}", e.scale(m)) for label, e in frame]
+    randoms = [(f"rnd{t + 1}", module.element(
+        [_random_poly(rng, n, min(2, max(degree, 1))) for _ in range(module.rank)]))
+        for t in range(extras)]
+    return frame, scaled, randoms
 
 
 def _random_poly(rng, n, degree):

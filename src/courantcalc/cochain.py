@@ -3,14 +3,15 @@
 A cochain of degree p is a tuple of components; component k takes p - 2k
 section arguments and k function arguments (function slots stand for the
 differentials of their entries) and returns a value.  The values form a
-module over the scalars: the scalars themselves, or the elements of a
-bundle of ``dorfman`` (a predual B or one of its tensor bundles T^{p,q}(B),
-B* and End(B) among them); a node carries the zero of its module.  Nodes
-of the DAG are never evaluated at construction: :func:`evaluate` recurses
-through the component formulas for products (signed shuffle sums of a
-scalar cochain times a cochain), the degree +1 differential, interior
-products and Lie derivatives.  Equality of cochains is battery-relative:
-exact agreement of all components on every battery tuple.
+module over the scalars: the scalars themselves, or the sections of a
+framed module of ``dorfman`` (a predual B or one of its tensor bundles
+T^{p,q}(B), B* and End(B) among them); a node carries the zero of its
+module.  Nodes of the DAG are never evaluated at construction:
+:func:`evaluate` recurses through the component formulas for products
+(signed shuffle sums of a scalar cochain times a cochain), the degree +1
+differential, interior products and Lie derivatives.  Equality of cochains
+is battery-relative: exact agreement of all components on every battery
+tuple.
 
 One DAG serves every kind of value because the differential is taken along
 a connection, the ``along`` argument of :func:`differential`, :func:`lie_e`
@@ -502,7 +503,7 @@ class EvalContext:
         sections = self.sections
         for i in range(self._anchor_checked, len(sections)):
             sigma = sections[i]
-            if not any(c.num for c in sigma.alg._anchor_row(sigma)):
+            if not any(c.num for c in sigma.module._anchor_row(sigma)):
                 self._anchor_free.add(i)
         self._anchor_checked = len(sections)
         return self._anchor_free
@@ -521,7 +522,7 @@ class EvalContext:
         if b is None:
             sigma = self.sections[i]
             b = self._brackets[key] = self.section_id(
-                sigma.alg.bracket(sigma, self.sections[j]))
+                sigma.module.bracket(sigma, self.sections[j]))
         return b
 
     def d_E(self, alg, f):

@@ -2,9 +2,11 @@
 
 A predual of an algebroid pairs a rank-s bundle B against the sections
 through an s x r pairing matrix and carries a derivation map taking a
-function f to a bundle element d_B f; the compatibility `alpha^T P = anchor`
+function f to a section d_B f of B; the compatibility `alpha^T P = anchor`
 is enforced at construction, which makes the pairing of d_B f against a
-section equal the anchor derivative of f.
+section equal the anchor derivative of f.  B and its tensor bundles are
+framed modules of ``algebroid``, as the algebroid itself is: their elements
+are its :class:`~courantcalc.algebroid.Section` over their own frames.
 
 A connection is stored through its frame coefficients and extended to all
 arguments by its two Leibniz axioms; the third axiom (d_B-equivariance) is
@@ -35,17 +37,20 @@ from itertools import product
 
 from . import linalg
 from .algebroid import (
+    _MIXED,
     CourantAlgebroid,
+    FramedModule,
     Section,
     _gradient_image,
     _keyed_entries,
     _leibniz,
+    _pair,
     _require_fields,
     _scalar_rows,
     _sparse_rows,
     _sparse_struct,
 )
-from .battery import Battery, _random_poly
+from .battery import Battery, probes
 from .cochain import (
     Cochain,
     EvalContext,
@@ -60,10 +65,9 @@ from .cochain import (
     mul,
 )
 from .report import PreconditionError, Report, run_check
-from .scalar import ParseError, Scalar, monomials_up_to, parse_scalar
+from .scalar import ParseError, Scalar
 
 __all__ = [
-    "BSection",
     "PredualBundle",
     "DorfmanConnection",
     "ConstructionError",
@@ -108,80 +112,14 @@ class ConstructionError(RuntimeError):
     """A builder that promises validity produced an invalid object."""
 
 
-class BSection:
-    """Element of the predual bundle, as components over its frame."""
-
-    __slots__ = ("bundle", "components", "_hash")
-
-    def __init__(self, bundle, components):
-        components = tuple(components)
-        if len(components) != bundle.rank:
-            raise PreconditionError(
-                f"bundle section has {len(components)} components, rank is {bundle.rank}")
-        self.bundle = bundle
-        self.components = components
-        self._hash = None
-
-    def __add__(self, other):
-        return BSection(self.bundle, tuple(a + b for a, b in
-                                           zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        return BSection(self.bundle, tuple(a - b for a, b in
-                                           zip(self.components, other.components)))
-
-    def __neg__(self):
-        return BSection(self.bundle, tuple(-a for a in self.components))
-
-    def scale(self, f):
-        return BSection(self.bundle, tuple(f * a if a.num else a for a in self.components))
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.components)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, BSection):
-            return NotImplemented
-        return self.bundle is other.bundle and self.components == other.components
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((id(self.bundle), self.components))
-            self._hash = h
-        return h
-
-    def __str__(self):
-        return self.bundle.show(self.components)
-
-    def __repr__(self):
-        return f"BSection{self}"
-
-
-class _FramedBundle:
-    """Rank-s bundle over an algebroid, with its frame as bundle sections
-    and its tensor bundles (see :meth:`TensorBundle.of`)."""
+class _FramedBundle(FramedModule):
+    """Rank-s bundle over an algebroid, with its tensor bundles (see
+    :meth:`TensorBundle.of`)."""
 
     def __init__(self, alg, rank):
         self.alg = alg
-        self.rank = rank
         self.tensors = {}
-        one, zero = Scalar.one(alg.n), Scalar.zero(alg.n)
-        self.frame = tuple(
-            BSection(self, tuple(one if k == i else zero for k in range(rank)))
-            for i in range(rank))
-        self._zero = BSection(self, (zero,) * rank)
-
-    def zero(self):
-        return self._zero
-
-    def element(self, components):
-        return BSection(self, components)
-
-    def show(self, components):
-        return "(" + ", ".join(str(c) for c in components) + ")"
+        super().__init__(alg.n, rank)
 
 
 class PredualBundle(_FramedBundle):
@@ -205,47 +143,29 @@ class PredualBundle(_FramedBundle):
                 "alpha^T . pairing must equal the anchor matrix; "
                 f"got {lhs} vs {alg.anchor_matrix}")
         super().__init__(alg, rank)
+        # for each algebroid frame index i, the nonzero <e_i, b_j> as (j, value)
+        self._pairing = _sparse_rows(
+            [[self.pairing_matrix[j][i] for j in range(rank)] for i in range(alg.rank)])
         self._dB_cache = {}
-
-    def element_from_strings(self, strings):
-        return BSection(self, tuple(parse_scalar(s, self.alg.n) for s in strings))
 
     def d_B(self, f):
         """Bundle element with components alpha . grad(f)."""
         cached = self._dB_cache.get(f)
         if cached is None:
-            cached = BSection(self, _gradient_image(self.alpha_matrix, f))
+            cached = Section(self, _gradient_image(self.alpha_matrix, f))
             self._dB_cache[f] = cached
         return cached
 
     def b_pairing(self, sigma, b):
         """Pairing of an algebroid section against a bundle element."""
-        total = Scalar.zero(self.alg.n)
-        g, h = sigma.components, b.components
-        for i in range(self.rank):
-            if h[i].is_zero():
-                continue
-            row = self.pairing_matrix[i]
-            for j in range(self.alg.rank):
-                if not (row[j].is_zero() or g[j].is_zero()):
-                    total = total + h[i] * row[j] * g[j]
-        return total
+        if sigma.module is not self.alg or b.module is not self:
+            raise PreconditionError(_MIXED)
+        return _pair(sigma, self._pairing, b)
 
     def test_elements(self, degree=2, extras=3, seed=0):
         """Frame, monomial-scaled frame and seeded random bundle elements."""
-        n = self.alg.n
-        out = list(self.frame)
-        for mono in monomials_up_to(n, degree):
-            if not any(mono):
-                continue
-            m = Scalar.monomial(n, mono)
-            for b in self.frame:
-                out.append(b.scale(m))
-        rng = random.Random(f"b-battery:{seed}:{n}:{self.rank}")
-        for _ in range(extras):
-            out.append(BSection(self, [_random_poly(rng, n, min(2, max(degree, 1)))
-                                       for _ in range(self.rank)]))
-        return out
+        rng = random.Random(f"b-battery:{seed}:{self.n}:{self.rank}")
+        return [b for part in probes(self, degree, extras, rng) for _, b in part]
 
     def __repr__(self):
         return f"PredualBundle(rank={self.rank}, over {self.alg!r})"
@@ -288,23 +208,20 @@ class DorfmanConnection:
         self.alg = alg
         self.gamma = [[list(cell) for cell in row] for row in gamma]
         self._struct = _sparse_struct(self.gamma)
-        self._pairing = _sparse_rows(
-            [[bundle.pairing_matrix[j][i] for j in range(bundle.rank)]
-             for i in range(alg.rank)])
         self._apply_cache = {}
 
     def apply(self, sigma, b):
         """Covariant derivative of the bundle element b along sigma."""
-        if sigma.alg is not self.alg or b.bundle is not self.bundle:
+        if sigma.module is not self.alg or b.module is not self.bundle:
             raise PreconditionError("arguments belong to a different algebroid "
                                     "or bundle")
         key = (sigma, b)
         cached = self._apply_cache.get(key)
         if cached is not None:
             return cached
-        result = BSection(self.bundle, _leibniz(
+        result = Section(self.bundle, _leibniz(
             sigma.components, b.components, self.alg._anchor_row(sigma),
-            self._struct, self._pairing, self.bundle.d_B))
+            self._struct, self.bundle._pairing, self.bundle.d_B))
         self._apply_cache[key] = result
         return result
 
@@ -396,6 +313,11 @@ def _b_elements(bundle, battery):
                                 seed=battery.seed)
 
 
+def _strided(xs, k):
+    """Every (len(xs) // k)-th element of xs from the first: about k of them."""
+    return xs[:: max(1, len(xs) // k)]
+
+
 def verify_connection(conn, battery):
     """Exact check of the three connection axioms on battery data."""
     bundle, alg = conn.bundle, conn.alg
@@ -403,7 +325,7 @@ def verify_connection(conn, battery):
     secs = battery.frame + battery.scaled[: 2 * alg.rank] + battery.randoms
     funs = battery.functions
     sample = list(product(secs, funs[:6] + funs[-2:],
-                          b_elements[:: max(1, len(b_elements) // 8)]))
+                          _strided(b_elements, 8)))
     report = Report(f"connection axioms of {conn!r}")
 
     def section_scaling(sigma, f, b):
@@ -448,7 +370,7 @@ def difference_check(conn0, conn1, battery):
     b_elements = _b_elements(bundle, battery)
     secs = battery.frame + battery.scaled[: alg.rank] + battery.randoms
     sample = list(product(secs, battery.functions[:5],
-                          b_elements[:: max(1, len(b_elements) // 6)]))
+                          _strided(b_elements, 6)))
     report = Report("difference of connections")
 
     def diff(sigma, b):
@@ -544,7 +466,7 @@ def verify_linear_connection(lin, battery):
     bundle, alg = conn.bundle, conn.alg
     b_elements = _b_elements(bundle, battery)
     secs = battery.frame + battery.scaled[: alg.rank] + battery.randoms
-    sample = list(product(b_elements[:: max(1, len(b_elements) // 8)],
+    sample = list(product(_strided(b_elements, 8),
                           battery.functions[:5], secs))
     report = Report(f"module-connection laws ({lin.case})")
 
@@ -576,7 +498,7 @@ def compatibility_check(conn, lin, battery):
                 - bundle.b_pairing(ep, conn.apply(e, b)))
 
     run_check(report, "pairing-compatibility-with-connection",
-              product(secs, secs, b_elements[:: max(1, len(b_elements) // 6)]),
+              product(secs, secs, _strided(b_elements, 6)),
               defect,
               lambda e, ep, b: f"{battery.label(e)}, {battery.label(ep)}, b={b}")
     return report
@@ -611,13 +533,15 @@ class TensorBundle(_FramedBundle):
         (0, 1), an element of B at (1, 1), of T^{p,q-1} in general."""
         if not self.q:
             raise PreconditionError(f"T^{self.p},0 has no lower slot to contract")
-        zero, s = Scalar.zero(self.alg.n), self.base.rank
+        if t.module is not self or b.module is not self.base:
+            raise PreconditionError(_MIXED)
+        zero, s = Scalar.zero(self.n), self.base.rank
         out = [sum((c * h for c, h in zip(t.components[k:k + s], b.components)
                     if not (c.is_zero() or h.is_zero())), zero)
                for k in range(0, self.rank, s)]
         if self.p + self.q == 1:
             return out[0]
-        return BSection(TensorBundle.of(self.base, self.p, self.q - 1), out)
+        return Section(TensorBundle.of(self.base, self.p, self.q - 1), out)
 
     def show(self, components):
         """Rows of the matrix whose column index is the last slot, from
@@ -660,7 +584,7 @@ class TensorConnection:
                     if not coef.is_zero():
                         i = k + (m - j) * stride
                         out[i] = out[i] + coef * c
-        cached = self._apply_cache[key] = BSection(self.bundle, out)
+        cached = self._apply_cache[key] = Section(self.bundle, out)
         return cached
 
 
@@ -758,7 +682,7 @@ class _Curvature(Cochain):
             f = ctx.functions[fs[0]]
             cols = (curvature_R1(conn, f, b) for b in conn.bundle.frame)
         rows = zip(*(col.components for col in cols))
-        return BSection(self.zero.bundle, (c for row in rows for c in row))
+        return Section(self.zero.module, (c for row in rows for c in row))
 
 
 def curvature(conn):
@@ -785,7 +709,7 @@ def curvature_symbol_checks(conn, lin, battery):
     funs = [f for f in battery.functions if not f.is_constant()][:3] \
         or battery.functions[:2]
     sample = [(e1, e2, f, b) for e1, e2 in pairs for f in funs
-              for b in b_elements[:: max(1, len(b_elements) // 4)]]
+              for b in _strided(b_elements, 4)]
     report = Report("curvature slot symbols")
 
     def second_slot(e1, e2, f, b):
@@ -833,7 +757,7 @@ def curvature_laws(conn, case, battery):
         return differential(differential(b_leaf(bundle, b), conn), conn)
 
     run_check(report, "contracted-square-is-derivative-along-dual-differential",
-              ((b, square(b), f) for b in b_elements[:: max(1, len(b_elements) // 6)]
+              ((b, square(b), f) for b in _strided(b_elements, 6)
                for f in functions[:6]),
               lambda b, dd, f: (evaluate(interior_f(f, dd), 0, ())
                                 - curvature_R1(conn, f, b)),
@@ -842,7 +766,7 @@ def curvature_laws(conn, case, battery):
     pairs = list(battery.section_tuples(2, reduced=True))[:20]
 
     def scaled_squares():
-        for b in b_elements[:: max(1, len(b_elements) // 4)]:
+        for b in _strided(b_elements, 4):
             dd = square(b)
             for f in functions[:4]:
                 dds = square(b.scale(f))
@@ -887,8 +811,7 @@ def bianchi_check(conn, battery):
     dual = TensorConnection(conn, 0, 1)
     squares = [differential(differential(b_leaf(dual.bundle, beta), dual), dual)
                for beta in dual.bundle.frame]
-    b_elements = _b_elements(conn.bundle, battery)
-    sample = b_elements[:: max(1, len(b_elements) // 4)]
+    sample = _strided(_b_elements(conn.bundle, battery), 4)
 
     def dual_tuples():
         for e1, e2 in battery.section_tuples(2, reduced=True):
@@ -1069,8 +992,7 @@ def bott_connection(alg, l_sections, battery_degree=2, extras=3, seed=0):
     battery = Battery(sub, degree=battery_degree, extras=extras, seed=seed)
     report = Report("quotient connection of the subbundle")
     report.extend(verify_connection(conn, battery))
-    bs = _b_elements(bundle, battery)
-    sample = bs[:: max(1, len(bs) // 6)]
+    sample = _strided(_b_elements(bundle, battery), 6)
     run_check(report, "curvature-vanishes",
               ((s1, s2, b) for s1, s2 in battery.section_tuples(2) for b in sample),
               lambda s1, s2, b: curvature_R0(conn, s1, s2, b),
@@ -1133,7 +1055,7 @@ def connection_to_json(conn):
 def dirac_from_json(alg, doc):
     """{ "frame": [[scalar-string x r] x r/2] } spanning sections."""
     _require_fields(doc, "dirac", ("frame",))
-    return [alg.section(row) for row in _scalar_rows(doc["frame"], "frame", alg.n)]
+    return [alg.element(row) for row in _scalar_rows(doc["frame"], "frame", alg.n)]
 
 
 def christoffel_from_json(doc, n, size=None):

@@ -253,7 +253,7 @@ def test_criterion_7_curvature_laws(connection_pool, standard2, battery2):
                     - dc.evaluateB(dd, 1, (), (g,)).scale(f)).is_zero():
                 ok = False
             db = bundle.d_B(g)
-            for e1, e2 in list(battery.pairs())[:15]:
+            for e1, e2 in list(battery.section_tuples(2))[:15]:
                 if not dc.curvature_R0(conn, e1, e2, db).is_zero():
                     ok = False
             if not dc.curvature_R1(conn, f, db).is_zero():
@@ -305,7 +305,7 @@ def test_criterion_9_bott(standard2):
     ok = ok and report.passed
     print(f"    tangent distribution: flat={report.passed}")
     rows = [["1", "0", "0", "3"], ["0", "1", "-3", "0"]]
-    graph = [standard2.section_from_strings(r) for r in rows]
+    graph = [standard2.element_from_strings(r) for r in rows]
     bundle, conn, report = dc.bott_connection(standard2, graph)
     ok = ok and report.passed
     print(f"    graph of constant closed two-form: flat={report.passed}")
@@ -359,7 +359,7 @@ def test_criterion_10_cohomology(su2):
     print(f"    abelian rank-4: betti={betti4}")
 
     ginv = linalg.inverse(su2.pairing_matrix)
-    dual = [su2.section([ginv[i][j] for j in range(3)]) for i in range(3)]
+    dual = [su2.element([ginv[i][j] for j in range(3)]) for i in range(3)]
     for p in (1, 2):
         m = pc.differential_matrix(p)
         for ci, col in enumerate(pc.basis(p)):

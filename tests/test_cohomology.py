@@ -107,7 +107,7 @@ def test_degree_one_matrix_echoes_structure_constants(su2, su2_complex):
 
 def test_matrix_entries_match_generic_evaluator(su2, su2_complex):
     ginv = linalg.inverse(su2.pairing_matrix)
-    dual = [su2.section([ginv[i][j] for j in range(3)]) for i in range(3)]
+    dual = [su2.element([ginv[i][j] for j in range(3)]) for i in range(3)]
     for p in (1, 2):
         m = su2_complex.differential_matrix(p)
         for ci, col in enumerate(su2_complex.basis(p)):

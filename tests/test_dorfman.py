@@ -77,6 +77,23 @@ def test_predual_rejects_incompatible_alpha(standard1):
         dc.PredualBundle(standard1, 2, standard1.pairing_matrix, bad_alpha)
 
 
+def _contract_end_with_dual(b, other):
+    end, dual = dc.TensorBundle.of(b, 1, 1), dc.TensorBundle.of(b, 0, 1)
+    return end.contract(end.frame[0], dual.frame[0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda b, other: b.frame[0] + dc.TensorBundle.of(b, 1, 1).frame[3],
+    lambda b, other: b.frame[0] + other.frame[0],
+    _contract_end_with_dual,
+    lambda b, other: b.b_pairing(other.alg.frame[0], b.frame[1]),
+], ids=["add-tensor-bundle", "add-other-predual", "contract", "b-pairing"])
+def test_elements_of_different_modules_do_not_mix(call):
+    b, other = (dc._self_predual(build_standard(1)) for _ in range(2))
+    with pytest.raises(PreconditionError):
+        call(b, other)
+
+
 def test_predual_diagnose_cases(standard1, self_predual1):
     diag = dc.predual_diagnose(self_predual1)
     assert diag == {"pairing_rank": 2, "kernel_in_bundle": 0,
@@ -333,7 +350,7 @@ def test_dual_curvature_duality(standard2, conn_poly2, battery2):
     bundle, pair = conn_poly2.bundle, dual.bundle.contract
     beta = dual.bundle.frame[2]
     b = bundle.element([S2("x1"), S2("1"), S2("x2^2"), S2("0")])
-    for e1, e2 in list(battery2.pairs())[:30]:
+    for e1, e2 in list(battery2.section_tuples(2))[:30]:
         lhs = pair(dual_curvature(dual, e1, e2, beta), b)
         rhs = pair(beta, dc.curvature_R0(conn_poly2, e1, e2, b))
         assert (lhs + rhs).is_zero()
@@ -347,8 +364,8 @@ def endomorphism(bundle, rows):
 
 
 def rows_of(m):
-    s = m.bundle.base.rank
-    return [list(m.components[k:k + s]) for k in range(0, m.bundle.rank, s)]
+    s = m.module.base.rank
+    return [list(m.components[k:k + s]) for k in range(0, m.module.rank, s)]
 
 
 def test_endo_identity_matrix_is_parallel(conn_poly2, battery2):
@@ -384,7 +401,7 @@ def test_endo_preserves_derivation_image_maps(standard2, conn_poly2, battery2):
     for sigma in list(standard2.frame)[:2]:
         out = end.apply(sigma, m)
         for b in bundle.test_elements()[:6]:
-            assert linalg.rank(span + [list(out.bundle.contract(out, b).components)]) \
+            assert linalg.rank(span + [list(out.module.contract(out, b).components)]) \
                 == base_rank
 
 
@@ -408,7 +425,7 @@ def test_curvature_kills_derivation_images(conn_poly2, battery2):
     bundle = conn_poly2.bundle
     for g in (S2("x1"), S2("x1*x2^2"), S2("x2")):
         db = bundle.d_B(g)
-        for e1, e2 in list(battery2.pairs())[:20]:
+        for e1, e2 in list(battery2.section_tuples(2))[:20]:
             assert dc.curvature_R0(conn_poly2, e1, e2, db).is_zero()
         for f in (S2("x1"), S2("x2*x2")):
             assert dc.curvature_R1(conn_poly2, f, db).is_zero()
@@ -434,7 +451,7 @@ def test_double_contraction_is_R0(standard2, conn_poly2, battery2):
     b = bundle.element([S2("0"), S2("x2"), S2("x1"), S2("1")])
     dd = dc.covariant_differential(
         conn_poly2, dc.covariant_differential(conn_poly2, dc.b_leaf(bundle, b)))
-    for e1, e2 in list(battery2.pairs())[:25]:
+    for e1, e2 in list(battery2.section_tuples(2))[:25]:
         lhs = dc.evaluateB(dc.interior_e_b(e2, dc.interior_e_b(e1, dd)), 0, ())
         assert (lhs - dc.curvature_R0(conn_poly2, e1, e2, b)).is_zero()
 
@@ -565,7 +582,7 @@ def test_endo_curvature_is_commutator(standard2, conn_poly2, battery2):
                      [[random_polynomial(2, 1, 70 + 4 * i + j) for j in range(4)]
                       for i in range(4)])
     curvature = dc.curvature(conn_poly2)
-    for e1, e2 in list(battery2.pairs())[:12]:
+    for e1, e2 in list(battery2.section_tuples(2))[:12]:
         r0 = dc.evaluateB(curvature, 0, (e1, e2))
         direct = (end.apply(e1, end.apply(e2, m)) - end.apply(e2, end.apply(e1, m))
                   - end.apply(standard2.bracket(e1, e2), m))
@@ -588,12 +605,12 @@ def test_curvature_columns_are_the_curvature_operators(conn_poly2, battery2):
     bundle = conn_poly2.bundle
     curvature = dc.curvature(conn_poly2)
     b = bundle.element([S2("x1"), S2("x2"), S2("1"), S2("x1*x2")])
-    for e1, e2 in list(battery2.pairs())[:10]:
+    for e1, e2 in list(battery2.section_tuples(2))[:10]:
         r0 = dc.evaluateB(curvature, 0, (e1, e2))
-        assert r0.bundle.contract(r0, b) == dc.curvature_R0(conn_poly2, e1, e2, b)
+        assert r0.module.contract(r0, b) == dc.curvature_R0(conn_poly2, e1, e2, b)
     f = S2("x1^2*x2")
     r1 = dc.evaluateB(curvature, 1, (), (f,))
-    assert r1.bundle.contract(r1, b) == dc.curvature_R1(conn_poly2, f, b)
+    assert r1.module.contract(r1, b) == dc.curvature_R1(conn_poly2, f, b)
 
 
 def test_bianchi_residual_is_the_covariant_differential_of_curvature():
@@ -625,7 +642,7 @@ def test_flatness_propagates_to_dual_and_endomorphisms(standard2):
     beta = dual.bundle.element([S2("x1"), S2("1 - x2")])
     m = endomorphism(bundle, [[S2("x1"), S2("0")], [S2("x2^2"), S2("1")]])
     curvature = dc.curvature(conn)
-    for e1, e2 in list(battery.pairs())[:30]:
+    for e1, e2 in list(battery.section_tuples(2))[:30]:
         assert dual_curvature(dual, e1, e2, beta).is_zero()
         r0 = dc.evaluateB(curvature, 0, (e1, e2))
         assert linalg.mat_is_zero(commutator_rows(r0, m))
@@ -778,7 +795,7 @@ def test_bott_tangent_distribution(standard2):
 
 def test_bott_graph_of_constant_closed_two_form(standard2):
     rows = [["1", "0", "0", "3"], ["0", "1", "-3", "0"]]
-    sections = [standard2.section_from_strings(r) for r in rows]
+    sections = [standard2.element_from_strings(r) for r in rows]
     bundle, conn, report = dc.bott_connection(standard2, sections)
     assert report.passed
 
@@ -786,7 +803,7 @@ def test_bott_graph_of_constant_closed_two_form(standard2):
 def two_form_graph(alg, c):
     """Spanning sections of the graph of c dx1^dx2 on standard(2)."""
     zero, one = Scalar.zero(2), Scalar.one(2)
-    return [alg.section([one, zero, zero, c]), alg.section([zero, one, -c, zero])]
+    return [alg.element([one, zero, zero, c]), alg.element([zero, one, -c, zero])]
 
 
 def test_bott_graph_of_x1_two_form_has_polynomial_gamma(standard2):
@@ -802,8 +819,8 @@ def test_bott_poisson_graph_gamma_is_coadjoint(standard2):
     # connection holds minus these structure functions, transposed
     f = S2("x1*x2 + 1")
     zero, one = Scalar.zero(2), Scalar.one(2)
-    sections = [standard2.section([zero, f, one, zero]),
-                standard2.section([-f, zero, zero, one])]
+    sections = [standard2.element([zero, f, one, zero]),
+                standard2.element([-f, zero, zero, one])]
     bundle, conn, report = dc.bott_connection(standard2, sections,
                                               battery_degree=1, extras=1)
     assert report.passed
@@ -835,7 +852,7 @@ def test_bott_rejects_non_involutive():
         [zero, one, zero, -x3, zero, zero],
         [zero, zero, one, zero, zero, zero],
     ]
-    sections = [alg.section(r) for r in rows]
+    sections = [alg.element(r) for r in rows]
     with pytest.raises(PreconditionError, match="involutive"):
         dc.bott_connection(alg, sections)
 

@@ -114,7 +114,7 @@ def test_bracket_matches_sympy_leibniz_formula(build):
     rng = random.Random(f"bracket-oracle:{alg.n}:{alg.rank}")
     for _ in range(12):
         gs, hs = random_texts(rng, alg.n, alg.rank), random_texts(rng, alg.n, alg.rank)
-        got = alg.bracket(alg.section_from_strings(gs), alg.section_from_strings(hs))
+        got = alg.bracket(alg.element_from_strings(gs), alg.element_from_strings(hs))
         want = oracle_bracket(alg, [field(x) for x in gs], [field(x) for x in hs])
         assert [str(c) for c in got.components] == [normal_form(w) for w in want]
 
@@ -137,7 +137,7 @@ def test_apply_of_a_levi_civita_lift_matches_sympy_leibniz_formula():
     for _ in range(12):
         gs = random_texts(rng, alg.n, alg.rank)
         hs = random_texts(rng, alg.n, conn.bundle.rank)
-        got = conn.apply(alg.section_from_strings(gs),
+        got = conn.apply(alg.element_from_strings(gs),
                          conn.bundle.element_from_strings(hs))
         want = oracle_apply(conn, [field(x) for x in gs], [field(x) for x in hs])
         assert [str(c) for c in got.components] == [normal_form(w) for w in want]
