@@ -36,7 +36,10 @@ Every evaluation runs in an :class:`EvalContext`.  The context interns each
 section and function argument to a small int, so the DAG works on id
 tuples, and it memoises node values, brackets and dual differentials on
 those ids.  Functions taking a ``ctx`` accept such a context to share its
-tables across calls, or None for a fresh one.
+tables across calls, or None for a fresh one.  The product and differential
+loops take the argument tuples of their terms through plans built once per
+arity and cached: getters of each section shuffle, function split, dropped
+slot and bracket insertion.
 
 Every component is R-multilinear in its section slots (the description of
 the complex by Keller and Waldmann, arXiv:0807.0584): leaves pair linearly,
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from operator import itemgetter
 from weakref import WeakValueDictionary
 
 from .battery import Battery
@@ -181,21 +185,16 @@ class _Product(Cochain):
 
     def _eval(self, k, es, fs, ctx):
         left, right = self.left, self.right
-        p, q = left.degree, right.degree
         memo = ctx.memo
         total = self.zero
-        for r in range(k + 1):
-            t = k - r
-            a = p - 2 * r
-            if a < 0 or q - 2 * t < 0:
-                continue
+        for r, t, shuffles, fsplits in _product_plan(
+                left.degree, right.degree, k, len(es), len(fs)):
             # function slots are shared out unsigned, the same way for every
             # section shuffle
-            fsplits = [(tuple(fs[i] for i in li), tuple(fs[i] for i in ri))
-                       for li, ri, _ in _shuffles(len(fs), r)]
-            for left_idx, right_idx, sign in _shuffles(len(es), a):
-                les = tuple(es[i] for i in left_idx)
-                res = tuple(es[i] for i in right_idx)
+            fsplits = [(lf(fs), rf(fs)) for lf, rf in fsplits]
+            for left_get, right_get, sign in shuffles:
+                les = left_get(es)
+                res = right_get(es)
                 for lfs, rfs in fsplits:
                     # the memo probe of _eval, inlined in this hot loop
                     key = (left, r, les, lfs)
@@ -249,12 +248,12 @@ class _Differential(Cochain):
         # is R-multilinear in its section slots, so a zero d_E(f) there makes
         # the term zero
         if k >= 1 and p - 2 * (k - 1) >= 0:
+            drops = _drop_plan(k)
             for mu in range(k):
                 de = ctx.d_E(alg, fs[mu])
                 if de in zero_ids:
                     continue
-                rest = fs[:mu] + fs[mu + 1 :]
-                total = total + _eval(child, k - 1, (de,) + es, rest, ctx)
+                total = total + _eval(child, k - 1, (de,) + es, drops[mu](fs), ctx)
         if p - 2 * k >= 0:
             # derivative along each argument of the contracted component; a
             # connection is R-linear in the section it differentiates along,
@@ -266,33 +265,34 @@ class _Differential(Cochain):
             along = self.along
             inert = (ctx.anchor_free_ids() if type(along) is _AnchorConnection
                      else zero_ids)
-            for i in range(len(es)):
-                if es[i] in inert:
+            drops = _drop_plan(len(es))
+            for i, e in enumerate(es):
+                if e in inert:
                     continue
-                args = es[:i] + es[i + 1 :]
+                args = drops[i](es)
                 key = (child, k, args, fs)
                 v = memo.get(key)
                 if v is None:
                     v = memo[key] = child._eval(k, args, fs, ctx)
                 if not v.is_zero():
-                    dv = along.apply(sections[es[i]], v)
+                    dv = along.apply(sections[e], v)
                     total = total + dv if i % 2 == 0 else total - dv
             # bracket insertion at the place of the later argument; a zero
             # bracket in a slot of the R-multilinear child makes the term zero
             brackets = ctx._brackets
-            for i in range(len(es)):
-                for j in range(i + 1, len(es)):
-                    br = brackets.get((es[i], es[j]))
-                    if br is None:
-                        br = ctx.bracket(es[i], es[j])
-                    if br in zero_ids:
-                        continue
-                    args = es[:i] + es[i + 1 : j] + (br,) + es[j + 1 :]
-                    key = (child, k, args, fs)
-                    v = memo.get(key)
-                    if v is None:
-                        v = memo[key] = child._eval(k, args, fs, ctx)
-                    total = total - v if i % 2 == 0 else total + v
+            for pair, insert, sign in _insertion_plan(len(es)):
+                ij = pair(es)
+                br = brackets.get(ij)
+                if br is None:
+                    br = ctx.bracket(*ij)
+                if br in zero_ids:
+                    continue
+                args = insert(es + (br,))
+                key = (child, k, args, fs)
+                v = memo.get(key)
+                if v is None:
+                    v = memo[key] = child._eval(k, args, fs, ctx)
+                total = total + v if sign > 0 else total - v
         return total
 
 
@@ -548,6 +548,65 @@ def _shuffles(total, left):
         inversions = sum(c - pos for pos, c in enumerate(combo))
         out.append((combo, rest, -1 if inversions % 2 else 1))
     return tuple(out)
+
+
+# Argument plans: the index patterns of the product and differential loops,
+# built once per arity as C-level getters, so a hot loop applies a getter to
+# its id tuple instead of slicing and concatenating it on every call.
+
+
+def _getter(idx):
+    """A getter of the tuple (t[i] for i in idx) from a tuple t.
+
+    Consecutive indices read a slice, and so do zero or one index:
+    ``itemgetter(i)`` would return a bare element, and ``itemgetter()``
+    raises.
+    """
+    idx = tuple(idx)
+    start = idx[0] if idx else 0
+    if idx == tuple(range(start, start + len(idx))):
+        return itemgetter(slice(start, start + len(idx)))
+    return itemgetter(*idx)
+
+
+@cache
+def _drop_plan(m):
+    """Entry i maps an m-tuple t to t[:i] + t[i + 1:]."""
+    return tuple(_getter([a for a in range(m) if a != i]) for i in range(m))
+
+
+@cache
+def _insertion_plan(m):
+    """(pair, insert, sign) for each bracket insertion i < j of the
+    differential, in its loop order: pair maps an m-tuple t to (t[i], t[j]),
+    insert maps t + (b,) to t[:i] + t[i + 1:j] + (b,) + t[j + 1:], and sign
+    is the sign of the term."""
+    return tuple(
+        (itemgetter(i, j),
+         _getter([a for a in range(j) if a != i] + [m] + list(range(j + 1, m))),
+         -1 if i % 2 == 0 else 1)
+        for i in range(m) for j in range(i + 1, m))
+
+
+@cache
+def _product_plan(p, q, k, n_sections, n_functions):
+    """The terms of component k of a product of degrees p and q on
+    n_sections sections and n_functions functions: for each split of k into
+    left and right function slots r + t, the section shuffles as
+    (left getter, right getter, sign) and the function splits as (left
+    getter, right getter), both in the order of :func:`_shuffles`."""
+    plan = []
+    for r in range(k + 1):
+        t = k - r
+        a = p - 2 * r
+        if a < 0 or q - 2 * t < 0:
+            continue
+        shuffles = tuple((_getter(li), _getter(ri), sign)
+                         for li, ri, sign in _shuffles(n_sections, a))
+        fsplits = tuple((_getter(li), _getter(ri))
+                        for li, ri, _ in _shuffles(n_functions, r))
+        plan.append((r, t, shuffles, fsplits))
+    return tuple(plan)
 
 
 def _eval(node, k, es, fs, ctx):

@@ -1,8 +1,10 @@
 """Golden reports: CLI output and demo output must not change byte for byte.
 
-Every command line of the README runs from the repository root with its
-relative paths and ``--format json``; its standard output and exit code are
-compared with the files under ``tests/golden/``, and the connection written
+Every command line of the README runs in process, through
+``courantcalc.cli.main`` with standard output and error redirected, from the
+repository root with its relative paths and ``--format json``; its standard
+output (as UTF-8 bytes) and exit code are compared with the files under
+``tests/golden/``, and the connection written
 by ``connection-build -o`` with ``tests/golden/connection.json``.  The
 commands that read a connection read that golden file, so the README's
 ``/tmp/conn.json`` is replaced by ``tests/golden/connection.json``.  Each
@@ -14,6 +16,8 @@ Regenerate the files (only when a report is meant to change) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -21,6 +25,8 @@ import subprocess
 import sys
 
 import pytest
+
+from courantcalc import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -73,11 +79,18 @@ def _run(argv):
 
 
 def run_cli_case(name, connection_out=None):
-    argv = ["-m", "courantcalc.cli", *CLI_CASES[name], "--format", "json"]
+    argv = [*CLI_CASES[name], "--format", "json"]
     if connection_out is not None:
         argv += ["-o", str(connection_out)]
-    proc = _run(argv)
-    return proc.stdout, proc.returncode
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return out.getvalue().encode("utf-8"), code
 
 
 def run_demo(script):
