@@ -19,6 +19,13 @@ from rational data, ``constant_value``, ``evaluate``, the parser and
 ``str()``, which divides both parts by the leading coefficient of den and
 so prints the denominator monic.  n = 0 is allowed and gives plain
 rationals.  Everything is immutable and hashable.
+
+The arithmetic keeps that form without taking the gcd of a whole result:
+products, quotients and sums of operands in lowest terms divide out only
+gcds of the operands' parts, which are already reduced (Henrici, "A
+subroutine for computations with rational numbers", J. ACM 3, 1956; Knuth,
+TAOCP vol. 2, 4.5.1), and a gcd with a single-term side is read off the
+exponents and the integer content, without the general algorithm.
 """
 
 from __future__ import annotations
@@ -359,18 +366,39 @@ def _p_heu_gcd(a, b, n):
     return None
 
 
+def _mono_gcd(m, others, n):
+    """The monomial gcd of m and every monomial in others: fieldwise minima."""
+    out = degree = 0
+    for shift in range(0, n * _W, _W):
+        e = (m >> shift) & _MASK
+        for mb in others:
+            if not e:
+                break
+            f = (mb >> shift) & _MASK
+            if f < e:
+                e = f
+        out |= e << shift
+        degree += e
+    return out | degree << (n * _W)
+
+
 def _p_gcd(a, b, n):
     """gcd in Z[x1..xn] with positive leading coefficient ({} if both 0).
 
-    The heuristic of ``_p_heu_gcd`` answers almost every call; the primitive
-    PRS below runs only when it gives up.
+    When one side is a single term c*x^e, the gcd is the integer gcd of c
+    and the other side's content times the monomial gcd of x^e and the other
+    side's terms.  Otherwise the heuristic of ``_p_heu_gcd`` answers almost
+    every call; the primitive PRS below runs only when it gives up.
     """
     if not a:
         return _p_positive(b)
     if not b:
         return _p_positive(a)
-    if _p_is_const(a) or _p_is_const(b):
-        return {0: gcd(*a.values(), *b.values())}
+    if len(a) == 1 or len(b) == 1:
+        if len(a) != 1:
+            a, b = b, a
+        [m] = a
+        return {_mono_gcd(m, b, n): gcd(*a.values(), *b.values())}
     g = _p_heu_gcd(a, b, n)
     if g is not None:
         return g
@@ -418,6 +446,49 @@ def _reduce(num, den, n):
             num = _p_exact_div(num, g, n)
             den = _p_exact_div(den, g, n)
     return _normalize(num, den)
+
+
+# --- field operations on parts in lowest terms (Henrici; Knuth 4.5.1) -------
+
+
+def _cross_mul(a, b, c, d, n):
+    """Canonical (num, den) of (a/b)*(c/d), nonzero a/b and c/d in lowest terms.
+
+    Only gcd(a, d) and gcd(c, b) are divided out; what is left is coprime.
+    """
+    if not (_p_is_const(a) or _p_is_const(d)):
+        g = _p_gcd(a, d, n)
+        if not _p_is_const(g):
+            a, d = _p_exact_div(a, g, n), _p_exact_div(d, g, n)
+    if not (_p_is_const(c) or _p_is_const(b)):
+        g = _p_gcd(c, b, n)
+        if not _p_is_const(g):
+            c, b = _p_exact_div(c, g, n), _p_exact_div(b, g, n)
+    top = n * _W
+    return _normalize(_p_mul(a, c, top), _p_mul(b, d, top))
+
+
+def _cross_sum(a, b, c, d, n, combine):
+    """Canonical (num, den) of a/b + c/d (combine=_p_add) or a/b - c/d
+    (_p_sub), a/b and c/d canonical with b != d.
+
+    The result is nonzero: canonical forms are unique and -c/d is canonical,
+    so a/b = -(+-c/d) would force b == d.  With g = gcd(b, d), num =
+    a*(d/g) +- c*(b/g) over (b/g)*d is already coprime except for t =
+    gcd(num, g), the only factor divided out.
+    """
+    top = n * _W
+    g = _p_gcd(b, d, n)
+    if _p_is_const(g):
+        num = combine(_p_mul(a, d, top), _p_mul(c, b, top))
+    else:
+        b = _p_exact_div(b, g, n)
+        num = combine(_p_mul(a, _p_exact_div(d, g, n), top), _p_mul(c, b, top))
+        if not _p_is_const(num):
+            t = _p_gcd(num, g, n)
+            if not _p_is_const(t):
+                num, d = _p_exact_div(num, t, n), _p_exact_div(d, t, n)
+    return _normalize(num, _p_mul(b, d, top))
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +609,8 @@ class Scalar:
             num = _p_add(_p_scale(self.num, cb // g), _p_scale(other.num, ca // g))
             den = {0: ca // g * cb}
         else:
-            top = n * _W
-            num = _p_add(_p_mul(self.num, db, top), _p_mul(other.num, da, top))
-            return Scalar(n, num, _p_mul(da, db, top))
+            return Scalar(n, *_cross_sum(self.num, da, other.num, db, n, _p_add),
+                          _canonical=True)
         if not num:
             return _zero_cache(n)
         if den == _ONE:
@@ -565,9 +635,8 @@ class Scalar:
             num = _p_sub(_p_scale(self.num, cb // g), _p_scale(other.num, ca // g))
             den = {0: ca // g * cb}
         else:
-            top = n * _W
-            num = _p_sub(_p_mul(self.num, db, top), _p_mul(other.num, da, top))
-            return Scalar(n, num, _p_mul(da, db, top))
+            return Scalar(n, *_cross_sum(self.num, da, other.num, db, n, _p_sub),
+                          _canonical=True)
         if not num:
             return _zero_cache(n)
         if den == _ONE:
@@ -586,15 +655,15 @@ class Scalar:
         n = self.n
         if not self.num or not other.num:
             return _zero_cache(n)
-        top = n * _W
-        num = _p_mul(self.num, other.num, top)
         da, db = self.den, other.den
         if _p_is_const(da) and _p_is_const(db):
+            num = _p_mul(self.num, other.num, n * _W)
             d = da[0] * db[0]
             if d == 1:
                 return Scalar(n, num, _ONE, _canonical=True)
             return Scalar(n, *_normalize(num, {0: d}), _canonical=True)
-        return Scalar(n, num, _p_mul(da, db, top))
+        return Scalar(n, *_cross_mul(self.num, da, other.num, db, n),
+                      _canonical=True)
 
     def scale(self, f):
         """f * self, so that scalars scale like sections and bundle elements."""
@@ -606,9 +675,9 @@ class Scalar:
             raise ScalarError("division by the zero scalar")
         if self.is_zero():
             return self
-        top = self.n * _W
-        return Scalar(self.n, _p_mul(self.num, other.den, top),
-                      _p_mul(self.den, other.num, top))
+        # (a/b)/(c/d) = (a/b)*(d/c)
+        return Scalar(self.n, *_cross_mul(self.num, self.den, other.den,
+                                          other.num, self.n), _canonical=True)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
@@ -5,14 +7,26 @@ import sys
 
 import pytest
 
+from courantcalc import cli
+
 DATA = pathlib.Path(__file__).parent.parent / "demos" / "data"
 
 
 def run_cli(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "courantcalc.cli", *argv],
-        capture_output=True, text=True)
-    return proc
+    """``python -m courantcalc.cli argv`` run in this process: its exit code,
+    stdout and stderr, with SystemExit (argparse's rejection) as the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(*argv):
+    return subprocess.run([sys.executable, "-m", "courantcalc.cli", *argv],
+                          capture_output=True, text=True)
 
 
 def test_verify_algebroid_pass():
@@ -103,10 +117,11 @@ def test_predual_diagnose():
 
 
 def test_json_reports_are_byte_identical():
+    # two interpreters, so two string-hash seeds: the report must not depend on them
     args = ("verify-algebroid", str(DATA / "su2.json"),
             "--format", "json", "--seed", "3")
-    first = run_cli(*args)
-    second = run_cli(*args)
+    first = run_cli_process(*args)
+    second = run_cli_process(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     doc = json.loads(first.stdout)
@@ -136,8 +151,6 @@ def test_negative_numeric_flags_exit_2(argv):
 @pytest.mark.parametrize("max_degree,empty", [("0", 10), ("1", 6), ("3", 1)])
 def test_cartan_without_a_test_cochain_is_a_failed_precondition(
         capsys, max_degree, empty):
-    from courantcalc import cli
-
     assert cli.main(["cartan", str(DATA / "su2.json"),
                      "--max-degree", max_degree]) == 3
     out, err = capsys.readouterr()
@@ -227,8 +240,6 @@ def test_unreadable_input_and_unwritable_output_exit_2(tmp_path, case):
 
 
 def test_internal_error_exits_4_with_one_line(monkeypatch, capsys):
-    from courantcalc import cli
-
     def broken(args):
         raise RuntimeError("boom")
 
@@ -242,8 +253,6 @@ def test_internal_error_exits_4_with_one_line(monkeypatch, capsys):
 def test_internal_key_error_is_not_malformed_input(monkeypatch, capsys):
     # every field the loaders read is checked first, so a KeyError is a fault
     # of the program, not of the input
-    from courantcalc import cli
-
     def broken(args):
         raise KeyError("internal")
 
@@ -311,8 +320,6 @@ KEYED_CASES = [
                          ids=[c[0] for c in KEYED_CASES])
 def test_keyed_entry_errors(tmp_path, capsys, kind, case, entries, code, message):
     # the algebroid's "bracket" and the connection's "gamma" share one reader
-    from courantcalc import cli
-
     path = tmp_path / "doc.json"
     if kind == "bracket":
         doc = json.loads((DATA / "standard2.json").read_text())

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from courantcalc import scalar
 from courantcalc.scalar import (
     ParseError,
     PoleError,
@@ -170,6 +172,41 @@ def test_arithmetic_creates_no_fraction(monkeypatch):
             (u + v) * (u - v) / (u * v + Scalar.one(2))
         u.partial(1).partial(2)
         Scalar(2, u.num, u.den)
+
+
+def test_products_with_monomials_take_no_heuristic_gcd():
+    # b*x1/(1 + b*x1^2), a Christoffel symbol of the metric diag(1, 1 + b*x1^2):
+    # against a monomial or a constant, each cross gcd has a single-term side
+    gamma = S("3*x1/(1 + 3*x1^2)")
+    heu_calls = []
+    heu = scalar._p_heu_gcd
+
+    def counting(a, b, n):
+        heu_calls.append((a, b))
+        return heu(a, b, n)
+
+    with mock.patch.object(scalar, "_p_heu_gcd", counting):
+        products = {
+            "monomial": gamma * S("-2*x1^2*x2"),
+            "constant": gamma * S("5/7"),
+            "x1 cancels from the left": S("x2/(2*x1)") * gamma,
+            "x1 cancels from the right": gamma * S("x2/(2*x1)"),
+        }
+    assert heu_calls == []
+
+    def poly(terms):
+        return {scalar._pack(2, m): c for m, c in terms.items()}
+
+    cancelled = (poly({(0, 1): 3}), poly({(2, 0): 6, (0, 0): 2}))
+    expected = {
+        "monomial": (poly({(3, 1): -6}), poly({(2, 0): 3, (0, 0): 1})),
+        "constant": (poly({(1, 0): 15}), poly({(2, 0): 21, (0, 0): 7})),
+        "x1 cancels from the left": cancelled,
+        "x1 cancels from the right": cancelled,
+    }
+    for name, value in products.items():
+        assert (value.num, value.den) == expected[name], name
+        assert Scalar(2, value.num, value.den) == value
 
 
 # -- property tests ----------------------------------------------------------------

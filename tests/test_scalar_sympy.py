@@ -14,9 +14,10 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.fields import field
 from sympy.polys.orderings import grlex
+from sympy.polys.rings import ring
 
 from courantcalc import scalar
 from courantcalc.scalar import Scalar, parse_scalar
@@ -172,11 +173,24 @@ def _gives_up(a, b, n):
     return None
 
 
-@pytest.mark.parametrize("heuristic", [True, False], ids=["heuristic", "prs"])
+def _run(check, heuristic):
+    """Run check, with the heuristic gcd patched to give up unless heuristic,
+    so that the primitive PRS answers alone."""
+    if heuristic:
+        check()
+    else:
+        with mock.patch.object(scalar, "_p_heu_gcd", _gives_up):
+            check()
+
+
+HEURISTIC = pytest.mark.parametrize("heuristic", [True, False],
+                                    ids=["heuristic", "prs"])
+
+
+@HEURISTIC
 @pytest.mark.parametrize("constant_factor", [True, False],
                          ids=["coprime", "common-factor"])
 def test_gcd_of_planted_factors_matches_sympy(heuristic, constant_factor):
-    # with the heuristic patched to give up, the primitive PRS answers alone
     @settings(max_examples=30, deadline=None)
     @given(planted(constant_factor))
     def check(case):
@@ -184,8 +198,98 @@ def test_gcd_of_planted_factors_matches_sympy(heuristic, constant_factor):
         ours, theirs = _reduced_like_sympy(n, a, b)
         assert ours == theirs
 
-    if heuristic:
-        check()
-    else:
-        with mock.patch.object(scalar, "_p_heu_gcd", _gives_up):
-            check()
+    _run(check, heuristic)
+
+
+# --- cross-cancelling sums, products and quotients on planted factors -------
+#
+# Random pairs almost never share a denominator factor, so these plant one:
+# the sum then divides out only g = gcd of the denominators (and a factor of
+# g shared with the new numerator), the product and quotient only the cross
+# gcds of the parts.
+
+
+def _over(n, num, den):
+    """(Scalar, sympy value) of num/den for integer sympy polynomials."""
+    return (Scalar(n, _packed(n, num), _packed(n, den)),
+            FIELDS[n](num) / FIELDS[n](den))
+
+
+@st.composite
+def shared_factor(draw):
+    """(n, g, p1, q1, p2, q2) with g nonconstant and q1, q2 nonzero."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    R = FIELDS[n].ring
+    g = R(draw(int_polys(n)))
+    assume(max(sum(m) for m in g.monoms()) > 0)
+    p1, q1, p2, q2 = (R(draw(int_polys(n))) for _ in range(4))
+    return n, g, p1, q1, p2, q2
+
+
+@HEURISTIC
+def test_sums_over_a_shared_denominator_factor_match_sympy(heuristic):
+    @settings(max_examples=25, deadline=None)
+    @given(shared_factor())
+    def check(case):
+        # p1/(g*q1) +- p2/(g*q2): the denominators share g
+        n, g, p1, q1, p2, q2 = case
+        (x, sx), (y, sy) = _over(n, p1, g * q1), _over(n, p2, g * q2)
+        assert str(x + y) == normal_form(sx + sy)
+        assert str(x - y) == normal_form(sx - sy)
+        # w = z - x lies over g*q1*q2, so x and w share g*q1 in their
+        # denominators, and the numerator of x + w is p2*g: t = gcd(num, g*q1)
+        # is nonconstant and must be divided out too
+        z, sz = _over(n, p2, q1 * q2)
+        w = z - x
+        assert str(w) == normal_form(sz - sx)
+        assert str(x + w) == normal_form(sz)
+        assert str(w - (-x)) == normal_form(sz)
+
+    _run(check, heuristic)
+
+
+@HEURISTIC
+def test_products_and_quotients_that_cross_cancel_match_sympy(heuristic):
+    @settings(max_examples=25, deadline=None)
+    @given(shared_factor())
+    def check(case):
+        # (g*a)/q times c/(g*t): g cancels across the two factors
+        n, g, a, q, c, t = case
+        (x, sx), (y, sy) = _over(n, g * a, q), _over(n, c, g * t)
+        assert str(x * y) == normal_form(sx * sy)
+        assert str(y * x) == normal_form(sy * sx)
+        # the same through /: (g*a)/q over (g*t)/c
+        y_inv, sy_inv = _over(n, g * t, c)
+        assert str(x / y_inv) == normal_form(sx / sy_inv)
+        assert str(y_inv / x) == normal_form(sy_inv / sx)
+        assert x / y_inv == x * y
+
+    _run(check, heuristic)
+
+
+ZZ_RINGS = {n: ring(",".join(f"x{i + 1}" for i in range(n)), ZZ, grlex)[0]
+            for n in (1, 2, 3)}
+
+
+@st.composite
+def monomial_and_poly(draw):
+    """(n, m, p): a single integer term m and an integer polynomial p."""
+    n = draw(st.sampled_from((1, 2, 3)))
+    exponents = draw(st.tuples(*[st.integers(0, 3)] * n))
+    m = {exponents: draw(big)}
+    return n, m, draw(int_polys(n, max_size=4, max_exp=3))
+
+
+@HEURISTIC
+def test_monomial_gcd_matches_sympy(heuristic):
+    @settings(max_examples=40, deadline=None)
+    @given(monomial_and_poly())
+    def check(case):
+        n, m, p = case
+        R = ZZ_RINGS[n]
+        expected = _packed(n, R(m).gcd(R(p)))
+        a, b = _packed(n, R(m)), _packed(n, R(p))
+        assert scalar._p_gcd(a, b, n) == expected
+        assert scalar._p_gcd(b, a, n) == expected
+
+    _run(check, heuristic)
