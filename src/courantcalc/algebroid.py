@@ -50,14 +50,16 @@ class Section:
     def __add__(self, other):
         if other.module is not self.module:
             raise PreconditionError(_MIXED)
-        return Section(self.module, tuple(a + b for a, b in
-                                          zip(self.components, other.components)))
+        # a zero component passes the other one through unchanged
+        return Section(self.module, tuple(
+            (a + b if a.num else b) if b.num else a
+            for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other):
         if other.module is not self.module:
             raise PreconditionError(_MIXED)
-        return Section(self.module, tuple(a - b for a, b in
-                                          zip(self.components, other.components)))
+        return Section(self.module, tuple(
+            a - b if b.num else a for a, b in zip(self.components, other.components)))
 
     def __neg__(self):
         return Section(self.module, tuple(-a for a in self.components))
@@ -172,6 +174,7 @@ class CourantAlgebroid(FramedModule):
         self._bracket_cache = {}
         self._pairing_cache = {}
         self._anchor_rows = {}
+        self._anchor_cache = {}
         self._dE_cache = {}
         self.metadata = {}
 
@@ -203,7 +206,11 @@ class CourantAlgebroid(FramedModule):
         """Derivative of f along the anchor image of sigma."""
         if sigma.module is not self:
             raise PreconditionError(_MIXED)
-        return _derivative(self._anchor_row(sigma), f)
+        key = (sigma, f)
+        cached = self._anchor_cache.get(key)
+        if cached is None:
+            cached = self._anchor_cache[key] = _derivative(self._anchor_row(sigma), f)
+        return cached
 
     def d_E(self, f):
         """Section dual to df: the unique one pairing to anchor_apply(., f)."""

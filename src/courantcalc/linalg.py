@@ -13,9 +13,7 @@ __all__ = [
     "LinAlgError",
     "mat_identity",
     "mat_transpose",
-    "mat_sub",
     "mat_mul",
-    "mat_vec",
     "mat_is_zero",
     "mat_eq",
     "rank",
@@ -39,10 +37,6 @@ def mat_transpose(m):
     return [list(row) for row in zip(*m)] if m else []
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_mul(a, b):
     if not a or not b:
         return []
@@ -59,19 +53,6 @@ def mat_mul(a, b):
                 acc = term if acc is None else acc + term
             out_row.append(acc if acc is not None else row[0] - row[0])
         out.append(out_row)
-    return out
-
-
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            if x.is_zero() or y.is_zero():
-                continue
-            term = x * y
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else row[0] - row[0])
     return out
 
 

@@ -25,7 +25,14 @@ products, quotients and sums of operands in lowest terms divide out only
 gcds of the operands' parts, which are already reduced (Henrici, "A
 subroutine for computations with rational numbers", J. ACM 3, 1956; Knuth,
 TAOCP vol. 2, 4.5.1), and a gcd with a single-term side is read off the
-exponents and the integer content, without the general algorithm.
+exponents and the integer content, without the general algorithm.  The
+quotient rule in ``partial`` cancels the same way, against gcd(den, den').
+
+The denominator 1 is the one shared dict ``_ONE``: every constructor and
+operation returns it in place of an equal dict, so a polynomial over 1 is
+told by ``den is _ONE``, and any numerator over it is canonical as it
+stands.  A sum with the zero scalar and a product with the constant 1
+return the other operand itself.
 """
 
 from __future__ import annotations
@@ -134,9 +141,11 @@ def _p_mul(a, b, top):
     if len(a) == 1:
         [(ma, ca)] = a.items()
         return {ma + mb: ca * cb for mb, cb in b.items()}
-    out = {}
+    rows = iter(a.items())
+    ma, ca = next(rows)
+    out = {ma + mb: ca * cb for mb, cb in b.items()}
     get = out.get
-    for ma, ca in a.items():
+    for ma, ca in rows:
         for mb, cb in b.items():
             m = ma + mb
             out[m] = get(m, 0) + ca * cb
@@ -168,14 +177,25 @@ def _p_eval(a, n, point):
 
 
 def _normalize(num, den):
-    """Divide num and den by their joint integer content; make lc(den) > 0."""
-    k = gcd(*num.values(), *den.values())
+    """Divide num and den by their joint integer content; make lc(den) > 0.
+
+    A denominator equal to 1 comes back as the shared ``_ONE``.  The content
+    is taken over den first, usually a single term, and over num only when
+    that is not already 1.
+    """
+    if den is _ONE:
+        return num, den
+    k = gcd(*den.values())
+    if k != 1:
+        k = gcd(k, *num.values())
     if den[max(den)] < 0:
         k = -k
-    if k == 1:
-        return num, den
-    return ({m: c // k for m, c in num.items()},
-            {m: c // k for m, c in den.items()})
+    if k != 1:
+        num = {m: c // k for m, c in num.items()}
+        den = {m: c // k for m, c in den.items()}
+    if den == _ONE:
+        return num, _ONE
+    return num, den
 
 
 # --- exact division and gcd over Z[x] ------------------------------------
@@ -507,14 +527,14 @@ class Scalar:
 
     __slots__ = ("n", "num", "den", "_hash")
 
-    def __init__(self, n, num, den=None, _canonical=False):
+    def __init__(self, n, num, den=_ONE, _canonical=False):
         self.n = n
-        if den is None:
-            den = _ONE
-        if not den:
-            raise ScalarError("zero denominator")
-        if not _canonical:
-            num, den = _reduce(num, den, n)
+        # any num over the shared 1 is canonical
+        if den is not _ONE:
+            if not den:
+                raise ScalarError("zero denominator")
+            if not _canonical:
+                num, den = _reduce(num, den, n)
         self.num = num
         self.den = den
         self._hash = None
@@ -526,7 +546,8 @@ class Scalar:
         q = Fraction(q)
         if not q:
             return _zero_cache(n)
-        return Scalar(n, {0: q.numerator}, {0: q.denominator}, _canonical=True)
+        return Scalar(n, {0: q.numerator}, _const_den(q.denominator),
+                      _canonical=True)
 
     @staticmethod
     def zero(n):
@@ -550,7 +571,8 @@ class Scalar:
         c = Fraction(coeff)
         if not c:
             return _zero_cache(n)
-        return Scalar(n, {m: c.numerator}, {0: c.denominator}, _canonical=True)
+        return Scalar(n, {m: c.numerator}, _const_den(c.denominator),
+                      _canonical=True)
 
     @staticmethod
     def from_terms(n, terms):
@@ -594,56 +616,24 @@ class Scalar:
         return other
 
     def __add__(self, other):
-        other = self._check(other)
         n = self.n
+        if other.__class__ is not Scalar or other.n != n:
+            self._check(other)
         if not self.num:
             return other
         if not other.num:
             return self
-        da, db = self.den, other.den
-        if da == db:
-            num, den = _p_add(self.num, other.num), da
-        elif _p_is_const(da) and _p_is_const(db):
-            ca, cb = da[0], db[0]
-            g = gcd(ca, cb)
-            num = _p_add(_p_scale(self.num, cb // g), _p_scale(other.num, ca // g))
-            den = {0: ca // g * cb}
-        else:
-            return Scalar(n, *_cross_sum(self.num, da, other.num, db, n, _p_add),
-                          _canonical=True)
-        if not num:
-            return _zero_cache(n)
-        if den == _ONE:
-            return Scalar(n, num, _ONE, _canonical=True)
-        if _p_is_const(den):
-            return Scalar(n, *_normalize(num, den), _canonical=True)
-        return Scalar(n, num, den)
+        return _sum(n, self.num, self.den, other.num, other.den, _p_add)
 
     def __sub__(self, other):
-        other = self._check(other)
         n = self.n
+        if other.__class__ is not Scalar or other.n != n:
+            self._check(other)
         if not other.num:
             return self
         if not self.num:
             return -other
-        da, db = self.den, other.den
-        if da == db:
-            num, den = _p_sub(self.num, other.num), da
-        elif _p_is_const(da) and _p_is_const(db):
-            ca, cb = da[0], db[0]
-            g = gcd(ca, cb)
-            num = _p_sub(_p_scale(self.num, cb // g), _p_scale(other.num, ca // g))
-            den = {0: ca // g * cb}
-        else:
-            return Scalar(n, *_cross_sum(self.num, da, other.num, db, n, _p_sub),
-                          _canonical=True)
-        if not num:
-            return _zero_cache(n)
-        if den == _ONE:
-            return Scalar(n, num, _ONE, _canonical=True)
-        if _p_is_const(den):
-            return Scalar(n, *_normalize(num, den), _canonical=True)
-        return Scalar(n, num, den)
+        return _sum(n, self.num, self.den, other.num, other.den, _p_sub)
 
     def __neg__(self):
         if not self.num:
@@ -651,19 +641,24 @@ class Scalar:
         return Scalar(self.n, _p_neg(self.num), self.den, _canonical=True)
 
     def __mul__(self, other):
-        other = self._check(other)
         n = self.n
-        if not self.num or not other.num:
+        if other.__class__ is not Scalar or other.n != n:
+            self._check(other)
+        a, b = self.num, other.num
+        if not a or not b:
             return _zero_cache(n)
         da, db = self.den, other.den
+        # a product with the constant 1 is the other factor itself
+        if da is _ONE and a == _ONE:
+            return other
+        if db is _ONE and b == _ONE:
+            return self
+        if da is _ONE and db is _ONE:
+            return Scalar(n, _p_mul(a, b, n * _W), _ONE, _canonical=True)
         if _p_is_const(da) and _p_is_const(db):
-            num = _p_mul(self.num, other.num, n * _W)
-            d = da[0] * db[0]
-            if d == 1:
-                return Scalar(n, num, _ONE, _canonical=True)
-            return Scalar(n, *_normalize(num, {0: d}), _canonical=True)
-        return Scalar(n, *_cross_mul(self.num, da, other.num, db, n),
-                      _canonical=True)
+            return Scalar(n, *_normalize(_p_mul(a, b, n * _W), {0: da[0] * db[0]}),
+                          _canonical=True)
+        return Scalar(n, *_cross_mul(a, da, b, db, n), _canonical=True)
 
     def scale(self, f):
         """f * self, so that scalars scale like sections and bundle elements."""
@@ -705,13 +700,23 @@ class Scalar:
         if _p_is_const(den):
             if not dn:
                 return _zero_cache(n)
-            if den == _ONE:
-                return Scalar(n, dn, _ONE, _canonical=True)
             return Scalar(n, *_normalize(dn, den), _canonical=True)
-        # quotient rule (num' den - num den') / den^2
-        num = _p_add(_p_mul(dn, den, top),
-                     _p_neg(_p_mul(self.num, _p_partial(den, shift, top), top)))
-        return Scalar(n, num, _p_mul(den, den, top))
+        # quotient rule with cross-cancellation: for g = gcd(den, den'),
+        # c = den/g and d = den'/g, (num' den - num den')/den^2 = N/(den c)
+        # with N = num' c - num d.  A factor of den that involves x_i divides
+        # c once and not N, so only t = gcd(N, g), made of the factors that
+        # do not involve x_i, can cancel.
+        dd = _p_partial(den, shift, top)
+        g = _p_gcd(den, dd, n)
+        c = _p_exact_div(den, g, n)
+        num = _p_sub(_p_mul(dn, c, top), _p_mul(self.num, _p_exact_div(dd, g, n), top))
+        if not num:
+            return _zero_cache(n)
+        if not _p_is_const(g):
+            t = _p_gcd(num, g, n)
+            if not _p_is_const(t):
+                num, den = _p_exact_div(num, t, n), _p_exact_div(den, t, n)
+        return Scalar(n, *_normalize(num, _p_mul(den, c, top)), _canonical=True)
 
     def evaluate(self, point):
         """Exact value at a rational point (sequence of length n)."""
@@ -752,6 +757,31 @@ class Scalar:
         if _p_is_const(den):
             return num
         return f"({num})/({_p_format(den, self.n, lc)})"
+
+
+def _sum(n, a, da, b, db, combine):
+    """a/da + b/db (combine=_p_add) or a/da - b/db (_p_sub), both nonzero
+    and canonical."""
+    if da is db or da == db:
+        num = combine(a, b)
+        if not num:
+            return _zero_cache(n)
+        if da is _ONE:
+            return Scalar(n, num, _ONE, _canonical=True)
+        if _p_is_const(da):
+            return Scalar(n, *_normalize(num, da), _canonical=True)
+        return Scalar(n, num, da)
+    if _p_is_const(da) and _p_is_const(db):
+        ca, cb = da[0], db[0]
+        g = gcd(ca, cb)
+        num = combine(_p_scale(a, cb // g), _p_scale(b, ca // g))
+        return Scalar(n, *_normalize(num, {0: ca // g * cb}), _canonical=True)
+    return Scalar(n, *_cross_sum(a, da, b, db, n, combine), _canonical=True)
+
+
+def _const_den(d):
+    """The denominator polynomial of the positive integer d."""
+    return _ONE if d == 1 else {0: d}
 
 
 _ZERO_CACHE = {}

@@ -2,6 +2,7 @@ import pytest
 
 from courantcalc.algebroid import (
     CourantAlgebroid,
+    _derivative,
     algebroid_from_json,
     algebroid_to_json,
     build_from_structure_data,
@@ -232,3 +233,38 @@ def test_anchor_homomorphism_on_battery(standard2, battery2):
         rhs = standard2.anchor_apply(a, standard2.anchor_apply(b, f)) - \
             standard2.anchor_apply(b, standard2.anchor_apply(a, f))
         assert lhs == rhs
+
+
+# -- the anchor-derivative memo -------------------------------------------------
+
+def _anchor_by_matrix(alg, sigma, f):
+    """rho(sigma)(f) = sum_j sigma_j sum_l anchor[l][j] df/dx_l, from the matrix."""
+    total = Scalar.zero(alg.n)
+    for j, g in enumerate(sigma.components):
+        for l in range(alg.n):
+            total = total + g * alg.anchor_matrix[l][j] * f.partial(l + 1)
+    return total
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_standard(2),
+    lambda: build_port_hamiltonian(1, 1),
+    lambda: build_port_hamiltonian(1, 1, [[[parse_scalar("x1", 1)]]]),
+], ids=["standard2", "port_hamiltonian11", "port_hamiltonian11-theta-x1"])
+def test_anchor_memo_matches_the_unmemoised_derivative(build):
+    alg = build()
+    battery = Battery(alg)
+    checked = 0
+    for a, b in list(battery.section_tuples(2))[:40]:
+        # battery sections and a bracket, which is no battery section
+        for sigma in (a, b, alg.bracket(a, b)):
+            for f in battery.functions:
+                value = alg.anchor_apply(sigma, f)
+                assert value == _derivative(alg._anchor_row(sigma), f)
+                assert value == _anchor_by_matrix(alg, sigma, f)
+                assert alg.anchor_apply(sigma, f) is value
+                # the memo is keyed by value: an equal section built anew hits it
+                twin = alg.element(sigma.components)
+                assert twin is not sigma and alg.anchor_apply(twin, f) is value
+                checked += 1
+    assert checked > 100

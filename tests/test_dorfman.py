@@ -572,7 +572,8 @@ def test_bianchi_polynomial(conn_poly2, battery2):
 
 def commutator_rows(r, m):
     r, m = rows_of(r), rows_of(m)
-    return linalg.mat_sub(linalg.mat_mul(r, m), linalg.mat_mul(m, r))
+    return [[x - y for x, y in zip(ra, rb)]
+            for ra, rb in zip(linalg.mat_mul(r, m), linalg.mat_mul(m, r))]
 
 
 def test_endo_curvature_is_commutator(standard2, conn_poly2, battery2):

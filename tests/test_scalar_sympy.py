@@ -9,6 +9,7 @@ the canonical form and the printed output at once.
 """
 
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -20,7 +21,7 @@ from sympy.polys.orderings import grlex
 from sympy.polys.rings import ring
 
 from courantcalc import scalar
-from courantcalc.scalar import Scalar, parse_scalar
+from courantcalc.scalar import Scalar, ScalarError, parse_scalar
 
 K2, X1, X2 = field("x1,x2", QQ, grlex)
 
@@ -293,3 +294,197 @@ def test_monomial_gcd_matches_sympy(heuristic):
         assert scalar._p_gcd(b, a, n) == expected
 
     _run(check, heuristic)
+
+
+# --- the quotient rule in partial ------------------------------------------
+#
+# partial divides out only gcd(N, gcd(den, den')), where N is the numerator
+# left after taking out gcd(den, den'); these plant the factors that make
+# that gcd nonconstant: squared factors, and factors of den free of x_i,
+# which divide den' too and may divide N.
+
+
+def int_polys_free_of(n, i, max_size=2):
+    """Integer polynomials in which x_i (1-based) does not occur."""
+    monomials = st.tuples(*[st.just(0) if k == i - 1 else st.integers(0, 1)
+                            for k in range(n)])
+    return st.dictionaries(monomials, st.integers(-5, 5).filter(bool),
+                           min_size=1, max_size=max_size)
+
+
+@st.composite
+def quotient_rule_case(draw):
+    """(n, i, num, den) with den = free^k * square^2 * plain, free without x_i.
+
+    A factor of den free of x_i cancels in the derivative when the rest of
+    num is free of x_i too, so num is drawn as free*p + q, and q and the
+    other factors of den are each free of x_i in about half of the cases.
+    """
+    n = draw(st.sampled_from((1, 2, 3)))
+    i = draw(st.integers(1, n))
+    R = FIELDS[n].ring
+    small = st.integers(-5, 5).filter(bool)
+    monomials = st.tuples(*[st.integers(0, 1)] * n)
+
+    def poly(min_size=1):
+        return R(draw(st.dictionaries(monomials, small, min_size=min_size,
+                                      max_size=2)))
+
+    def free_poly():
+        return R(draw(int_polys_free_of(n, i)))
+
+    free = free_poly()
+    num = free * poly(min_size=0) + (free_poly() if draw(st.booleans()) else poly())
+    rest = free_poly if draw(st.booleans()) else poly
+    den = free ** draw(st.integers(1, 2)) * rest() ** 2 * rest()
+    return n, i, num, den
+
+
+@HEURISTIC
+def test_quotient_rule_matches_sympy(heuristic):
+    @settings(max_examples=40, deadline=None)
+    @given(quotient_rule_case())
+    def check(case):
+        n, i, num, den = case
+        x, sx = _over(n, num, den)
+        xi = FIELDS[n].gens[i - 1]
+        assert str(x.partial(i)) == normal_form(sx.diff(xi))
+
+    _run(check, heuristic)
+
+
+def test_quotient_rule_cancels_a_factor_free_of_the_variable():
+    # d/dx1 of (x1*x2 + 1)/x2^2 is x2/x2^2 = 1/x2: x2 does not involve x1,
+    # divides den' = 0 and cancels against the numerator
+    x = parse_scalar("(x1*x2 + 1)/x2^2", 2)
+    assert str(x.partial(1)) == "(1)/(x2)"
+    assert str(x.partial(2)) == "(-x1*x2 - 2)/(x2^3)"
+    y = parse_scalar("x1/(x1^2 + 1)^2", 2)
+    assert str(y.partial(1)) == normal_form((X1 / (X1**2 + 1) ** 2).diff(X1))
+    assert y.partial(2).is_zero()
+
+
+# --- fast paths: zero, one, constant and rational operands ------------------
+#
+# Sums and products with a zero or the constant 1 return an operand as it
+# is, and a denominator equal to 1 is always the shared scalar._ONE; these
+# check the results against sympy and Fraction, and that the type checks
+# still come first.
+
+
+def special_operands(n):
+    """(label, Scalar, sympy or Fraction value) for the fast-path operands."""
+    x1 = Scalar.variable(n, 1) if n else Scalar.const(0, 3)
+    sx1 = X1 if n else Fraction(3)
+    return [
+        ("zero", Scalar.zero(n), Fraction(0)),
+        ("zero-computed", x1 - x1, Fraction(0)),
+        ("one", Scalar.one(n), Fraction(1)),
+        ("one-computed", (x1 + Scalar.const(n, 2)) / (x1 + Scalar.const(n, 2)),
+         Fraction(1)),
+        ("one-parsed", parse_scalar("3/3", n), Fraction(1)),
+        ("minus-one", Scalar.const(n, -1), Fraction(-1)),
+        ("constant", Scalar.const(n, 7), Fraction(7)),
+        ("rational", Scalar.const(n, Fraction(-5, 6)), Fraction(-5, 6)),
+        ("rational-monomial", Scalar.monomial(n, (1,) * n, Fraction(2, 3)),
+         Fraction(2, 3) * (sx1 * X2 if n else 1)),
+    ]
+
+
+def _sym(value):
+    """A Fraction as a sympy field element over x1, x2."""
+    if isinstance(value, Fraction):
+        return K2(QQ(value.numerator, value.denominator))
+    return value
+
+
+def _assert_one_is_shared(den):
+    if den == {0: 1}:
+        assert den is scalar._ONE
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((0, 2)).flatmap(pairs))
+def test_fast_path_operands_match_sympy(pair):
+    a, sa = pair
+    n = a.n
+    for label, s, ss in special_operands(n):
+        if n:
+            sa, ss = _sym(sa), _sym(ss)
+        results = [
+            (s + a, ss + sa), (a + s, sa + ss),
+            (s - a, ss - sa), (a - s, sa - ss),
+            (s * a, ss * sa), (a * s, sa * ss),
+        ]
+        if not s.is_zero():
+            results.append((a / s, sa / ss))
+        if not a.is_zero():
+            results.append((s / a, ss / sa))
+        if n:
+            results += [(s.partial(1), ss.diff(X1)), (s.partial(2), ss.diff(X2))]
+        for ours_value, expected in results:
+            assert str(ours_value) == normal_form(expected), label
+            _assert_one_is_shared(ours_value.den)
+        # the operand itself comes back; the left one when both are special
+        if s == Scalar.one(n):
+            assert s * a is a and a * s is (s if a == s else a), label
+        if s.is_zero():
+            assert s + a is a and a + s is (s if a == s else a), label
+            assert a - s is a, label
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((0, 2)).flatmap(
+    lambda n: st.tuples(pairs(n), pairs(n))))
+def test_denominator_one_is_always_shared(args):
+    (a, _), (b, _) = args
+    n = a.n
+    values = [a, b, a + b, a - b, a * b, -a, a ** 2,
+              Scalar.const(n, 4), Scalar.const(n, Fraction(8, 2)),
+              Scalar.from_terms(n, {(0,) * n: Fraction(6, 3)}),
+              parse_scalar("2/2 + 1", n)]
+    if not b.is_zero():
+        values += [a / b, b / b]
+    if n:
+        values += [a.partial(1), a.partial(2), b.partial(1),
+                   Scalar.monomial(n, (1, 0), Fraction(4, 2)),
+                   Scalar.variable(n, 2), parse_scalar("x1*x2/2 + x1*x2/2", n)]
+    for value in values:
+        _assert_one_is_shared(value.den)
+
+
+def _grlex_leading(terms):
+    return terms[max(terms, key=lambda e: (sum(e), e))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), big, max_size=4),
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), big, min_size=1,
+                    max_size=4))))
+def test_normalize_divides_out_the_joint_content(case):
+    n, num, den = case
+    sign = 1 if _grlex_leading(den) > 0 else -1
+    k = sign * gcd(*num.values(), *den.values())
+    got_num, got_den = scalar._normalize(
+        {scalar._pack(n, e): c for e, c in num.items()},
+        {scalar._pack(n, e): c for e, c in den.items()})
+    assert got_num == {scalar._pack(n, e): c // k for e, c in num.items()}
+    assert got_den == {scalar._pack(n, e): c // k for e, c in den.items()}
+    assert Fraction(_grlex_leading(den), k) > 0
+    _assert_one_is_shared(got_den)
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__", "__truediv__"])
+@pytest.mark.parametrize("left", ["zero", "one", "polynomial", "rational"])
+def test_operand_checks_come_before_the_fast_paths(op, left):
+    value = {"zero": Scalar.zero(2), "one": Scalar.one(2),
+             "polynomial": parse_scalar("x1 + 1", 2),
+             "rational": parse_scalar("x1/(x2 + 1)", 2)}[left]
+    for bad in (0, 1, 1.0, Fraction(1), "x1", None):
+        with pytest.raises(TypeError):
+            getattr(value, op)(bad)
+    for other in (Scalar.zero(3), Scalar.one(3), parse_scalar("x3", 3)):
+        with pytest.raises(ScalarError):
+            getattr(value, op)(other)
