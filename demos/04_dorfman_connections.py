@@ -27,8 +27,8 @@ x1, x2 = Scalar.variable(2, 1), Scalar.variable(2, 2)
 
 print("== constructing a connection on the self-paired bundle ==")
 bundle = _self_predual(alg)
-conn = build_connection(bundle, battery)
-print(verify_connection(conn, battery).render())
+conn, report = build_connection(bundle, battery)
+print(report.render())
 
 print()
 print("== the connection induced by a tangent connection with random ==")

@@ -241,9 +241,13 @@ def build_connection(bundle, battery=None):
     coefficients; the obstruction to the third axiom is linear in a
     correction matrix per algebroid frame index, solved exactly over the
     fraction field with deterministic pivoting and free block set to zero.
+    The result is verified once, by verify_connection on the battery (a
+    fresh default Battery when none is given), as a self-test.
+
+    Returns (connection, report), the report being that of the self-test.
     Raises PreconditionError when some system is inconsistent and
-    ConstructionError if the result fails verification (a self-test; it
-    cannot happen when the predual compatibility holds).
+    ConstructionError if the result fails verification (it cannot happen
+    when the predual compatibility holds).
     """
     alg, s, n, r = bundle.alg, bundle.rank, bundle.alg.n, bundle.alg.rank
     A, P = bundle.alpha_matrix, bundle.pairing_matrix
@@ -295,8 +299,9 @@ def build_connection(bundle, battery=None):
     conn = DorfmanConnection(bundle, gamma)
     if battery is None:
         battery = Battery(alg)
-    _self_test(verify_connection(conn, battery), "constructed connection")
-    return conn
+    report = verify_connection(conn, battery)
+    _self_test(report, "constructed connection")
+    return conn, report
 
 
 def _self_test(report, what):

@@ -53,17 +53,17 @@ def connection_pool(standard2, battery2):
         alg = build_standard(n)
         battery = Battery(alg)
         bundle = dc._self_predual(alg)
-        pool[f"standard({n}) self-paired"] = (
-            dc.build_connection(bundle, battery), battery)
+        conn, _ = dc.build_connection(bundle, battery)
+        pool[f"standard({n}) self-paired"] = (conn, battery)
     ph = build_port_hamiltonian(1, 1)
     ph_battery = Battery(ph)
     conn_a, conn_b = dc.build_port_hamiltonian_connections(ph)
     pool["port-hamiltonian projection"] = (conn_a, ph_battery)
     pool["port-hamiltonian co-projection"] = (conn_b, ph_battery)
-    pool["port built on cotangent+port"] = (
-        dc.build_connection(conn_a.bundle, ph_battery), ph_battery)
-    pool["port built on cotangent+co-port"] = (
-        dc.build_connection(conn_b.bundle, ph_battery), ph_battery)
+    built_a, _ = dc.build_connection(conn_a.bundle, ph_battery)
+    built_b, _ = dc.build_connection(conn_b.bundle, ph_battery)
+    pool["port built on cotangent+port"] = (built_a, ph_battery)
+    pool["port built on cotangent+co-port"] = (built_b, ph_battery)
     trivial = dc.build_standard_connection(standard2)
     christoffel = [[[random_polynomial(2, 2, 100 + 9 * i + 3 * j + k)
                      for k in range(2)] for j in range(2)] for i in range(2)]

@@ -4,12 +4,19 @@ import json
 import pathlib
 import subprocess
 import sys
+from collections import Counter
+from unittest import mock
 
 import pytest
 
 from courantcalc import cli
+from courantcalc import dorfman as dc
+from courantcalc.report import Report
 
-DATA = pathlib.Path(__file__).parent.parent / "demos" / "data"
+ROOT = pathlib.Path(__file__).parent.parent
+DATA = ROOT / "demos" / "data"
+STD2, PRE2 = str(DATA / "standard2.json"), str(DATA / "predual_standard2.json")
+CONNECTION = str(ROOT / "tests" / "golden" / "connection.json")
 
 
 def run_cli(*argv):
@@ -114,6 +121,72 @@ def test_predual_diagnose():
                    str(DATA / "predual_standard2.json"))
     assert proc.returncode == 0
     assert "case: isomorphic" in proc.stdout
+
+
+def test_predual_diagnose_rank_mismatch_fails_with_witness():
+    # the check compares the diagnosed rank with a second elimination, on
+    # the transpose: an off-by-one first rank must fail it
+    real = dc.predual_diagnose
+
+    def off_by_one(bundle):
+        diag = real(bundle)
+        diag["pairing_rank"] += 1
+        return diag
+
+    with mock.patch.object(dc, "predual_diagnose", off_by_one):
+        proc = run_cli("predual-diagnose", STD2, PRE2, "--format", "json")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["checks"] == [
+        {"name": "pairing-rank-computed", "status": "fail", "checked": 1,
+         "witness": "pairing matrix (4 x 4)",
+         "residual": "rank 5 != rank of transpose 4"}]
+
+
+def verify_calls(*argv):
+    """run_cli(*argv) with dorfman.verify_connection wrapped: the run, and
+    how often it verified each connection object."""
+    with mock.patch.object(dc, "verify_connection",
+                           side_effect=dc.verify_connection) as spy:
+        proc = run_cli(*argv, "--battery-degree", "1", "--extras", "1")
+    # the spy's call list holds the connections, so no id is reused
+    return proc, Counter(id(call.args[0]) for call in spy.call_args_list)
+
+
+@pytest.mark.parametrize("algebroid,predual", [
+    (STD2, PRE2),
+    (str(DATA / "port_hamiltonian11.json"), str(DATA / "predual_ph11.json")),
+], ids=["standard2", "port_hamiltonian11"])
+def test_connection_build_verifies_once(algebroid, predual):
+    proc, calls = verify_calls("connection-build", algebroid, predual)
+    assert proc.returncode == 0
+    assert sum(calls.values()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("connection-verify", STD2, PRE2, CONNECTION),
+    ("curvature", STD2, PRE2, CONNECTION),
+    ("bianchi", STD2, PRE2, CONNECTION),
+    ("bott", STD2, str(DATA / "dirac_tangent.json")),
+], ids=lambda argv: argv[0])
+def test_each_connection_is_verified_at_most_once(argv):
+    proc, calls = verify_calls(*argv)
+    assert proc.returncode == 0
+    assert max(calls.values(), default=0) <= 1
+
+
+def test_connection_build_self_test_failure_exits_4(tmp_path):
+    failing = Report("connection axioms")
+    failing.add("derivation-image-equivariance", False, 5, "e1, f=x1, b=b2",
+                "x2")
+    out = tmp_path / "conn.json"
+    with mock.patch.object(dc, "verify_connection", return_value=failing):
+        proc = run_cli("connection-build", STD2, PRE2, "-o", str(out))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "internal error: ConstructionError: constructed connection failed "
+        "derivation-image-equivariance at e1, f=x1, b=b2 (residual x2)\n")
+    assert not out.exists()
 
 
 def test_json_reports_are_byte_identical():

@@ -111,7 +111,7 @@ def test_predual_diagnose_cases(standard1, self_predual1):
 # -- connection extension rules ----------------------------------------------------
 
 def test_apply_zero_gamma_on_frames(standard1, self_predual1, battery1):
-    conn = dc.build_connection(self_predual1, battery1)
+    conn, _ = dc.build_connection(self_predual1, battery1)
     assert all(x.is_zero() for row in conn.gamma for cell in row for x in cell)
     e, b = standard1.frame, self_predual1.frame
     x1 = S1("x1")
@@ -125,12 +125,12 @@ def test_apply_zero_gamma_on_frames(standard1, self_predual1, battery1):
 
 
 def test_verify_connection_trivial(standard1, self_predual1, battery1):
-    conn = dc.build_connection(self_predual1, battery1)
+    conn, _ = dc.build_connection(self_predual1, battery1)
     assert dc.verify_connection(conn, battery1).passed
 
 
 def test_perturbed_gamma_fails_third_axiom(standard1, self_predual1, battery1):
-    conn = dc.build_connection(self_predual1, battery1)
+    conn, _ = dc.build_connection(self_predual1, battery1)
     gamma = [[list(cell) for cell in row] for row in conn.gamma]
     gamma[0][1][0] = S1("x1")  # derivative of the cotangent line leaks
     bad = dc.DorfmanConnection(self_predual1, gamma)
@@ -140,6 +140,20 @@ def test_perturbed_gamma_fails_third_axiom(standard1, self_predual1, battery1):
                for c in report.failed_checks())
 
 
+def test_build_connection_returns_its_self_test_report(standard1,
+                                                       self_predual1,
+                                                       battery1):
+    zero, one = Scalar.zero(1), Scalar.one(1)
+    p = [list(row) for row in standard1.pairing_matrix] + [[zero, zero]]
+    kernel_line = dc.PredualBundle(standard1, 3, p, [[zero], [one], [S1("x1")]])
+    for bundle, battery in ((self_predual1, battery1), (kernel_line, battery1),
+                            (self_predual1, None)):
+        conn, report = dc.build_connection(bundle, battery)
+        fresh = dc.verify_connection(conn, battery or Battery(standard1))
+        assert report.passed
+        assert report.to_dict() == fresh.to_dict()
+
+
 # -- construction branches -----------------------------------------------------------
 
 def test_build_connection_point_case(su2):
@@ -147,7 +161,7 @@ def test_build_connection_point_case(su2):
     alpha = [[] for _ in range(3)]
     bundle = dc.PredualBundle(su2, 3, eye, alpha)
     battery = Battery(su2)
-    conn = dc.build_connection(bundle, battery)
+    conn, _ = dc.build_connection(bundle, battery)
     assert dc.verify_connection(conn, battery).passed
     # over a point every derivative vanishes: the construction is the zero map
     assert all(x.is_zero() for row in conn.gamma for cell in row for x in cell)
@@ -161,7 +175,7 @@ def test_build_connection_kernel_extension_with_polynomial_alpha(standard1,
     p = [list(row) for row in standard1.pairing_matrix] + [[zero, zero]]
     a = [[zero], [one], [S1("x1")]]
     bundle = dc.PredualBundle(standard1, 3, p, a)
-    conn = dc.build_connection(bundle, battery1)
+    conn, _ = dc.build_connection(bundle, battery1)
     report = dc.verify_connection(conn, battery1)
     assert report.passed
     # the correction must hit the kernel slot of the second bundle frame
@@ -175,7 +189,7 @@ def test_build_connection_full_rank_polynomial_alpha(standard2, battery2):
     a = [[one, zero], [S2("x1"), one]]
     bundle = dc.PredualBundle(standard2, 2, p, a)
     assert linalg.rank(bundle.alpha_matrix) == 2
-    conn = dc.build_connection(bundle, battery2)
+    conn, _ = dc.build_connection(bundle, battery2)
     assert dc.verify_connection(conn, battery2).passed
 
 
@@ -253,7 +267,7 @@ def test_difference_kills_derivation_images(standard2, conn_trivial2,
 # -- induced linear connection ----------------------------------------------------------
 
 def test_induced_connection_case_f(standard1, self_predual1, battery1):
-    conn = dc.build_connection(self_predual1, battery1)
+    conn, _ = dc.build_connection(self_predual1, battery1)
     lin = dc.induced_linear_connection(conn, "F", battery1)
     # with zero frame coefficients the derivative reduces to minus the bracket
     b = self_predual1.frame[0]
@@ -270,7 +284,7 @@ def test_induced_connection_case_k(standard1, battery1):
     p = [list(row) for row in standard1.pairing_matrix] + [[zero, zero]]
     a = [[zero], [one], [zero]]
     bundle = dc.PredualBundle(standard1, 3, p, a)
-    conn = dc.build_connection(bundle, battery1)
+    conn, _ = dc.build_connection(bundle, battery1)
     lin = dc.induced_linear_connection(conn, "K", battery1)
     assert dc.verify_linear_connection(lin, battery1).passed
 
@@ -280,7 +294,7 @@ def test_induced_connection_adapted_frame_gate(standard2, battery2):
     p = [[one, S2("-x1"), zero, zero], [zero, one, zero, zero]]
     a = [[one, zero], [S2("x1"), one]]
     bundle = dc.PredualBundle(standard2, 2, p, a)
-    conn = dc.build_connection(bundle, battery2)
+    conn, _ = dc.build_connection(bundle, battery2)
     with pytest.raises(PreconditionError):
         dc.induced_linear_connection(conn, "F", battery2)
 
@@ -329,7 +343,7 @@ def test_dual_scaling_law(standard2, conn_poly2, battery2):
 
 
 def test_dual_zero_gamma_constant_anchor(standard1, self_predual1, battery1):
-    conn = dc.build_connection(self_predual1, battery1)
+    conn, _ = dc.build_connection(self_predual1, battery1)
     dual = dc.TensorConnection(conn, 0, 1)
     # the frame coefficients of the dual connection vanish
     assert all(dual.apply(e, beta).is_zero()

@@ -1,6 +1,7 @@
 """Golden reports: CLI output and demo output must not change byte for byte.
 
-Every command line of the README runs in process, through
+Every command line of the README, a few negative controls and
+``connection-build`` on the port-Hamiltonian predual run in process, through
 ``courantcalc.cli.main`` with standard output and error redirected, from the
 repository root with its relative paths and ``--format json``; its standard
 output (as UTF-8 bytes) and exit code are compared with the files under
@@ -49,6 +50,9 @@ CLI_CASES = {
     "verify_su2_bad": ["verify-algebroid", "demos/data/su2_bad.json"],
     "cartan_su2": ["cartan", "demos/data/su2.json"],
     "connection_build": ["connection-build", STD2, PRE2],
+    "connection_build_ph11": ["connection-build",
+                              "demos/data/port_hamiltonian11.json",
+                              "demos/data/predual_ph11.json"],
     "connection_verify": ["connection-verify", STD2, PRE2, CONNECTION],
     "curvature": ["curvature", STD2, PRE2, CONNECTION],
     "bianchi": ["bianchi", STD2, PRE2, CONNECTION],
