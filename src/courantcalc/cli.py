@@ -19,8 +19,8 @@ from . import linalg
 from .algebroid import algebroid_from_json, verify_axioms
 from .battery import Battery
 from .cohomology import PointComplex
-from .report import PreconditionError, Report
-from .scalar import ParseError
+from .report import PreconditionError, Report, run_check
+from .scalar import ParseError, Scalar
 
 __all__ = ["main"]
 
@@ -224,16 +224,15 @@ def cmd_cohomology(args):
     pc = PointComplex(alg)
     report = Report("point cohomology")
     top = pc.rank if args.max_p is None else min(args.max_p, pc.rank)
-    ok = True
-    for p in range(pc.rank):
-        m1 = pc.differential_matrix(p)
-        m2 = pc.differential_matrix(p + 1) if p + 1 < pc.rank else []
-        if m1 and m2 and m1[0] and m2[0]:
-            prod_zero = all(
-                sum(m2[i][t] * m1[t][j] for t in range(len(m1))) == 0
-                for i in range(len(m2)) for j in range(len(m1[0])))
-            ok = ok and prod_zero
-    report.add("differential-squares-to-zero", ok, pc.rank)
+    # one tuple per entry of the product d_{p+1} d_p, rows and columns from 1
+    run_check(report, "differential-squares-to-zero",
+              ((p, i, j, row, pc.differential_matrix(p))
+               for p in range(pc.rank - 1)
+               for i, row in enumerate(pc.differential_matrix(p + 1))
+               for j in range(pc.dimension(p))),
+              lambda p, i, j, row, m: Scalar.const(
+                  0, sum(row[t] * m[t][j] for t in range(len(m)))),
+              lambda p, i, j, row, m: f"p={p}, row {i + 1}, column {j + 1}")
     euler_cochain = pc.euler_characteristic()
     euler_betti = sum((-1) ** p * pc.betti(p) for p in range(pc.rank + 1))
     report.add("euler-characteristic-consistency",

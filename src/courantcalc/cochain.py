@@ -11,7 +11,9 @@ module.  Nodes of the DAG are never evaluated at construction:
 (signed shuffle sums of a scalar cochain times a cochain), the degree +1
 differential, interior products and Lie derivatives.  Equality of cochains
 is battery-relative: exact agreement of all components on every battery
-tuple.
+tuple.  It is a verdict of the check runner of ``report``, whose residual at
+a component tuple is the signed sum of the terms; each relation of
+:func:`cartan_suite` is one such run over the tuples of all its instances.
 
 One DAG serves every kind of value because the differential is taken along
 a connection, the ``along`` argument of :func:`differential`, :func:`lie_e`
@@ -69,7 +71,7 @@ from operator import itemgetter
 from weakref import WeakValueDictionary
 
 from .battery import Battery
-from .report import Report, run_check
+from .report import Report, run_check, verdict
 from .scalar import Scalar
 
 __all__ = [
@@ -675,48 +677,58 @@ def equal_combinations(lhs, rhs, battery=None, reduced=False, ctx=None):
 
     lhs and rhs are lists of (coefficient, cochain) with rational
     coefficients; all non-zero cochains must share one degree and one value
-    module.  The sums are compared on battery tuples until one differs.  ctx
-    is an :class:`EvalContext` (None for a fresh one); sharing one across
-    calls shares its memo of node values and its argument tables.
+    module.  The difference of the sums is the residual of a
+    :func:`report.verdict` over the component tuples of the battery.  ctx is
+    an :class:`EvalContext` (None for a fresh one); sharing one across calls
+    shares its memo of node values and its argument tables.
     """
-    terms = [(c, w) for c, w in lhs] + [(-c, w) for c, w in rhs]
-    live = [(c, w) for c, w in terms if not isinstance(w, _Zero)]
-    if not live:
-        return EqualityResult(True, 0)
-    first = live[0][1]
-    degree = first.degree
-    for _, w in live:
-        if w.degree != degree:
-            return EqualityResult(False, 0, witness="degree mismatch",
-                                  residual=f"{w.degree} != {degree}")
-    if degree < 0:
-        return EqualityResult(True, 0)
-    if battery is None:
-        battery = _default_battery(first.alg, *[w for _, w in live])
+    nodes = [w for _, w in (*lhs, *rhs) if not isinstance(w, _Zero)]
+    odd = next((w for w in nodes if w.degree != nodes[0].degree), None)
+    if odd is not None:
+        return EqualityResult(False, 0, witness="degree mismatch",
+                              residual=f"{odd.degree} != {nodes[0].degree}")
+    if battery is None and nodes:
+        battery = _default_battery(nodes[0].alg, *nodes)
     if ctx is None:
         ctx = EvalContext()
-    n = first.alg.n
-    checked = 0
-    for k in range(degree // 2 + 1):
-        for secs, funs in _component_tuples(battery, degree - 2 * k, k, reduced):
-            checked += 1
-            es, fs = ctx.ids(secs, funs)
-            acc = first.zero
-            for coeff, w in live:
-                v = _eval(w, k, es, fs, ctx)
-                if v.is_zero():
-                    continue
-                if coeff == 1:
-                    acc = acc + v
-                elif coeff == -1:
-                    acc = acc - v
-                else:
-                    acc = acc + v.scale(Scalar.const(n, coeff))
-            if not acc.is_zero():
-                witness = (f"k={k}", *battery.describe(secs),
-                           *(f"f={f}" for f in funs))
-                return EqualityResult(False, checked, " , ".join(witness), str(acc))
-    return EqualityResult(True, checked)
+    return EqualityResult(*verdict(*_combination_check(
+        [("", lhs, rhs)], battery, reduced, ctx)))
+
+
+def _combination_check(instances, battery, reduced, ctx):
+    """Tuple stream, residual and witness of sum(lhs) = sum(rhs) for each
+    instance (prefix, lhs, rhs) in turn, on its component tuples; a witness
+    is the tuple described after the prefix of its instance."""
+    def tuples():
+        for prefix, lhs, rhs in instances:
+            live = [(c, w) for c, w in lhs if not isinstance(w, _Zero)] \
+                + [(-c, w) for c, w in rhs if not isinstance(w, _Zero)]
+            degree = live[0][1].degree if live else -1
+            for k in range(degree // 2 + 1):
+                for secs, funs in _component_tuples(battery, degree - 2 * k, k,
+                                                    reduced):
+                    yield prefix, live, k, secs, funs
+
+    def residual(prefix, live, k, secs, funs):
+        es, fs = ctx.ids(secs, funs)
+        acc = live[0][1].zero
+        for coeff, w in live:
+            v = _eval(w, k, es, fs, ctx)
+            if v.is_zero():
+                continue
+            if coeff == 1:
+                acc = acc + v
+            elif coeff == -1:
+                acc = acc - v
+            else:
+                acc = acc + v.scale(Scalar.const(w.alg.n, coeff))
+        return acc
+
+    def witness(prefix, live, k, secs, funs):
+        return prefix + " , ".join(
+            (f"k={k}", *battery.describe(secs), *(f"f={f}" for f in funs)))
+
+    return tuples(), residual, witness
 
 
 def _component_tuples(battery, sec_arity, fun_arity, reduced):
@@ -744,7 +756,7 @@ def vanishes(w, battery=None, reduced=False, ctx=None):
 # ---------------------------------------------------------------------------
 
 
-def check_symmetry_condition(w, battery=None, reduced=True):
+def check_symmetry_condition(w, battery=None):
     """Adjacent-swap relation tying component k to component k + 1.
 
     For every component k, swapping two adjacent section arguments flips the
@@ -752,9 +764,6 @@ def check_symmetry_condition(w, battery=None, reduced=True):
     of the swapped pair (carried in the leading function slot).
     """
     report = Report("symmetry condition")
-    if isinstance(w, _Zero) or w.degree < 2:
-        report.add("symmetry-condition", True, 0)
-        return report
     if battery is None:
         battery = _default_battery(w.alg, w)
     ctx = EvalContext()
@@ -764,7 +773,7 @@ def check_symmetry_condition(w, battery=None, reduced=True):
             arity = w.degree - 2 * k
             if arity < 2:
                 continue
-            for secs, funs in _component_tuples(battery, arity, k, reduced):
+            for secs, funs in _component_tuples(battery, arity, k, True):
                 es, fs = ctx.ids(secs, funs)
                 for i in range(arity - 1):
                     yield k, i, secs, es, fs
@@ -781,21 +790,19 @@ def check_symmetry_condition(w, battery=None, reduced=True):
     return report
 
 
-def measure_order_E(w, k, slot, probes, secs, funs, ctx=None, cap=4):
+def measure_order_E(w, k, slot, probes, secs, funs):
     """Actual differential-operator order of component k in one section slot.
 
-    Returns the smallest s <= cap such that every (s+1)-fold iterated symbol
-    built from the probe functions vanishes on the given arguments, or cap + 1.
-    ctx is an :class:`EvalContext`, or None for a fresh one.
+    Returns the smallest s <= 4 such that every (s+1)-fold iterated symbol
+    built from the probe functions vanishes on the given arguments, or 5.
     """
-    if ctx is None:
-        ctx = EvalContext()
+    ctx = EvalContext()
     es, fs = ctx.ids(secs, funs)
-    for s in range(cap + 1):
+    for s in range(5):
         if all(_iterated_symbol(w, k, slot, fseq, es, fs, ctx).is_zero()
                for fseq in _probe_sequences(probes, s + 1)):
             return s
-    return cap + 1
+    return 5
 
 
 def _iterated_symbol(w, k, slot, fseq, es, fs, ctx):
@@ -818,7 +825,7 @@ def _probe_sequences(probes, depth):
             yield (f,) + rest
 
 
-def symbol_E(w, slot, probe, battery=None, reduced=True):
+def symbol_E(w, slot, probe, battery=None):
     """Confirm the section-slot order bounds by iterated-symbol vanishing.
 
     The declared bound for slot i of component k is the order field of the
@@ -828,9 +835,6 @@ def symbol_E(w, slot, probe, battery=None, reduced=True):
     """
     probes = list(probe) if isinstance(probe, (list, tuple)) else [probe]
     report = Report("section-slot symbols")
-    if isinstance(w, _Zero) or w.degree < 1:
-        report.add("symbol-E", True, 0)
-        return report
     if not 0 <= slot < w.degree:
         raise ValueError(f"section slot {slot} out of range for degree {w.degree}")
     if battery is None:
@@ -838,7 +842,7 @@ def symbol_E(w, slot, probe, battery=None, reduced=True):
     ctx = EvalContext()
 
     def symbols(k, arity, bound):
-        for secs, funs in _component_tuples(battery, arity, k, reduced):
+        for secs, funs in _component_tuples(battery, arity, k, True):
             es, fs = ctx.ids(secs, funs)
             for fseq in _probe_sequences(probes, bound + 1):
                 yield k, secs, es, fs, fseq
@@ -859,7 +863,7 @@ def symbol_E(w, slot, probe, battery=None, reduced=True):
     return report
 
 
-def symbol_Omega(w, slot, probe, battery=None, reduced=True):
+def symbol_Omega(w, slot, probe, battery=None):
     """Function-slot symbol probed through the product-rule defect.
 
     Function slots stand for differentials of their entries, so the slot
@@ -870,9 +874,6 @@ def symbol_Omega(w, slot, probe, battery=None, reduced=True):
     """
     probes = list(probe) if isinstance(probe, (list, tuple)) else [probe]
     report = Report("function-slot symbols")
-    if isinstance(w, _Zero) or w.degree < 2:
-        report.add("symbol-Omega", True, 0)
-        return report
     if not 0 <= slot < w.degree // 2:
         raise ValueError(f"function slot {slot} out of range for degree {w.degree}")
     if battery is None:
@@ -883,7 +884,7 @@ def symbol_Omega(w, slot, probe, battery=None, reduced=True):
         return fs[:slot] + (ctx.function_id(g),) + fs[slot + 1 :]
 
     def defects(k):
-        for secs, funs in _component_tuples(battery, w.degree - 2 * k, k, reduced):
+        for secs, funs in _component_tuples(battery, w.degree - 2 * k, k, True):
             es, fs = ctx.ids(secs, funs)
             for f in probes:
                 yield k, secs, es, fs, f, funs[slot]
@@ -905,7 +906,7 @@ def symbol_Omega(w, slot, probe, battery=None, reduced=True):
 # ---------------------------------------------------------------------------
 
 
-def cartan_suite(alg, battery=None, max_degree=4, reduced=True):
+def cartan_suite(alg, battery=None, max_degree=4):
     """All eight commutation relations of the calculus plus the two
     contraction brackets, verified as operator identities on test cochains:
     the first two generator cochains of each degree up to max_degree."""
@@ -930,16 +931,9 @@ def cartan_suite(alg, battery=None, max_degree=4, reduced=True):
     ctx = EvalContext()
 
     def run(name, instances):
-        checked = 0
-        passed = True
-        witness = None
-        for label, lhs, rhs in instances:
-            res = equal_combinations(lhs, rhs, battery, reduced=reduced, ctx=ctx)
-            checked += res.checked
-            if passed and not res:
-                passed = False
-                witness = f"{label}: {res.witness} (residual {res.residual})"
-        report.add(name, passed, checked, witness)
+        run_check(report, name, *_combination_check(
+            [(f"{label}: ", lhs, rhs) for label, lhs, rhs in instances],
+            battery, True, ctx))
 
     d_E, pr, br = alg.d_E, alg.pairing, alg.bracket
 
@@ -1026,7 +1020,7 @@ def cartan_suite(alg, battery=None, max_degree=4, reduced=True):
 # ---------------------------------------------------------------------------
 
 
-def generator_cochains(alg, battery=None, count=None):
+def generator_cochains(alg, battery=None):
     """Deterministic DAG cochains of degree <= 4 covering every node kind."""
     if battery is None:
         battery = Battery(alg)
@@ -1045,7 +1039,7 @@ def generator_cochains(alg, battery=None, count=None):
     s2 = section_leaf(alg, e[1 % r])
     s3 = section_leaf(alg, e[2 % r].scale(f1))
     s4 = section_leaf(alg, g)
-    out = [
+    return [
         scalar_leaf(alg, f1),
         scalar_leaf(alg, f2),
         s1,
@@ -1073,7 +1067,6 @@ def generator_cochains(alg, battery=None, count=None):
         lie_e(g, differential(s2)),
         interior_f(f1, mul(mul(s1, s3), mul(s2, s4))),
     ]
-    return out if count is None else out[:count]
 
 
 def random_cochain(alg, degree, rng, battery=None):

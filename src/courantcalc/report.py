@@ -1,8 +1,13 @@
-"""Check reports shared by the verification suites and the CLI."""
+"""Check reports shared by the verification suites and the CLI.
+
+Every verdict comes from one runner, :func:`verdict`: it evaluates the
+residual of each tuple of a stream until the first nonzero one, its witness,
+and counts the tuples after it without evaluating them.
+"""
 
 from __future__ import annotations
 
-__all__ = ["Check", "Report", "PreconditionError", "run_check"]
+__all__ = ["Check", "Report", "PreconditionError", "run_check", "verdict"]
 
 
 class PreconditionError(ValueError):
@@ -82,19 +87,21 @@ class Report:
         return self.render()
 
 
-def run_check(report, name, tuples, residual_fn, witness_fn):
-    """Add the check `name` to report: residual_fn(*t) vanishes for every t.
-
-    Every tuple t counts towards the check; the first one with a nonzero
-    residual is its witness, witness_fn(*t), reported with str(residual).
-    """
+def verdict(tuples, residual_fn, witness_fn):
+    """(passed, checked, witness, residual) of: residual_fn(*t) vanishes for
+    every t in tuples.  The first t with a nonzero residual is the witness,
+    witness_fn(*t), reported with str(residual); every tuple is counted."""
+    tuples = iter(tuples)
     checked = 0
-    passed = True
-    witness = residual = None
     for t in tuples:
         checked += 1
         res = residual_fn(*t)
-        if passed and not res.is_zero():
-            passed = False
-            witness, residual = witness_fn(*t), str(res)
-    report.add(name, passed, checked, witness, residual)
+        if not res.is_zero():
+            witness = witness_fn(*t)
+            return False, checked + sum(1 for _ in tuples), witness, str(res)
+    return True, checked, None, None
+
+
+def run_check(report, name, tuples, residual_fn, witness_fn):
+    """Add the :func:`verdict` of residual_fn on tuples as the check name."""
+    report.add(name, *verdict(tuples, residual_fn, witness_fn))

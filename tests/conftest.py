@@ -39,6 +39,18 @@ def su2_bad_form():
 
 
 @pytest.fixture(scope="session")
+def non_jacobi():
+    """A point algebroid whose bracket breaks Jacobi: identity pairing,
+    [e1,e2] = e1 + e3, [e2,e3] = e1, [e1,e3] = e2."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, value in [(0, 1, [1, 0, 1]), (1, 2, [1, 0, 0]), (0, 2, [0, 1, 0])]:
+        c[i][j] = value
+        c[j][i] = [-x for x in value]
+    eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    return build_quadratic_lie_algebra(c, eye)
+
+
+@pytest.fixture(scope="session")
 def port_hamiltonian11():
     return build_port_hamiltonian(1, 1)
 

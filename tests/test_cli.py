@@ -10,7 +10,11 @@ from unittest import mock
 import pytest
 
 from courantcalc import cli
+from courantcalc import cochain as co
 from courantcalc import dorfman as dc
+from courantcalc import linalg
+from courantcalc.algebroid import algebroid_to_json
+from courantcalc.cohomology import PointComplex
 from courantcalc.report import Report
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -76,6 +80,27 @@ def test_cohomology_table():
     lines = [l.split() for l in proc.stdout.splitlines()
              if l[:1].isdigit()]
     assert [l[-1] for l in lines] == ["1", "0", "0", "1"]
+
+
+def test_cohomology_d_squared_failure_has_a_witness(non_jacobi, tmp_path):
+    path = tmp_path / "non_jacobi.json"
+    path.write_text(json.dumps(algebroid_to_json(non_jacobi)))
+    proc = run_cli("cohomology", str(path), "--format", "json")
+    assert proc.returncode == 1
+    check = json.loads(proc.stdout)["checks"][0]
+    assert check == {"name": "differential-squares-to-zero", "status": "fail",
+                     "checked": 6, "witness": "p=1, row 1, column 2",
+                     "residual": "1"}
+    # the entry is d(d w) on the row's frame tuple, w the column's dual-frame
+    # functional, evaluated by the cochain DAG
+    pc = PointComplex(non_jacobi)
+    ginv = linalg.inverse(non_jacobi.pairing_matrix)
+    dual = [non_jacobi.element(ginv[i]) for i in range(3)]
+    [idx] = pc.basis(1)[2 - 1]
+    ddw = co.differential(co.differential(co.section_leaf(non_jacobi, dual[idx])))
+    row = pc.basis(3)[1 - 1]
+    assert str(co.evaluate(ddw, 0, tuple(non_jacobi.frame[t] for t in row))) \
+        == check["residual"]
 
 
 def test_connection_build_and_verify(tmp_path):

@@ -589,6 +589,27 @@ def test_equality_differs_on_distinct_cochains(standard2, battery2):
     assert res.witness is not None and res.residual is not None
 
 
+def test_failing_equality_counts_every_tuple(su2, battery_su2):
+    a = co.section_leaf(su2, su2.frame[0])
+    b = co.section_leaf(su2, su2.frame[1])
+    res = co.equal(a, b, battery_su2)
+    assert (res.equal, res.witness, res.residual) == (False, "k=0 , e1", "1")
+    assert res.checked == len(list(battery_su2.section_tuples(1)))
+
+
+def test_cartan_suite_fails_only_where_jacobi_enters(non_jacobi, su2, battery_su2):
+    # only [L_e1, L_e2] = L_[e1,e2] needs the Jacobi identity of the bracket
+    report = co.cartan_suite(non_jacobi, Battery(non_jacobi))
+    [bad] = report.failed_checks()
+    assert (bad.name, bad.witness, bad.residual) == (
+        "lie-section-lie-section", "pair1/w4: k=0 , e1 , e3", "-1")
+    # the tuples after the witness are counted, as on an algebroid that passes
+    passing = co.cartan_suite(su2, battery_su2)
+    assert [(c.name, c.checked) for c in report.checks] == \
+        [(c.name, c.checked) for c in passing.checks]
+    assert bad.checked == 500
+
+
 def test_equality_degree_mismatch(standard2, battery2):
     a = co.section_leaf(standard2, standard2.frame[0])
     b = co.scalar_leaf(standard2, S("x1"))

@@ -28,6 +28,7 @@ import sys
 import pytest
 
 from courantcalc import cli
+from courantcalc.report import Report, run_check
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -116,6 +117,32 @@ def test_cli_report_matches_golden(name, tmp_path):
     assert stdout == (GOLDEN / f"cli_{name}.json").read_bytes()
     if built is not None:
         assert built.read_bytes() == (GOLDEN / "connection.json").read_bytes()
+
+
+# checks that report.add may take from outside report.run_check, each a
+# comparison with no tuple stream of its own
+NOT_RUN_CHECKS = {
+    "anchor-isotropy-matrix-identity": "a matrix identity",
+    "pairing-rank-computed": "a rank comparison",
+    "euler-characteristic-consistency": "a tautology; ROADMAP item 3",
+}
+
+
+def test_every_golden_cli_check_is_made_by_run_check(tmp_path, monkeypatch):
+    adders = {}
+    add = Report.add
+
+    def recording_add(report, name, *rest):
+        adders.setdefault(name, set()).add(sys._getframe(1).f_code)
+        return add(report, name, *rest)
+
+    monkeypatch.setattr(Report, "add", recording_add)
+    for name in sorted(CLI_CASES):
+        run_cli_case(name, tmp_path / "conn.json" if name == "connection_build"
+                     else None)
+    by_hand = {name for name, codes in adders.items()
+               if codes != {run_check.__code__}}
+    assert by_hand == set(NOT_RUN_CHECKS)
 
 
 @pytest.mark.parametrize("script", DEMOS)

@@ -12,16 +12,20 @@ class RecordingReport(Report):
         super().add(*args)
 
 
-def _run(values):
+def _run(values, evaluated=None):
     described = []
+
+    def residual(i):
+        if evaluated is not None:
+            evaluated.append(i)
+        return Scalar.const(0, values[i])
 
     def witness(i):
         described.append(i)
         return f"t{i}"
 
     report = RecordingReport()
-    run_check(report, "c", ((i,) for i in range(len(values))),
-              lambda i: Scalar.const(0, values[i]), witness)
+    run_check(report, "c", ((i,) for i in range(len(values))), residual, witness)
     return report, described
 
 
@@ -32,6 +36,13 @@ def test_run_check_keeps_the_first_witness_and_counts_every_tuple():
         (False, 5, "t1", "3")
     assert described == [1]
     assert report.added == [("c", False, 5, "t1", "3")]
+
+
+def test_run_check_stops_evaluating_at_the_witness():
+    evaluated = []
+    report, _ = _run([0, 3, 0, 5, 0], evaluated)
+    assert evaluated == [0, 1]
+    assert report["c"].checked == 5
 
 
 def test_run_check_passes_without_describing_a_witness():
