@@ -12,6 +12,7 @@ from courantcalc.algebroid import (
     build_quadratic_lie_algebra,
     build_standard,
 )
+from courantcalc.scalar import parse_scalar
 
 HERE = pathlib.Path(__file__).parent
 
@@ -57,6 +58,10 @@ def main():
 
     dump("port_hamiltonian11.json", algebroid_to_json(
         build_port_hamiltonian(1, 1)))
+    # one port over a line with a nonconstant connection coefficient, so the
+    # bracket has nonconstant structure functions
+    dump("port_hamiltonian11_curved.json", algebroid_to_json(
+        build_port_hamiltonian(1, 1, christoffel=[[[parse_scalar("1 + x1^2", 1)]]])))
 
     # standard(2) paired with itself: pairing_P equals the pairing matrix,
     # alpha is forced by the compatibility equation

@@ -7,6 +7,15 @@ taking a function to its pairing-dual differential are extended to arbitrary
 sections by the Leibniz rules, and :func:`verify_axioms` checks the defining
 identities exactly on a battery of test sections and functions.
 
+Memos: an algebroid keeps its brackets, pairings, anchor rows, anchor
+derivatives and dual differentials for its lifetime, keyed by value.  The
+bracket memo is for argument pairs that callers meet again (battery pairs,
+the bracket insertions of a cochain differential); ``verify_axioms``
+brackets an argument it builds for one tuple (a function-scaled section,
+``d_E f``, an inner Jacobi bracket) through the unmemoised kernel
+``_bracket``, and keeps its scaled sections in a memo of its own that it
+drops when it returns.  Partial derivatives are kept on the scalar.
+
 All indices in the Python API are 0-based; the JSON file format uses
 1-based indices ("i,j" keys) and the x1..xn text syntax.
 """
@@ -227,14 +236,20 @@ class CourantAlgebroid(FramedModule):
 
         It is the Dorfman connection of the algebroid on its self-predual
         plus the term -rho(tau)(g) of the left Leibniz rule
-        [f s, t] = f [s, t] - rho(t)(f) s + <s, t> D f.
+        [f s, t] = f [s, t] - rho(t)(f) s + <s, t> D f.  The value is kept
+        for the algebroid's lifetime, keyed by the argument pair.
         """
-        if sigma.module is not self or tau.module is not self:
-            raise PreconditionError(_MIXED)
         key = (sigma, tau)
         cached = self._bracket_cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._bracket_cache[key] = self._bracket(sigma, tau)
+        return cached
+
+    def _bracket(self, sigma, tau):
+        """The bracket computed afresh, kept nowhere: for an argument pair
+        that is not met again."""
+        if sigma.module is not self or tau.module is not self:
+            raise PreconditionError(_MIXED)
         g = sigma.components
         out = _leibniz(g, tau.components, self._anchor_row(sigma), self._struct,
                        self._pairing, None if self.degenerate else self.d_E)
@@ -242,9 +257,7 @@ class CourantAlgebroid(FramedModule):
         for k, gk in enumerate(g):
             if gk.num:
                 out[k] = out[k] - _derivative(rho_tau, gk)
-        result = Section(self, tuple(out))
-        self._bracket_cache[key] = result
-        return result
+        return Section(self, tuple(out))
 
     def __repr__(self):
         return f"CourantAlgebroid(n={self.n}, rank={self.rank})"
@@ -349,6 +362,21 @@ def _leibniz(g, h, rho, struct, pairing, d):
 # ---------------------------------------------------------------------------
 
 
+def _scaler():
+    """sc(x, f) = x.scale(f), memoised on the pair for as long as sc lives:
+    a check keeps one while it runs and drops it when it returns."""
+    scaled = {}
+
+    def sc(x, f):
+        key = (x, f)
+        xf = scaled.get(key)
+        if xf is None:
+            xf = scaled[key] = x.scale(f)
+        return xf
+
+    return sc
+
+
 def verify_axioms(alg, battery):
     """Exact check of the defining axioms and derived identities.
 
@@ -367,10 +395,16 @@ def verify_axioms(alg, battery):
     def at_f(*args):
         return " , ".join(battery.describe(args[:-1]) + (f" ; f={args[-1]}",))
 
-    br, pr, rho = alg.bracket, alg.pairing, alg.anchor_apply
+    # battery pairs recur from check to check, so their brackets go through
+    # the algebroid's memo; a bracket with an argument built for one tuple
+    # (an inner bracket, a scaled section, a dual differential) is computed
+    # afresh, br1, and kept nowhere
+    br, br1, pr, rho = alg.bracket, alg._bracket, alg.pairing, alg.anchor_apply
+    # f.b recurs for every a, and [a, b].f in both Leibniz checks
+    sc = _scaler()
 
     def jacobi(a, b, c):
-        return br(a, br(b, c)) - br(br(a, b), c) - br(b, br(a, c))
+        return br1(a, br(b, c)) - br1(br(a, b), c) - br1(b, br(a, c))
 
     def compatibility(a, b, c):
         return pr(br(a, b), c) + pr(b, br(a, c)) - rho(a, pr(b, c))
@@ -382,21 +416,21 @@ def verify_axioms(alg, battery):
         return rho(br(a, b), f) - rho(a, rho(b, f)) + rho(b, rho(a, f))
 
     def right_leibniz(a, b, f):
-        return br(a, b.scale(f)) - br(a, b).scale(f) - b.scale(rho(a, f))
+        return br1(a, sc(b, f)) - sc(br(a, b), f) - b.scale(rho(a, f))
 
     def left_leibniz(a, b, f):
-        return (br(a.scale(f), b) - br(a, b).scale(f) + a.scale(rho(b, f))
+        return (br1(sc(a, f), b) - sc(br(a, b), f) + a.scale(rho(b, f))
                 - alg.d_E(f).scale(pr(a, b)))
 
     def bracket_dual_right(a, f):
         # one-form identities probed on exact arguments: bracketing a dual
         # differential from the right returns the dual differential of the
         # anchor derivative
-        return br(a, alg.d_E(f)) - alg.d_E(rho(a, f))
+        return br1(a, alg.d_E(f)) - alg.d_E(rho(a, f))
 
     def bracket_dual_left(a, f):
         # and from the left it vanishes
-        return br(alg.d_E(f), a)
+        return br1(alg.d_E(f), a)
 
     run_check(report, "jacobi-leibniz", battery.section_tuples(3), jacobi, at)
     run_check(report, "pairing-compatibility", battery.section_tuples(3),

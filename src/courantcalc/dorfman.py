@@ -10,7 +10,13 @@ are its :class:`~courantcalc.algebroid.Section` over their own frames.
 
 A connection is stored through its frame coefficients and extended to all
 arguments by its two Leibniz axioms; the third axiom (d_B-equivariance) is
-what construction has to arrange and what verification checks.
+what construction has to arrange and what verification checks.  A
+connection keeps ``apply`` for its lifetime, keyed by the argument pair, for
+the pairs that callers meet again: battery pairs and curvature.
+``verify_connection`` applies along or to an argument it builds for one
+tuple (a function-scaled section or element, ``d_B f``) through the
+unmemoised kernel ``_apply``, and keeps its scaled arguments in a memo of
+its own that it drops when it returns.
 
 Bundle-valued cochains are not a second DAG: they are nodes of the cochain
 DAG of ``cochain`` whose values lie in a module with a connection, and the
@@ -47,6 +53,7 @@ from .algebroid import (
     _pair,
     _require_fields,
     _scalar_rows,
+    _scaler,
     _sparse_rows,
     _sparse_struct,
 )
@@ -211,19 +218,23 @@ class DorfmanConnection:
         self._apply_cache = {}
 
     def apply(self, sigma, b):
-        """Covariant derivative of the bundle element b along sigma."""
+        """Covariant derivative of the bundle element b along sigma, kept
+        for the connection's lifetime, keyed by the argument pair."""
+        key = (sigma, b)
+        cached = self._apply_cache.get(key)
+        if cached is None:
+            cached = self._apply_cache[key] = self._apply(sigma, b)
+        return cached
+
+    def _apply(self, sigma, b):
+        """The covariant derivative computed afresh, kept nowhere: for an
+        argument pair that is not met again."""
         if sigma.module is not self.alg or b.module is not self.bundle:
             raise PreconditionError("arguments belong to a different algebroid "
                                     "or bundle")
-        key = (sigma, b)
-        cached = self._apply_cache.get(key)
-        if cached is not None:
-            return cached
-        result = Section(self.bundle, _leibniz(
+        return Section(self.bundle, _leibniz(
             sigma.components, b.components, self.alg._anchor_row(sigma),
             self._struct, self.bundle._pairing, self.bundle.d_B))
-        self._apply_cache[key] = result
-        return result
 
     def __repr__(self):
         return f"DorfmanConnection(over {self.bundle!r})"
@@ -332,13 +343,20 @@ def verify_connection(conn, battery):
     sample = list(product(secs, funs[:6] + funs[-2:],
                           _strided(b_elements, 8)))
     report = Report(f"connection axioms of {conn!r}")
+    # battery pairs recur from check to check, so their derivatives go
+    # through the connection's memo; one with an argument built for one
+    # tuple (a scaled element, a d_B image) is computed afresh, ap1
+    ap, ap1 = conn.apply, conn._apply
+    # f.sigma recurs for every b, f.b for every sigma, and nabla_sigma b.f in
+    # both Leibniz checks
+    sc = _scaler()
 
     def section_scaling(sigma, f, b):
-        return (conn.apply(sigma.scale(f), b) - conn.apply(sigma, b).scale(f)
+        return (ap1(sc(sigma, f), b) - sc(ap(sigma, b), f)
                 - bundle.d_B(f).scale(bundle.b_pairing(sigma, b)))
 
     def bundle_leibniz(sigma, f, b):
-        return (conn.apply(sigma, b.scale(f)) - conn.apply(sigma, b).scale(f)
+        return (ap1(sigma, sc(b, f)) - sc(ap(sigma, b), f)
                 - b.scale(alg.anchor_apply(sigma, f)))
 
     def at(sigma, f, b):
@@ -347,7 +365,7 @@ def verify_connection(conn, battery):
     run_check(report, "scaling-in-the-section-slot", sample, section_scaling, at)
     run_check(report, "leibniz-in-the-bundle-slot", sample, bundle_leibniz, at)
     run_check(report, "derivation-image-equivariance", product(secs, funs),
-              lambda sigma, f: (conn.apply(sigma, bundle.d_B(f))
+              lambda sigma, f: (ap1(sigma, bundle.d_B(f))
                                 - bundle.d_B(alg.anchor_apply(sigma, f))),
               lambda sigma, f: f"{battery.label(sigma)}, f={f}")
     return report

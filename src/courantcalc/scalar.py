@@ -525,7 +525,7 @@ class Scalar:
     0/1.  Two Scalars are equal iff their (num, den, n) data coincide.
     """
 
-    __slots__ = ("n", "num", "den", "_hash")
+    __slots__ = ("n", "num", "den", "_hash", "_partials")
 
     def __init__(self, n, num, den=_ONE, _canonical=False):
         self.n = n
@@ -538,6 +538,7 @@ class Scalar:
         self.num = num
         self.den = den
         self._hash = None
+        self._partials = None
 
     # -- constructors ------------------------------------------------------
 
@@ -690,7 +691,17 @@ class Scalar:
     # -- calculus ------------------------------------------------------------
 
     def partial(self, i):
-        """Exact partial derivative with respect to x_i (1-based)."""
+        """Exact partial derivative with respect to x_i (1-based), kept on
+        this scalar for as long as it lives."""
+        memo = self._partials
+        if memo is None:
+            memo = self._partials = {}
+        d = memo.get(i)
+        if d is None:
+            d = memo[i] = self._partial(i)
+        return d
+
+    def _partial(self, i):
         n = self.n
         if not 1 <= i <= n:
             raise ScalarError(f"variable index {i} out of range 1..{n}")

@@ -51,6 +51,23 @@ def non_jacobi():
 
 
 @pytest.fixture(scope="session")
+def cotangent_su2():
+    """T*su(2): su(2) acting on its dual by the coadjoint action,
+    [e_i, eps^j] = -sum_k c_ik^j eps^k, [eps^i, eps^j] = 0, with the pairing
+    <e_i, eps^j> = delta_ij.  Frame order: e1..e3, eps^1..eps^3."""
+    eps = su2_structure_constants()
+    c = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                c[i][j][k] = eps[i][j][k]
+                c[i][3 + j][3 + k] = -eps[i][k][j]
+                c[3 + j][i][3 + k] = eps[i][k][j]
+    g = [[1 if abs(i - j) == 3 else 0 for j in range(6)] for i in range(6)]
+    return build_quadratic_lie_algebra(c, g)
+
+
+@pytest.fixture(scope="session")
 def port_hamiltonian11():
     return build_port_hamiltonian(1, 1)
 

@@ -138,6 +138,18 @@ def test_abelian_point_axioms_pass():
     assert verify_axioms(alg, Battery(alg)).passed
 
 
+def test_bracket_memo_keeps_only_battery_pairs():
+    # verify_axioms brackets scaled sections, dual differentials and inner
+    # brackets afresh; only pairs of battery sections, which recur from check
+    # to check, stay in the algebroid's memo
+    alg = build_standard(2)
+    battery = Battery(alg)
+    assert verify_axioms(alg, battery).passed
+    sections = set(battery.sections)
+    assert alg._bracket_cache
+    assert all(a in sections and b in sections for a, b in alg._bracket_cache)
+
+
 def test_bad_invariant_form_fails_compatibility_only(su2_bad_form):
     report = verify_axioms(su2_bad_form, Battery(su2_bad_form))
     assert not report.passed

@@ -512,6 +512,18 @@ def test_d_squared_vanishes_on_sample(standard2, battery2, gens):
                            reduced=True)
 
 
+def test_d_squared_vanishes_on_a_nonzero_degree_4_generator(cotangent_su2):
+    # on the rank-3 su(2) every degree-4 generator is zero, an alternating
+    # form of degree 4 on a rank-3 space; on the rank-6 T*su(2) one is not,
+    # so d^2 = 0 there is checked on a cochain that does not vanish
+    battery = Battery(cotangent_su2)
+    live = [w for w in co.generator_cochains(cotangent_su2, battery)
+            if w.degree == 4 and not co.vanishes(w, battery).equal]
+    assert live
+    for w in live:
+        assert co.vanishes(co.differential(co.differential(w)), battery).equal
+
+
 def test_lie_derivative_nodes_are_commutators(standard2, battery2):
     f = S("x1*x2")
     w = co.mul(co.section_leaf(standard2, standard2.frame[0].scale(S("x2"))),

@@ -1,11 +1,20 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from courantcalc import cli, linalg
 from courantcalc import cochain as co
-from courantcalc import linalg
-from courantcalc.algebroid import build_quadratic_lie_algebra, build_standard
+from courantcalc.algebroid import (
+    algebroid_to_json,
+    build_quadratic_lie_algebra,
+    build_standard,
+    verify_axioms,
+)
+from courantcalc.battery import Battery
 from courantcalc.cohomology import PointComplex
 from courantcalc.report import PreconditionError
 from courantcalc.scalar import Scalar
@@ -135,3 +144,97 @@ def test_table_shape(su2_complex):
 def test_rejects_positive_dimension():
     with pytest.raises(PreconditionError):
         PointComplex(build_standard(1))
+
+
+# -- T*su(2): a complex whose d^2 entries cancel ----------------------------------
+
+def cancelling_entries(pc):
+    """Per p, the entries of d_{p+1} d_p with some nonzero product."""
+    counts = {}
+    for p in range(pc.rank - 1):
+        m1, m2 = pc.differential_matrix(p), pc.differential_matrix(p + 1)
+        for row in m2:
+            for j in range(len(m1[0])):
+                if any(row[t] * m1[t][j] for t in range(len(m1))):
+                    counts[p] = counts.get(p, 0) + 1
+    return counts
+
+
+def test_cotangent_su2_axioms_and_betti(cotangent_su2):
+    assert verify_axioms(cotangent_su2, Battery(cotangent_su2)).passed
+    pc = PointComplex(cotangent_su2)
+    assert [pc.betti(p) for p in range(7)] == [1, 0, 0, 2, 0, 0, 1]
+    for p in range(7):
+        assert pc.betti(p) == oracle_betti(pc, p)
+
+
+def test_cotangent_su2_d_squared_cancels(cotangent_su2):
+    # unlike su(2) and the abelian algebras, where every product is zero
+    assert cancelling_entries(PointComplex(cotangent_su2)) == {1: 6, 2: 12, 3: 6}
+    assert cancelling_entries(PointComplex(build_quadratic_lie_algebra(
+        su2_structure_constants(), eye(3)))) == {}
+
+
+def run_cohomology(alg, tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(algebroid_to_json(alg)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["cohomology", str(path), "--format", "json"])
+    return code, json.loads(out.getvalue())
+
+
+def test_cohomology_command_on_cotangent_su2(cotangent_su2, tmp_path):
+    code, doc = run_cohomology(cotangent_su2, tmp_path)
+    assert code == 0
+    checks = {c["name"]: c for c in doc["checks"]}
+    # one tuple per entry of d_{p+1} d_p, one per degree
+    assert checks["differential-squares-to-zero"]["checked"] == sum(
+        comb(6, p + 2) * comb(6, p) for p in range(5))
+    assert checks["betti-numbers-nonnegative"]["checked"] == 7
+    assert [row["betti"] for row in doc["cohomology"]["table"]] == [
+        1, 0, 0, 2, 0, 0, 1]
+
+
+def test_a_sign_flip_in_d_fails_d_squared(cotangent_su2, tmp_path, monkeypatch):
+    pc = PointComplex(cotangent_su2)
+    m1, m2 = pc.differential_matrix(1), pc.differential_matrix(2)
+    # an entry of d_1 that meets a nonzero entry of d_2
+    t, j = next((t, j) for t in range(len(m1)) for j in range(len(m1[0]))
+                if m1[t][j] and any(row[t] for row in m2))
+    original = PointComplex.differential_matrix
+
+    def flipped(self, p):
+        m = original(self, p)
+        if p != 1:
+            return m
+        m = [list(row) for row in m]
+        m[t][j] = -m[t][j]
+        return m
+
+    monkeypatch.setattr(PointComplex, "differential_matrix", flipped)
+    code, doc = run_cohomology(cotangent_su2, tmp_path)
+    assert code == 1
+    check = next(c for c in doc["checks"]
+                 if c["name"] == "differential-squares-to-zero")
+    assert check["status"] == "fail"
+    assert check["witness"].startswith("p=1, row ")
+    assert check["residual"] != "0"
+
+
+def test_negative_betti_numbers_fail(tmp_path, monkeypatch):
+    # maps of full rank in every degree make no complex: on rank 4,
+    # b_1 = 4 - rank d_1 - rank d_0 = 4 - 4 - 1
+    def full_rank(self, p):
+        return [[1 if i == j else 0 for j in range(self.dimension(p))]
+                for i in range(self.dimension(p + 1))]
+
+    monkeypatch.setattr(PointComplex, "differential_matrix", full_rank)
+    zero = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    code, doc = run_cohomology(build_quadratic_lie_algebra(zero, eye(4)), tmp_path)
+    assert code == 1
+    check = next(c for c in doc["checks"]
+                 if c["name"] == "betti-numbers-nonnegative")
+    assert (check["status"], check["witness"], check["residual"]) == (
+        "fail", "p=1", "1")
+    assert check["checked"] == 5

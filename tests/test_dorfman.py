@@ -43,11 +43,15 @@ def conn_trivial2(standard2):
     return dc.build_standard_connection(standard2)
 
 
-@pytest.fixture(scope="module")
-def conn_poly2(standard2):
+def poly2_connection(alg):
     christoffel = [[[random_polynomial(2, 2, 100 + 9 * i + 3 * j + k)
                      for k in range(2)] for j in range(2)] for i in range(2)]
-    return dc.build_standard_connection(standard2, christoffel)
+    return dc.build_standard_connection(alg, christoffel)
+
+
+@pytest.fixture(scope="module")
+def conn_poly2(standard2):
+    return poly2_connection(standard2)
 
 
 # -- predual bundles -------------------------------------------------------------
@@ -201,6 +205,20 @@ def test_standard_connection_trivial_verifies(conn_trivial2, battery2):
 
 def test_standard_connection_polynomial_verifies(conn_poly2, battery2):
     assert dc.verify_connection(conn_poly2, battery2).passed
+
+
+def test_apply_memo_keeps_only_battery_pairs():
+    # verify_connection applies along scaled sections, to scaled elements
+    # and to d_B images afresh; only (battery section, test element) pairs,
+    # which recur from check to check, stay in the connection's memo
+    conn = poly2_connection(build_standard(2))
+    battery = Battery(conn.alg)
+    assert dc.verify_connection(conn, battery).passed
+    sections = set(battery.sections)
+    elements = set(dc._b_elements(conn.bundle, battery))
+    assert conn._apply_cache
+    assert all(sigma in sections and b in elements
+               for sigma, b in conn._apply_cache)
 
 
 def test_standard_connection_lie_derivative_on_cotangent_part(standard2,

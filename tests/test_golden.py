@@ -49,6 +49,10 @@ PRE2 = "demos/data/predual_standard2.json"
 CLI_CASES = {
     "verify_standard2": ["verify-algebroid", STD2],
     "verify_su2_bad": ["verify-algebroid", "demos/data/su2_bad.json"],
+    # the one golden whose Leibniz kernel meets nonconstant structure
+    # functions on polynomial arguments
+    "verify_ph11_curved": ["verify-algebroid",
+                           "demos/data/port_hamiltonian11_curved.json"],
     "cartan_su2": ["cartan", "demos/data/su2.json"],
     "connection_build": ["connection-build", STD2, PRE2],
     "connection_build_ph11": ["connection-build",
@@ -124,7 +128,6 @@ def test_cli_report_matches_golden(name, tmp_path):
 NOT_RUN_CHECKS = {
     "anchor-isotropy-matrix-identity": "a matrix identity",
     "pairing-rank-computed": "a rank comparison",
-    "euler-characteristic-consistency": "a tautology; ROADMAP item 3",
 }
 
 

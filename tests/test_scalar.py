@@ -59,6 +59,16 @@ def test_partial_examples():
     assert inv.partial(1) == S("-1") / S("x1^2")
 
 
+def test_partial_is_kept_on_the_scalar():
+    s = S("x1^3*x2/(x1 + x2^2)")
+    d1 = s.partial(1)
+    assert s.partial(1) is d1
+    assert s.partial(2) is s.partial(2) and s.partial(2) != d1
+    fresh = S("x1^3*x2/(x1 + x2^2)")
+    assert fresh is not s
+    assert fresh.partial(1) == d1 and fresh.partial(2) == s.partial(2)
+
+
 def test_partial_out_of_range():
     with pytest.raises(ScalarError):
         S("x1").partial(3)
