@@ -230,14 +230,14 @@ def cmd_cohomology(args):
                for p in range(pc.rank - 1)
                for i, row in enumerate(pc.differential_matrix(p + 1))
                for j in range(pc.dimension(p))),
-              lambda p, i, j, row, m: Scalar.const(
-                  0, sum(row[t] * m[t][j] for t in range(len(m)))),
+              lambda p, i, j, row, m: (Scalar.const(
+                  0, sum(row[t] * m[t][j] for t in range(len(m)))), Scalar.zero(0)),
               lambda p, i, j, row, m: f"p={p}, row {i + 1}, column {j + 1}")
     # b_p = dim - rank d_p - rank d_{p-1} is negative when the ranks exceed
     # what a complex allows, as they can when d^2 is not zero
     run_check(report, "betti-numbers-nonnegative",
               ((p,) for p in range(pc.rank + 1)),
-              lambda p: Scalar.const(0, max(0, -pc.betti(p))),
+              lambda p: (Scalar.const(0, max(0, -pc.betti(p))), Scalar.zero(0)),
               lambda p: f"p={p}")
     payload = {"table": pc.table(top)}
     return report, _config(args, alg), ("cohomology", payload)

@@ -11,9 +11,10 @@ module.  Nodes of the DAG are never evaluated at construction:
 (signed shuffle sums of a scalar cochain times a cochain), the degree +1
 differential, interior products and Lie derivatives.  Equality of cochains
 is battery-relative: exact agreement of all components on every battery
-tuple.  It is a verdict of the check runner of ``report``, whose residual at
-a component tuple is the signed sum of the terms; each relation of
-:func:`cartan_suite` is one such run over the tuples of all its instances.
+tuple.  It is a verdict of the check runner of ``report``, whose sides at
+a component tuple are the sums of the terms of each sign, so only a witness
+forms their difference; each relation of :func:`cartan_suite` is one such
+run over the tuples of all its instances.
 
 One DAG serves every kind of value because the differential is taken along
 a connection, the ``along`` argument of :func:`differential`, :func:`lie_e`
@@ -677,10 +678,11 @@ def equal_combinations(lhs, rhs, battery=None, reduced=False, ctx=None):
 
     lhs and rhs are lists of (coefficient, cochain) with rational
     coefficients; all non-zero cochains must share one degree and one value
-    module.  The difference of the sums is the residual of a
-    :func:`report.verdict` over the component tuples of the battery.  ctx is
-    an :class:`EvalContext` (None for a fresh one); sharing one across calls
-    shares its memo of node values and its argument tables.
+    module.  The sums are compared by a :func:`report.verdict` over the
+    component tuples of the battery, their difference being the residual at
+    a witness.  ctx is an :class:`EvalContext` (None for a fresh one);
+    sharing one across calls shares its memo of node values and its argument
+    tables.
     """
     nodes = [w for _, w in (*lhs, *rhs) if not isinstance(w, _Zero)]
     odd = next((w for w in nodes if w.degree != nodes[0].degree), None)
@@ -696,39 +698,44 @@ def equal_combinations(lhs, rhs, battery=None, reduced=False, ctx=None):
 
 
 def _combination_check(instances, battery, reduced, ctx):
-    """Tuple stream, residual and witness of sum(lhs) = sum(rhs) for each
+    """Tuple stream, sides and witness of sum(lhs) = sum(rhs) for each
     instance (prefix, lhs, rhs) in turn, on its component tuples; a witness
-    is the tuple described after the prefix of its instance."""
+    is the tuple described after the prefix of its instance.  The terms are
+    regrouped by sign: those with a positive coefficient once rhs is moved
+    over make one side, the negated others the other side."""
     def tuples():
         for prefix, lhs, rhs in instances:
             live = [(c, w) for c, w in lhs if not isinstance(w, _Zero)] \
                 + [(-c, w) for c, w in rhs if not isinstance(w, _Zero)]
+            plus = [(c, w) for c, w in live if c > 0]
+            minus = [(-c, w) for c, w in live if c < 0]
+            zero = live[0][1].zero if live else None
             degree = live[0][1].degree if live else -1
             for k in range(degree // 2 + 1):
                 for secs, funs in _component_tuples(battery, degree - 2 * k, k,
                                                     reduced):
-                    yield prefix, live, k, secs, funs
+                    yield prefix, plus, minus, zero, k, secs, funs
 
-    def residual(prefix, live, k, secs, funs):
-        es, fs = ctx.ids(secs, funs)
-        acc = live[0][1].zero
-        for coeff, w in live:
+    def total(terms, zero, k, es, fs):
+        acc = zero
+        for coeff, w in terms:
             v = _eval(w, k, es, fs, ctx)
             if v.is_zero():
                 continue
-            if coeff == 1:
-                acc = acc + v
-            elif coeff == -1:
-                acc = acc - v
-            else:
-                acc = acc + v.scale(Scalar.const(w.alg.n, coeff))
+            if coeff != 1:
+                v = v.scale(Scalar.const(w.alg.n, coeff))
+            acc = v if acc is zero else acc + v
         return acc
 
-    def witness(prefix, live, k, secs, funs):
+    def sides(prefix, plus, minus, zero, k, secs, funs):
+        es, fs = ctx.ids(secs, funs)
+        return total(plus, zero, k, es, fs), total(minus, zero, k, es, fs)
+
+    def witness(prefix, plus, minus, zero, k, secs, funs):
         return prefix + " , ".join(
             (f"k={k}", *battery.describe(secs), *(f"f={f}" for f in funs)))
 
-    return tuples(), residual, witness
+    return tuples(), sides, witness
 
 
 def _component_tuples(battery, sec_arity, fun_arity, reduced):
@@ -778,13 +785,13 @@ def check_symmetry_condition(w, battery=None):
                 for i in range(arity - 1):
                     yield k, i, secs, es, fs
 
-    def residual(k, i, secs, es, fs):
+    def sides(k, i, secs, es, fs):
         plain = _eval(w, k, es, fs, ctx)
         flip = _eval(w, k, es[:i] + (es[i + 1], es[i]) + es[i + 2 :], fs, ctx)
         pair = ctx.function_id(w.alg.pairing(secs[i], secs[i + 1]))
-        return plain + flip + _eval(w, k + 1, es[:i] + es[i + 2 :], (pair,) + fs, ctx)
+        return plain + flip, -_eval(w, k + 1, es[:i] + es[i + 2 :], (pair,) + fs, ctx)
 
-    run_check(report, "symmetry-condition", swaps(), residual,
+    run_check(report, "symmetry-condition", swaps(), sides,
               lambda k, i, secs, es, fs: " , ".join(
                   (f"k={k}", f"swap at {i}", *battery.describe(secs))))
     return report
@@ -809,11 +816,20 @@ def _iterated_symbol(w, k, slot, fseq, es, fs, ctx):
     """Symbol of component k in one section slot, iterated over fseq."""
     if not fseq:
         return _eval(w, k, es, fs, ctx)
+    lhs, rhs = _symbol_sides(w, k, slot, fseq, es, fs, ctx)
+    return lhs - rhs
+
+
+def _symbol_sides(w, k, slot, fseq, es, fs, ctx):
+    """The two terms of the outermost step of the iterated symbol over the
+    nonempty fseq, which vanishes iff they are equal: the symbol over the
+    rest with the slot scaled by the head, and head times the symbol over
+    the rest."""
     head, rest = fseq[0], fseq[1:]
     scaled = ctx.section_id(ctx.sections[es[slot]].scale(head))
     return (_iterated_symbol(w, k, slot, rest, es[:slot] + (scaled,) + es[slot + 1 :],
-                             fs, ctx)
-            - head * _iterated_symbol(w, k, slot, rest, es, fs, ctx))
+                             fs, ctx),
+            head * _iterated_symbol(w, k, slot, rest, es, fs, ctx))
 
 
 def _probe_sequences(probes, depth):
@@ -857,7 +873,7 @@ def symbol_E(w, slot, probe, battery=None):
             bound = max(w.order - 1, 0)
         run_check(report, f"symbol-E[k={k},slot={slot},order<={bound}]",
                   symbols(k, arity, bound),
-                  lambda k, secs, es, fs, fseq: _iterated_symbol(
+                  lambda k, secs, es, fs, fseq: _symbol_sides(
                       w, k, slot, fseq, es, fs, ctx),
                   lambda k, secs, es, fs, fseq: " , ".join(battery.describe(secs)))
     return report
@@ -890,9 +906,9 @@ def symbol_Omega(w, slot, probe, battery=None):
                 yield k, secs, es, fs, f, funs[slot]
 
     def defect(k, secs, es, fs, f, g):
-        return (_eval(w, k, es, at_slot(fs, f * g), ctx)
-                - f * _eval(w, k, es, fs, ctx)
-                - g * _eval(w, k, es, at_slot(fs, f), ctx))
+        return (_eval(w, k, es, at_slot(fs, f * g), ctx),
+                f * _eval(w, k, es, fs, ctx)
+                + g * _eval(w, k, es, at_slot(fs, f), ctx))
 
     for k in range(slot + 1, w.degree // 2 + 1):
         run_check(report, f"symbol-Omega[k={k},slot={slot}]", defects(k), defect,

@@ -31,6 +31,7 @@ class PointComplex:
         self._bases = {p: list(combinations(range(self.rank), p))
                        for p in range(self.rank + 1)}
         self._matrices = {}
+        self._ranks = {}
         # structure constants as plain rationals
         self._c = [[[alg.bracket_coeffs[i][j][k].constant_value()
                      for k in range(self.rank)]
@@ -116,11 +117,18 @@ class PointComplex:
         return out
 
     def _rank(self, p):
+        """Rank of the differential in degree p, kept per degree as its
+        matrix is."""
+        cached = self._ranks.get(p)
+        if cached is not None:
+            return cached
         m = self.differential_matrix(p)
         if not m or not m[0]:
-            return 0
-        scal = [[Scalar.const(0, x) for x in row] for row in m]
-        return linalg.rank(scal)
+            rank = 0
+        else:
+            rank = linalg.rank([[Scalar.const(0, x) for x in row] for row in m])
+        self._ranks[p] = rank
+        return rank
 
     def betti(self, p):
         """Betti number in degree p from exact rational ranks."""

@@ -352,12 +352,12 @@ def verify_connection(conn, battery):
     sc = _scaler()
 
     def section_scaling(sigma, f, b):
-        return (ap1(sc(sigma, f), b) - sc(ap(sigma, b), f)
-                - bundle.d_B(f).scale(bundle.b_pairing(sigma, b)))
+        return (ap1(sc(sigma, f), b),
+                sc(ap(sigma, b), f) + bundle.d_B(f).scale(bundle.b_pairing(sigma, b)))
 
     def bundle_leibniz(sigma, f, b):
-        return (ap1(sigma, sc(b, f)) - sc(ap(sigma, b), f)
-                - b.scale(alg.anchor_apply(sigma, f)))
+        return (ap1(sigma, sc(b, f)),
+                sc(ap(sigma, b), f) + b.scale(alg.anchor_apply(sigma, f)))
 
     def at(sigma, f, b):
         return f"{battery.label(sigma)}, f={f}, b={b}"
@@ -365,8 +365,8 @@ def verify_connection(conn, battery):
     run_check(report, "scaling-in-the-section-slot", sample, section_scaling, at)
     run_check(report, "leibniz-in-the-bundle-slot", sample, bundle_leibniz, at)
     run_check(report, "derivation-image-equivariance", product(secs, funs),
-              lambda sigma, f: (ap1(sigma, bundle.d_B(f))
-                                - bundle.d_B(alg.anchor_apply(sigma, f))),
+              lambda sigma, f: (ap1(sigma, bundle.d_B(f)),
+                                bundle.d_B(alg.anchor_apply(sigma, f))),
               lambda sigma, f: f"{battery.label(sigma)}, f={f}")
     return report
 
@@ -403,13 +403,15 @@ def difference_check(conn0, conn1, battery):
         return f"{battery.label(sigma)}, f={f}"
 
     run_check(report, "linear-over-functions-in-the-section-slot", sample,
-              lambda sigma, f, b: diff(sigma.scale(f), b) - diff(sigma, b).scale(f),
+              lambda sigma, f, b: (diff(sigma.scale(f), b), diff(sigma, b).scale(f)),
               at)
     run_check(report, "linear-over-functions-in-the-bundle-slot", sample,
-              lambda sigma, f, b: diff(sigma, b.scale(f)) - diff(sigma, b).scale(f),
+              lambda sigma, f, b: (diff(sigma, b.scale(f)), diff(sigma, b).scale(f)),
               at)
+    # the difference kills d_B f: both connections agree on it
     run_check(report, "kills-derivation-images", product(secs, battery.functions),
-              lambda sigma, f: diff(sigma, bundle.d_B(f)), at)
+              lambda sigma, f: (conn0.apply(sigma, bundle.d_B(f)),
+                                conn1.apply(sigma, bundle.d_B(f))), at)
     return report
 
 
@@ -497,11 +499,12 @@ def verify_linear_connection(lin, battery):
         return f"b={b}, f={f}, {battery.label(e)}"
 
     run_check(report, "tensorial-in-the-bundle-slot", sample,
-              lambda b, f, e: lin.apply(b.scale(f), e) - lin.apply(b, e).scale(f),
+              lambda b, f, e: (lin.apply(b.scale(f), e), lin.apply(b, e).scale(f)),
               at)
     run_check(report, "leibniz-in-the-section-slot", sample,
-              lambda b, f, e: (lin.apply(b, e.scale(f)) - lin.apply(b, e).scale(f)
-                               - e.scale(lin.anchor_apply(b, f))),
+              lambda b, f, e: (lin.apply(b, e.scale(f)),
+                               lin.apply(b, e).scale(f)
+                               + e.scale(lin.anchor_apply(b, f))),
               at)
     return report
 
@@ -514,15 +517,15 @@ def compatibility_check(conn, lin, battery):
     secs = battery.frame + battery.scaled[: alg.rank] + battery.randoms[:2]
     report = Report("bracket-connection compatibility")
 
-    def defect(e, ep, b):
+    def sides(e, ep, b):
         return (alg.anchor_apply(e, bundle.b_pairing(ep, b))
-                - bundle.b_pairing(alg.bracket(e, ep), b)
-                + alg.pairing(lin.apply(b, e), ep)
-                - bundle.b_pairing(ep, conn.apply(e, b)))
+                + alg.pairing(lin.apply(b, e), ep),
+                bundle.b_pairing(alg.bracket(e, ep), b)
+                + bundle.b_pairing(ep, conn.apply(e, b)))
 
     run_check(report, "pairing-compatibility-with-connection",
               product(secs, secs, _strided(b_elements, 6)),
-              defect,
+              sides,
               lambda e, ep, b: f"{battery.label(e)}, {battery.label(ep)}, b={b}")
     return report
 
@@ -736,18 +739,21 @@ def curvature_symbol_checks(conn, lin, battery):
     report = Report("curvature slot symbols")
 
     def second_slot(e1, e2, f, b):
-        lhs = (curvature_R0(conn, e1, e2.scale(f), b)
-               - curvature_R0(conn, e1, e2, b).scale(f))
-        return lhs - bundle.d_B(f).scale(-alg.pairing(lin.apply(b, e1), e2))
+        return (curvature_R0(conn, e1, e2.scale(f), b),
+                curvature_R0(conn, e1, e2, b).scale(f)
+                + bundle.d_B(f).scale(-alg.pairing(lin.apply(b, e1), e2)))
 
     def first_slot(e1, e2, f, b):
-        lhs = (curvature_R0(conn, e1.scale(f), e2, b)
-               - curvature_R0(conn, e1, e2, b).scale(f))
+        # R0(f e1, e2) - f R0(e1, e2) equals
+        # <e1, nabla_b e2> d_B f - <D<e1, e2>, b> d_B f - nabla_{<e1, e2> D f} b,
+        # with the minus terms of each side moved to the other
         pair12 = alg.pairing(e1, e2)
-        rhs = bundle.d_B(f).scale(alg.pairing(e1, lin.apply(b, e2)))
-        rhs = rhs - bundle.d_B(f).scale(bundle.b_pairing(alg.d_E(pair12), b))
-        rhs = rhs - conn.apply(alg.d_E(f).scale(pair12), b)
-        return lhs - rhs
+        d_f = bundle.d_B(f)
+        return (curvature_R0(conn, e1.scale(f), e2, b)
+                + d_f.scale(bundle.b_pairing(alg.d_E(pair12), b))
+                + conn.apply(alg.d_E(f).scale(pair12), b),
+                curvature_R0(conn, e1, e2, b).scale(f)
+                + d_f.scale(alg.pairing(e1, lin.apply(b, e2))))
 
     def at(e1, e2, f, b):
         return f"{battery.label(e1)}, {battery.label(e2)}, f={f}, b={b}"
@@ -762,17 +768,21 @@ def curvature_laws(conn, case, battery):
     square of its covariant differential, and the laws tying the curvature
     to the module connection induced in the case."""
     bundle = conn.bundle
+    zero = bundle.zero()
     b_elements = _b_elements(bundle, battery)
     report = Report("curvature laws")
     functions = battery.functions
+    # one context for the checks below: a square's value at a pair serves
+    # every function it is met with
+    ctx = EvalContext()
     run_check(report, "curvature-kills-derivation-images",
               ((s1, s2, f) for s1, s2 in battery.section_tuples(2, reduced=True)
                for f in functions[:5]),
-              lambda s1, s2, f: curvature_R0(conn, s1, s2, bundle.d_B(f)),
+              lambda s1, s2, f: (curvature_R0(conn, s1, s2, bundle.d_B(f)), zero),
               lambda s1, s2, f: f"{battery.label(s1)}, {battery.label(s2)}, f={f}")
     run_check(report, "function-curvature-kills-derivation-images",
               product(functions, functions[:5]),
-              lambda f, g: curvature_R1(conn, f, bundle.d_B(g)),
+              lambda f, g: (curvature_R1(conn, f, bundle.d_B(g)), zero),
               lambda f, g: f"f={f}, g={g}")
 
     def square(b):
@@ -782,8 +792,8 @@ def curvature_laws(conn, case, battery):
     run_check(report, "contracted-square-is-derivative-along-dual-differential",
               ((b, square(b), f) for b in _strided(b_elements, 6)
                for f in functions[:6]),
-              lambda b, dd, f: (evaluate(interior_f(f, dd), 0, ())
-                                - curvature_R1(conn, f, b)),
+              lambda b, dd, f: (evaluate(interior_f(f, dd), 0, (), (), ctx),
+                                curvature_R1(conn, f, b)),
               lambda b, dd, f: f"b={b}, f={f}")
 
     pairs = list(battery.section_tuples(2, reduced=True))[:20]
@@ -797,8 +807,8 @@ def curvature_laws(conn, case, battery):
                     yield b, dd, f, dds, pair
 
     run_check(report, "squared-differential-linear-over-functions", scaled_squares(),
-              lambda b, dd, f, dds, pair: (evaluate(dds, 0, pair)
-                                           - evaluate(dd, 0, pair).scale(f)),
+              lambda b, dd, f, dds, pair: (evaluate(dds, 0, pair, (), ctx),
+                                           evaluate(dd, 0, pair, (), ctx).scale(f)),
               lambda b, dd, f, dds, pair: f"b={b}, f={f}, {battery.describe(pair)}")
 
     lin = LinearConnection(conn, case)
@@ -822,13 +832,15 @@ def bianchi_check(conn, battery):
     ctx = EvalContext()
     bianchi = differential(curvature(conn), TensorConnection(conn, 1, 1))
 
+    zero = bianchi.zero
+
     run_check(report, "degree-3-component", battery.section_tuples(3, reduced=True),
-              lambda *secs: evaluate(bianchi, 0, secs, (), ctx),
+              lambda *secs: (evaluate(bianchi, 0, secs, (), ctx), zero),
               lambda *secs: " , ".join(battery.describe(secs)))
     run_check(report, "function-component",
               ((sigma, f) for (sigma,) in battery.section_tuples(1)
                for f in battery.functions),
-              lambda sigma, f: evaluate(bianchi, 1, (sigma,), (f,), ctx),
+              lambda sigma, f: (evaluate(bianchi, 1, (sigma,), (f,), ctx), zero),
               lambda sigma, f: f"{battery.label(sigma)}, f={f}")
 
     dual = TensorConnection(conn, 0, 1)
@@ -844,8 +856,8 @@ def bianchi_check(conn, battery):
                     yield e1, e2, i, r0s, b
 
     def duality(e1, e2, i, r0s, b):
-        return (dual.bundle.contract(r0s, b)
-                + curvature_R0(conn, e1, e2, b).components[i])
+        return (dual.bundle.contract(r0s, b),
+                -curvature_R0(conn, e1, e2, b).components[i])
 
     def at(e1, e2, i, r0s, b):
         return f"{battery.label(e1)}, {battery.label(e2)}, beta={i}, b={b}"
@@ -1018,14 +1030,14 @@ def bott_connection(alg, l_sections, battery_degree=2, extras=3, seed=0):
     sample = _strided(_b_elements(bundle, battery), 6)
     run_check(report, "curvature-vanishes",
               ((s1, s2, b) for s1, s2 in battery.section_tuples(2) for b in sample),
-              lambda s1, s2, b: curvature_R0(conn, s1, s2, b),
+              lambda s1, s2, b: (curvature_R0(conn, s1, s2, b), bundle.zero()),
               lambda s1, s2, b: f"{battery.label(s1)}, {battery.label(s2)}, b={b}")
     secs = battery.frame + battery.scaled[:half] + battery.randoms[:2]
 
     def duality(l, lp, xi):
-        return (sub.anchor_apply(l, bundle.b_pairing(lp, xi))
-                - bundle.b_pairing(lp, conn.apply(l, xi))
-                - bundle.b_pairing(sub.bracket(l, lp), xi))
+        return (sub.anchor_apply(l, bundle.b_pairing(lp, xi)),
+                bundle.b_pairing(lp, conn.apply(l, xi))
+                + bundle.b_pairing(sub.bracket(l, lp), xi))
 
     run_check(report, "duality-with-the-bracket", product(secs, secs, sample),
               duality,

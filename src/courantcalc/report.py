@@ -1,8 +1,12 @@
 """Check reports shared by the verification suites and the CLI.
 
-Every verdict comes from one runner, :func:`verdict`: it evaluates the
-residual of each tuple of a stream until the first nonzero one, its witness,
-and counts the tuples after it without evaluating them.
+Every verdict comes from one runner, :func:`verdict`.  A check gives it a
+stream of tuples and a function returning the two sides (lhs, rhs) of its
+identity at a tuple; an identity X = 0 has X and the zero of its module as
+sides.  Values are canonical (equal scalars and sections have equal data),
+so the runner passes a tuple when lhs == rhs, with no arithmetic.  At the
+first tuple whose sides differ, the witness, it forms the residual
+lhs - rhs, and it counts the tuples after it without evaluating them.
 """
 
 from __future__ import annotations
@@ -87,21 +91,27 @@ class Report:
         return self.render()
 
 
-def verdict(tuples, residual_fn, witness_fn):
-    """(passed, checked, witness, residual) of: residual_fn(*t) vanishes for
-    every t in tuples.  The first t with a nonzero residual is the witness,
-    witness_fn(*t), reported with str(residual); every tuple is counted."""
+def verdict(tuples, sides_fn, witness_fn):
+    """(passed, checked, witness, residual) of: the sides (lhs, rhs) =
+    sides_fn(*t) are equal for every t in tuples.  The first t where they
+    differ is the witness, witness_fn(*t), reported with str(lhs - rhs);
+    every tuple is counted.  sides_fn must return a 2-tuple (TypeError)."""
     tuples = iter(tuples)
     checked = 0
     for t in tuples:
         checked += 1
-        res = residual_fn(*t)
-        if not res.is_zero():
+        sides = sides_fn(*t)
+        if type(sides) is not tuple or len(sides) != 2:
+            raise TypeError("a check must return the 2-tuple of its sides "
+                            f"(lhs, rhs), not a {type(sides).__name__}")
+        lhs, rhs = sides
+        if lhs != rhs:
             witness = witness_fn(*t)
-            return False, checked + sum(1 for _ in tuples), witness, str(res)
+            return (False, checked + sum(1 for _ in tuples), witness,
+                    str(lhs - rhs))
     return True, checked, None, None
 
 
-def run_check(report, name, tuples, residual_fn, witness_fn):
-    """Add the :func:`verdict` of residual_fn on tuples as the check name."""
-    report.add(name, *verdict(tuples, residual_fn, witness_fn))
+def run_check(report, name, tuples, sides_fn, witness_fn):
+    """Add the :func:`verdict` of sides_fn on tuples as the check name."""
+    report.add(name, *verdict(tuples, sides_fn, witness_fn))

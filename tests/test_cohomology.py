@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 from fractions import Fraction
 from math import comb
 
@@ -238,3 +239,20 @@ def test_negative_betti_numbers_fail(tmp_path, monkeypatch):
     assert (check["status"], check["witness"], check["residual"]) == (
         "fail", "p=1", "1")
     assert check["checked"] == 5
+
+
+@pytest.mark.parametrize("name", ["abelian4", "su2"])
+def test_each_differential_is_ranked_once(name, monkeypatch):
+    ranked = []
+    rank = linalg.rank
+
+    def counting_rank(matrix):
+        ranked.append(tuple(tuple(str(x) for x in row) for row in matrix))
+        return rank(matrix)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    path = pathlib.Path(__file__).parent.parent / "demos" / "data" / f"{name}.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["cohomology", str(path), "--format", "json"]) == 0
+    assert ranked
+    assert len(ranked) == len(set(ranked))

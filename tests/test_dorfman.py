@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from courantcalc import algebroid
 from courantcalc import cochain as co
 from courantcalc import dorfman as dc
 from courantcalc import linalg
@@ -219,6 +220,85 @@ def test_apply_memo_keeps_only_battery_pairs():
     assert conn._apply_cache
     assert all(sigma in sections and b in elements
                for sigma, b in conn._apply_cache)
+
+
+# -- mutation guard: the Leibniz checks catch a wrong kernel ----------------------
+
+_KERNEL = algebroid._leibniz
+
+
+def _without_d_term(g, h, rho, struct, pairing, d):
+    return _KERNEL(g, h, rho, struct, pairing, None)
+
+
+def _without_anchor_term(g, h, rho, struct, pairing, d):
+    return _KERNEL(g, h, tuple(Scalar.zero(a.n) for a in rho), struct, pairing, d)
+
+
+# Each dropped term breaks only the Leibniz rules that scale the slot it
+# differentiates: the D-term <e_i, b> D g_i is tensorial in b, and the
+# anchor term rho(sigma)(h) is tensorial in sigma.  So the kernel without its
+# D-term still satisfies the rules scaling b (right Leibniz, bundle slot),
+# and the kernel without its anchor term those scaling sigma.
+LEIBNIZ_MUTATIONS = [
+    (_without_d_term, ("left-leibniz", "scaling-in-the-section-slot"),
+     ("right-leibniz", "leibniz-in-the-bundle-slot")),
+    (_without_anchor_term, ("right-leibniz", "leibniz-in-the-bundle-slot"),
+     ("left-leibniz", "scaling-in-the-section-slot")),
+]
+
+
+def _old_style_differences(alg, conn):
+    """Each Leibniz identity as the single difference A - B - C, test-local."""
+    br, rho, ap, bundle = alg._bracket, alg.anchor_apply, conn._apply, conn.bundle
+    return {
+        "right-leibniz": lambda a, b, f: (
+            br(a, b.scale(f)) - br(a, b).scale(f) - b.scale(rho(a, f))),
+        "left-leibniz": lambda a, b, f: (
+            br(a.scale(f), b) - br(a, b).scale(f) + a.scale(rho(b, f))
+            - alg.d_E(f).scale(alg.pairing(a, b))),
+        "scaling-in-the-section-slot": lambda sigma, f, b: (
+            ap(sigma.scale(f), b) - ap(sigma, b).scale(f)
+            - bundle.d_B(f).scale(bundle.b_pairing(sigma, b))),
+        "leibniz-in-the-bundle-slot": lambda sigma, f, b: (
+            ap(sigma, b.scale(f)) - ap(sigma, b).scale(f)
+            - b.scale(alg.anchor_apply(sigma, f))),
+    }
+
+
+@pytest.mark.parametrize("mutation,broken,kept", LEIBNIZ_MUTATIONS,
+                         ids=["without-d-term", "without-anchor-term"])
+def test_leibniz_checks_catch_a_wrong_kernel(conn_poly2, monkeypatch, mutation,
+                                             broken, kept):
+    streams = {}
+
+    def recording_run_check(report, name, tuples, *fns):
+        tuples = list(tuples)
+        streams[name] = (tuples, fns[-1])
+        run_check(report, name, tuples, *fns)
+
+    for module in (algebroid, dc):
+        monkeypatch.setattr(module, "_leibniz", mutation)
+        monkeypatch.setattr(module, "run_check", recording_run_check)
+    # fresh objects, so no memo holds a value of the right kernel
+    alg = build_standard(2)
+    conn = dc.DorfmanConnection(dc._self_predual(alg), conn_poly2.gamma)
+    battery = Battery(alg)
+    report = Report()
+    report.extend(algebroid.verify_axioms(alg, battery))
+    report.extend(dc.verify_connection(conn, battery))
+
+    differences = _old_style_differences(alg, conn)
+    for name in broken:
+        tuples, describe = streams[name]
+        witness = next(t for t in tuples if not differences[name](*t).is_zero())
+        check = report[name]
+        assert not check.passed
+        assert check.checked == len(tuples)
+        assert (check.witness, check.residual) == (
+            describe(*witness), str(differences[name](*witness)))
+    for name in kept:
+        assert report[name].passed
 
 
 def test_standard_connection_lie_derivative_on_cotangent_part(standard2,
@@ -466,6 +546,24 @@ def test_curvature_kills_derivation_images(conn_poly2, battery2):
 def test_curvature_R1_of_constant_vanishes(conn_poly2):
     b = conn_poly2.bundle.element([S2("x1"), S2("0"), S2("1"), S2("x2")])
     assert dc.curvature_R1(conn_poly2, Scalar.const(2, 4), b).is_zero()
+
+
+def test_curvature_laws_share_one_evaluation_context(conn_poly2, monkeypatch):
+    made = []
+
+    class CountingContext(co.EvalContext):
+        __slots__ = ()
+
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(dc, "EvalContext", CountingContext)
+    monkeypatch.setattr(co, "EvalContext", CountingContext)
+    report = dc.curvature_laws(conn_poly2, "K",
+                               Battery(conn_poly2.alg, degree=1, extras=1))
+    assert report.passed, report
+    assert len(made) == 1
 
 
 def test_contracted_square_is_R1(standard2, conn_poly2, battery2):
@@ -740,11 +838,11 @@ def tensor_curvature_report(tc, battery):
 
     def r0(e1, e2, t):
         mat = [dc.curvature_R0(conn, e1, e2, e).components for e in frame]
-        return dc.curvature_R0(tc, e1, e2, t) - slotwise(bundle, mat, t)
+        return dc.curvature_R0(tc, e1, e2, t), slotwise(bundle, mat, t)
 
     def r1(f, t):
         mat = [dc.curvature_R1(conn, f, e).components for e in frame]
-        return dc.curvature_R1(tc, f, t) - slotwise(bundle, mat, t)
+        return dc.curvature_R1(tc, f, t), slotwise(bundle, mat, t)
 
     pairs = list(battery.section_tuples(2, reduced=True))
     # B's curvature does not vanish on the sample, so the check is not 0 = 0
@@ -802,12 +900,13 @@ def test_bianchi_on_t02_through_the_dag(standard2, conn_file2):
                for pair in battery.section_tuples(2))
     report = Report("Bianchi identity on T^0,2")
     run_check(report, "degree-3-component", battery.section_tuples(3, reduced=True),
-              lambda *secs: co.evaluate(bianchi, 0, secs, (), ctx),
+              lambda *secs: (co.evaluate(bianchi, 0, secs, (), ctx), bianchi.zero),
               lambda *secs: " , ".join(battery.describe(secs)))
     run_check(report, "function-component",
               ((sigma, f) for (sigma,) in battery.section_tuples(1)
                for f in battery.functions),
-              lambda sigma, f: co.evaluate(bianchi, 1, (sigma,), (f,), ctx),
+              lambda sigma, f: (co.evaluate(bianchi, 1, (sigma,), (f,), ctx),
+                                bianchi.zero),
               lambda sigma, f: f"{battery.label(sigma)}, f={f}")
     assert report.passed, report
     assert all(c.checked > 0 for c in report.checks)
