@@ -173,9 +173,6 @@ class CourantAlgebroid(FramedModule):
             self._dual_anchor = linalg.mat_mul(
                 linalg.inverse(self.pairing_matrix),
                 linalg.mat_transpose(self.anchor_matrix)) if n else [[]] * rank
-        self._frame_brackets = tuple(
-            Section(self, tuple(self.bracket_coeffs[i][j]))
-            for i in range(rank) for j in range(rank))
         self._struct = _sparse_struct(self.bracket_coeffs)
         self._anchor = _sparse_rows(
             [[self.anchor_matrix[l][j] for l in range(n)] for j in range(rank)])

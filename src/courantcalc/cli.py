@@ -119,17 +119,9 @@ def _battery(alg, args):
 
 
 def _config(args, alg=None, battery=None):
-    cfg = {"battery_degree": args.battery_degree, "extras": args.extras,
-           "seed": args.seed}
-    for name in ("algebroid", "predual", "connection", "dirac"):
-        if hasattr(args, name):
-            cfg[name] = getattr(args, name)
-    if hasattr(args, "case"):
-        cfg["case"] = args.case
-    if hasattr(args, "max_p") and args.max_p is not None:
-        cfg["max_p"] = args.max_p
-    if hasattr(args, "max_degree"):
-        cfg["max_degree"] = args.max_degree
+    # every argument of the command but the ones that shape the output
+    cfg = {k: v for k, v in vars(args).items()
+           if k not in ("command", "format", "output") and v is not None}
     if alg is not None:
         cfg["base_dimension"] = alg.n
         cfg["rank"] = alg.rank

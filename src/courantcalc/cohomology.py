@@ -9,6 +9,7 @@ bracket-insertion sum and the cohomology is computed from exact ranks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from math import comb
 
@@ -32,23 +33,12 @@ class PointComplex:
                        for p in range(self.rank + 1)}
         self._matrices = {}
         self._ranks = {}
-        # structure constants as plain rationals
-        self._c = [[[alg.bracket_coeffs[i][j][k].constant_value()
-                     for k in range(self.rank)]
+        # nonzero structure constants (k, c_ij^k) as plain rationals
+        self._c = [[[(k, v) for k, v in enumerate(
+                        x.constant_value() for x in alg.bracket_coeffs[i][j])
+                     if v]
                     for j in range(self.rank)]
                    for i in range(self.rank)]
-        self._check_alternating_identification()
-
-    def _check_alternating_identification(self):
-        # over a point the swap correction of the component pairs is the
-        # differential of a constant pairing, which vanishes; confirm by
-        # evaluating it for every frame pair
-        for i in range(self.rank):
-            for j in range(self.rank):
-                pair = self.alg.pairing_matrix[i][j]
-                if not self.alg.d_E(pair).is_zero():
-                    raise PreconditionError(
-                        "pairing differential does not vanish over a point")
 
     def basis(self, p):
         """Index subsets labelling the alternating basis in degree p."""
@@ -61,26 +51,16 @@ class PointComplex:
             return 0
         return comb(self.rank, p)
 
-    def _basis_value(self, subset, args):
-        """Value of the alternating basis functional on frame indices."""
-        if sorted(args) != list(subset):
-            return 0
-        # permutation sign taking args to the sorted subset
-        seen = list(args)
-        sign = 1
-        for i in range(len(seen)):
-            if seen[i] == subset[i]:
-                continue
-            j = seen.index(subset[i], i + 1)
-            seen[i], seen[j] = seen[j], seen[i]
-            sign = -sign
-        return sign
-
     def differential_matrix(self, p):
         """Matrix of the degree-raising differential in the alternating bases.
 
         Row indices run over the (p+1)-subsets, columns over p-subsets; the
         entry is the value of the image cochain on the row's frame tuple.
+        On a row a, the pair i < j and a nonzero c_{a_i a_j}^k give the term
+        (-1)^(i+1) c_{a_i a_j}^k w(a_0, .., k, .., a_p) with k in the place
+        of a_j; it vanishes if k repeats an index, and otherwise belongs to
+        the one column of its sorted indices, with the sign of moving k from
+        place j - 1 to its sorted place.
         """
         if not 0 <= p <= self.rank:
             raise PreconditionError(f"degree {p} out of range 0..{self.rank}")
@@ -88,30 +68,19 @@ class PointComplex:
         if cached is not None:
             return cached
         rows = self._bases[p + 1] if p + 1 <= self.rank else []
-        cols = self._bases[p]
-        c = self._c
+        column = {subset: ci for ci, subset in enumerate(self._bases[p])}
         out = []
-        for row_subset in rows:
-            row = []
-            for col_subset in cols:
-                total = 0
-                args = list(row_subset)
-                m = len(args)
-                for i in range(m):
-                    for j in range(i + 1, m):
-                        cij = c[args[i]][args[j]]
-                        reduced = args[:i] + args[i + 1 : j]
-                        tail = args[j + 1 :]
-                        for k in range(self.rank):
-                            coeff = cij[k]
-                            if not coeff:
-                                continue
-                            value = self._basis_value(
-                                col_subset, reduced + [k] + tail)
-                            if value:
-                                sign = -1 if i % 2 == 0 else 1
-                                total += sign * coeff * value
-                row.append(total)
+        for a in rows:
+            row = [0] * len(column)
+            for i, j in combinations(range(p + 1), 2):
+                rest = a[:i] + a[i + 1 : j] + a[j + 1 :]
+                for k, coeff in self._c[a[i]][a[j]]:
+                    place = bisect_left(rest, k)
+                    if place < len(rest) and rest[place] == k:
+                        continue
+                    ci = column[rest[:place] + (k,) + rest[place:]]
+                    # (-1)^(i+1) times (-1)^(j-1-place), as a parity
+                    row[ci] += -coeff if (i + j - place) % 2 else coeff
             out.append(row)
         self._matrices[p] = out
         return out

@@ -588,13 +588,8 @@ class TensorConnection:
     def __init__(self, conn, p, q):
         self.conn, self.alg, self.p, self.q = conn, conn.alg, p, q
         self.bundle = TensorBundle.of(conn.bundle, p, q)
-        self._apply_cache = {}
 
     def apply(self, sigma, t):
-        key = (sigma, t)
-        cached = self._apply_cache.get(key)
-        if cached is not None:
-            return cached
         frame = self.conn.bundle.frame
         a = [self.conn.apply(sigma, e).components for e in frame]
         # the matrix each slot acts by, row j the image of its j-th frame element
@@ -610,8 +605,7 @@ class TensorConnection:
                     if not coef.is_zero():
                         i = k + (m - j) * stride
                         out[i] = out[i] + coef * c
-        cached = self._apply_cache[key] = Section(self.bundle, out)
-        return cached
+        return Section(self.bundle, out)
 
 
 # ---------------------------------------------------------------------------
@@ -1093,13 +1087,11 @@ def dirac_from_json(alg, doc):
     return [alg.element(row) for row in _scalar_rows(doc["frame"], "frame", alg.n)]
 
 
-def christoffel_from_json(doc, n, size=None):
-    """{ "gamma": { "i,j": [scalar-string x size] } }, 1-based, zero default."""
-    if size is None:
-        size = n
+def christoffel_from_json(doc, n):
+    """{ "gamma": { "i,j": [scalar-string x n] } }, 1-based, zero default."""
     zero = Scalar.zero(n)
-    ch = [[[zero] * size for _ in range(size)] for _ in range(n)]
+    ch = [[[zero] * n for _ in range(n)] for _ in range(n)]
     _require_fields(doc, "christoffel", ())
-    for i, j, comps in _keyed_entries(doc, "gamma", "christoffel", n, size, n):
+    for i, j, comps in _keyed_entries(doc, "gamma", "christoffel", n, n, n):
         ch[i][j] = comps
     return ch

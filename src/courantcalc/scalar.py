@@ -357,7 +357,7 @@ def _p_heu_gcd(a, b, n):
     So q is an integer, and it is 1 because A and B have the joint content
     of a and b.  When an evaluation vanishes or h fails, xi grows and the
     heuristic tries again, up to six times, and then gives up; ``_p_gcd``
-    falls back to the primitive PRS.
+    falls back to the subresultant PRS.
     """
     k = gcd(*a.values(), *b.values())
     if _p_is_const(a) or _p_is_const(b):
@@ -402,13 +402,45 @@ def _mono_gcd(m, others, n):
     return out | degree << (n * _W)
 
 
+def _p_pow(a, e, top):
+    out = _ONE
+    for _ in range(e):
+        out = _p_mul(out, a, top)
+    return out
+
+
+def _u_prem(a, b, top):
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of univariate
+    {degree: coefficient-poly} a and b, deg a >= deg b."""
+    db = max(b)
+    lead_b = b[db]
+    pad = max(a) - db + 1
+    rem = a
+    while rem and max(rem) >= db:
+        dr = max(rem)
+        lead_r = rem[dr]
+        rem = {d: _p_mul(c, lead_b, top) for d, c in rem.items()}
+        for d, c in b.items():
+            k = d + dr - db
+            s = _p_sub(rem.get(k, {}), _p_mul(c, lead_r, top))
+            if s:
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+        pad -= 1
+    if pad and rem:
+        lead_b = _p_pow(lead_b, pad, top)
+        rem = {d: _p_mul(c, lead_b, top) for d, c in rem.items()}
+    return rem
+
+
 def _p_gcd(a, b, n):
     """gcd in Z[x1..xn] with positive leading coefficient ({} if both 0).
 
     When one side is a single term c*x^e, the gcd is the integer gcd of c
     and the other side's content times the monomial gcd of x^e and the other
     side's terms.  Otherwise the heuristic of ``_p_heu_gcd`` answers almost
-    every call; the primitive PRS below runs only when it gives up.
+    every call; the subresultant PRS below runs only when it gives up.
     """
     if not a:
         return _p_positive(b)
@@ -430,30 +462,27 @@ def _p_gcd(a, b, n):
     ua = {d: _p_exact_div(c, cont_a, n) for d, c in ua.items()}
     ub = {d: _p_exact_div(c, cont_b, n) for d, c in ub.items()}
     cont = _p_gcd(cont_a, cont_b, n)
-    # primitive PRS in the main variable
-    while ub:
-        da, db = max(ua), max(ub)
-        if da < db:
-            ua, ub = ub, ua
-            continue
-        lead_b = ub[db]
-        rem = ua
-        while rem and max(rem) >= db:
-            dr = max(rem)
-            lead_r = rem[dr]
-            rem = {d: _p_mul(c, lead_b, top) for d, c in rem.items()}
-            for d, c in ub.items():
-                k = d + dr - db
-                s = _p_add(rem.get(k, {}), _p_neg(_p_mul(c, lead_r, top)))
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-        if rem:
-            c = _p_content(rem.values(), n)
-            rem = {d: _p_exact_div(cc, c, n) for d, cc in rem.items()}
-        ua, ub = ub, rem
-    return _p_positive(_p_mul(cont, _from_univar(ua, shift, top), top))
+    # subresultant PRS in the main variable (Collins 1967; Brown and Traub
+    # 1971): each pseudo-remainder divides exactly by g*h^delta, so the
+    # coefficients stay the size of subresultants with no content taken
+    if max(ua) < max(ub):
+        ua, ub = ub, ua
+    g = h = _ONE
+    while True:
+        delta = max(ua) - max(ub)
+        rem = _u_prem(ua, ub, top)
+        if not rem:
+            break
+        if max(rem) == 0:  # the primitive parts are coprime
+            return cont
+        div = _p_mul(g, _p_pow(h, delta, top), top)
+        ua, ub = ub, {d: _p_exact_div(c, div, n) for d, c in rem.items()}
+        g = ua[max(ua)]
+        if delta:
+            h = _p_exact_div(_p_pow(g, delta, top), _p_pow(h, delta - 1, top), n)
+    c = _p_content(ub.values(), n)
+    ub = {d: _p_exact_div(cc, c, n) for d, cc in ub.items()}
+    return _p_positive(_p_mul(cont, _from_univar(ub, shift, top), top))
 
 
 def _reduce(num, den, n):

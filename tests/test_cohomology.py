@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -115,19 +117,42 @@ def test_degree_one_matrix_echoes_structure_constants(su2, su2_complex):
             assert m[ri][ci] == want
 
 
-def test_matrix_entries_match_generic_evaluator(su2, su2_complex):
-    ginv = linalg.inverse(su2.pairing_matrix)
-    dual = [su2.element([ginv[i][j] for j in range(3)]) for i in range(3)]
-    for p in (1, 2):
-        m = su2_complex.differential_matrix(p)
-        for ci, col in enumerate(su2_complex.basis(p)):
+@pytest.fixture(scope="module")
+def random_rank5():
+    """Seeded rational structure constants with no Jacobi identity, which
+    the differential's formula does not need."""
+    rng = random.Random(5)
+    c = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    for i, j in combinations(range(5), 2):
+        for k in range(5):
+            v = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            c[i][j][k], c[j][i][k] = v, -v
+    return build_quadratic_lie_algebra(c, eye(5))
+
+
+# on su(2) the inserted index never moves, on T*su(2) it moves one place,
+# and on the random rank-5 constants two places
+@pytest.mark.parametrize("name, degrees", [
+    ("su2", (1, 2)),
+    ("cotangent_su2", (1, 2, 3)),
+    ("random_rank5", (1, 2, 3)),
+], ids=["su2", "cotangent_su2", "random_rank5"])
+def test_matrix_entries_match_generic_evaluator(name, degrees, request):
+    alg = request.getfixturevalue(name)
+    pc = PointComplex(alg)
+    r = alg.rank
+    ginv = linalg.inverse(alg.pairing_matrix)
+    dual = [alg.element([ginv[i][j] for j in range(r)]) for i in range(r)]
+    for p in degrees:
+        m = pc.differential_matrix(p)
+        for ci, col in enumerate(pc.basis(p)):
             w = None
             for idx in col:
-                leaf = co.section_leaf(su2, dual[idx])
+                leaf = co.section_leaf(alg, dual[idx])
                 w = leaf if w is None else co.mul(w, leaf)
             dw = co.differential(w)
-            for ri, row in enumerate(su2_complex.basis(p + 1)):
-                got = co.evaluate(dw, 0, tuple(su2.frame[t] for t in row))
+            for ri, row in enumerate(pc.basis(p + 1)):
+                got = co.evaluate(dw, 0, tuple(alg.frame[t] for t in row))
                 assert got == Scalar.const(0, m[ri][ci])
 
 

@@ -176,7 +176,7 @@ def _gives_up(a, b, n):
 
 def _run(check, heuristic):
     """Run check, with the heuristic gcd patched to give up unless heuristic,
-    so that the primitive PRS answers alone."""
+    so that the subresultant PRS answers alone."""
     if heuristic:
         check()
     else:
@@ -294,6 +294,33 @@ def test_monomial_gcd_matches_sympy(heuristic):
         assert scalar._p_gcd(b, a, n) == expected
 
     _run(check, heuristic)
+
+
+# a pair drawn by the [prs] sums test (hypothesis seed 31) on which a
+# primitive PRS, taking the content of every pseudo-remainder, ran for about
+# 20 s as its coefficients grew past a thousand bits
+STALLED_A = {(2, 3, 2): -10623464670162, (1, 4, 1): -19906398306226,
+             (4, 1, 0): 5876283889, (3, 2, 0): 2126200286,
+             (0, 2, 3): 18695850354308, (2, 2, 0): -2160813517505621638,
+             (2, 0, 2): -1996901788, (1, 2, 1): -14275916206,
+             (0, 2, 2): -681800563314130944, (0, 0, 3): 13407769148,
+             (2, 0, 0): 377132488327168,
+             (0, 1, 0): -138678286151786646470656}
+STALLED_B = {(2, 2, 2): 94708, (2, 2, 0): -7940900, (1, 0, 1): -708}
+
+
+@pytest.mark.parametrize("planted", [
+    {(0, 0, 0): 1},
+    {(1, 0, 2): 2, (0, 1, 0): -3, (0, 0, 0): 5},  # 2*x1*x3^2 - 3*x2 + 5
+], ids=["coprime", "common-factor"])
+def test_prs_gcd_of_a_once_stalled_pair_matches_sympy(planted):
+    R = ZZ_RINGS[3]
+    g = R(planted)
+    a, b = R(STALLED_A) * g, R(STALLED_B) * g
+    expected = _packed(3, a.gcd(b))
+    with mock.patch.object(scalar, "_p_heu_gcd", _gives_up):
+        assert scalar._p_gcd(_packed(3, a), _packed(3, b), 3) == expected
+        assert scalar._p_gcd(_packed(3, b), _packed(3, a), 3) == expected
 
 
 # --- the quotient rule in partial ------------------------------------------
