@@ -568,7 +568,7 @@ def build_port_hamiltonian(n, v, christoffel=None):
                 add(out + a, inn + b, cot + l, t)
                 add(inn + b, out + a, cot + l, -t)
     alg = CourantAlgebroid(n, r, pairing, anchor, c)
-    alg.metadata["port_hamiltonian"] = {"n": n, "v": v, "christoffel": theta}
+    alg.metadata["port_hamiltonian"] = v
     return alg
 
 
@@ -611,19 +611,20 @@ def algebroid_from_json(doc):
         raise ParseError(f'"n" and "rank" must be integers: {exc}') from exc
     pairing = _scalar_rows(doc["pairing"], "pairing", n)
     anchor = _scalar_rows(doc.get("anchor", []), "anchor", n)
-    zero = Scalar.zero(n)
-    bracket = [[[zero] * r for _ in range(r)] for _ in range(r)]
-    for i, j, comps in _keyed_entries(doc, "bracket", "bracket", r, r, n):
-        bracket[i][j] = comps
+    bracket = _keyed_array(doc, "bracket", "bracket", r, r, n)
     return build_from_structure_data(n, r, pairing, anchor, bracket)
 
 
-def _keyed_entries(doc, field, kind, rows, size, n):
-    """The entries of { field: { "i,j": [scalar-string x size] } }, 1-based.
+def _keyed_array(doc, field, kind, rows, size, n):
+    """The rows x size x size array of { field: { "i,j": [scalar-string x
+    size] } }, 1-based keys, zero where no key is given.
 
-    Yields (i, j, scalars) with 0-based 0 <= i < rows and 0 <= j < size; an
-    omitted field has no entries.  Messages name the entries as kind.
+    Entry [i][j] (0-based, 0 <= i < rows and 0 <= j < size) is the list of
+    the key "i+1,j+1"; an omitted field gives the zero array.  Messages name
+    the entries as kind.
     """
+    zero = Scalar.zero(n)
+    array = [[[zero] * size for _ in range(size)] for _ in range(rows)]
     entries = doc.get(field, {})
     if not isinstance(entries, dict):
         raise ParseError(f'"{field}" must be an object of "i,j" keys')
@@ -637,7 +638,8 @@ def _keyed_entries(doc, field, kind, rows, size, n):
             raise PreconditionError(f"bad {kind} key {key!r}") from exc
         if not (0 <= i < rows and 0 <= j < size) or len(comps) != size:
             raise PreconditionError(f"{kind} entry {key!r} out of shape")
-        yield i, j, [parse_scalar(x, n) for x in comps]
+        array[i][j] = [parse_scalar(x, n) for x in comps]
+    return array
 
 
 def _require_fields(doc, kind, fields):

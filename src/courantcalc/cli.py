@@ -118,13 +118,13 @@ def _battery(alg, args):
                    seed=args.seed)
 
 
-def _config(args, alg=None, battery=None):
-    # every argument of the command but the ones that shape the output
+def _config(args, alg, battery):
+    # every argument of the command but the ones that shape the output, and
+    # the battery's size for the commands that build their battery here
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("command", "format", "output") and v is not None}
-    if alg is not None:
-        cfg["base_dimension"] = alg.n
-        cfg["rank"] = alg.rank
+    cfg["base_dimension"] = alg.n
+    cfg["rank"] = alg.rank
     if battery is not None:
         cfg["battery_sections"] = len(battery.sections)
         cfg["battery_functions"] = len(battery.functions)
@@ -208,7 +208,7 @@ def cmd_bott(args):
     _, _, report = dc.bott_connection(alg, sections,
                                       battery_degree=args.battery_degree,
                                       extras=args.extras, seed=args.seed)
-    return report, _config(args, alg), None
+    return report, _config(args, alg, None), None
 
 
 def cmd_cohomology(args):
@@ -232,12 +232,11 @@ def cmd_cohomology(args):
               lambda p: (Scalar.const(0, max(0, -pc.betti(p))), Scalar.zero(0)),
               lambda p: f"p={p}")
     payload = {"table": pc.table(top)}
-    return report, _config(args, alg), ("cohomology", payload)
+    return report, _config(args, alg, None), ("cohomology", payload)
 
 
 def cmd_predual_diagnose(args):
-    alg = algebroid_from_json(_load_json(args.algebroid))
-    bundle = dc.predual_from_json(alg, _load_json(args.predual))
+    alg, bundle, _ = _load_connection_inputs(args, need_connection=False)
     diag = dc.predual_diagnose(bundle)
     report = Report("predual diagnosis")
     # row rank equals column rank: a second elimination, on the transpose
@@ -247,7 +246,7 @@ def cmd_predual_diagnose(args):
     report.add("pairing-rank-computed", ok, 1,
                None if ok else f"pairing matrix ({bundle.rank} x {alg.rank})",
                None if ok else f"rank {p_rank} != rank of transpose {t_rank}")
-    return report, _config(args, alg), ("diagnosis", diag)
+    return report, _config(args, alg, None), ("diagnosis", diag)
 
 
 COMMANDS = {

@@ -19,21 +19,21 @@ run over the tuples of all its instances.
 One DAG serves every kind of value because the differential is taken along
 a connection, the ``along`` argument of :func:`differential`, :func:`lie_e`
 and :func:`lie_f`: ``along.apply(sigma, v)`` differentiates a value v along
-a section.  None, the default, is the anchor: the connection on the trivial
-line bundle of scalar cochains.  For bundle-valued cochains ``along`` is a
+a section.  None, the default, is the anchor, the connection on the trivial
+line bundle of scalar cochains: the differential then takes
+``alg.anchor_apply(sigma, f)``.  For bundle-valued cochains ``along`` is a
 Dorfman connection or the one it induces on T^{p,q}(B) by the derivation
 rule, and the Lie derivative along a section becomes the covariant
 derivative nabla_e.
 
 Nodes are hash-consed: each constructor looks its node up by structure
 (the node class, the child nodes, the section, function or leaf value by
-value, and the connection d is taken along) in a table of the algebroid,
-and returns the node already built if there is one.  So an equal
-subexpression built twice is one node, and shares one memo entry when it is
-evaluated.  The table holds its nodes weakly: a node lives as long as a
-caller or a parent node refers to it, not as long as its algebroid.  The
-anchor connection is one object per algebroid, so ``differential(w)`` and
-``differential(w, None)`` are one node.
+value, and the connection d is taken along, None for the anchor) in a table
+of the algebroid, and returns the node already built if there is one.  So
+an equal subexpression built twice is one node, and shares one memo entry
+when it is evaluated; ``differential(w)`` and ``differential(w, None)`` are
+one node.  The table holds its nodes weakly: a node lives as long as a
+caller or a parent node refers to it, not as long as its algebroid.
 
 Every evaluation runs in an :class:`EvalContext`.  The context interns each
 section and function argument to a small int, so the DAG works on id
@@ -71,12 +71,10 @@ from itertools import combinations
 from operator import itemgetter
 from weakref import WeakValueDictionary
 
-from .battery import Battery
 from .report import Report, run_check, verdict
 from .scalar import Scalar
 
 __all__ = [
-    "Battery",
     "Cochain",
     "DegreeCapError",
     "scalar_leaf",
@@ -129,9 +127,6 @@ class Cochain:
 
     def _eval(self, k, es, fs, ctx):
         raise NotImplementedError
-
-    def __mul__(self, other):
-        return mul(self, other)
 
 
 class _Zero(Cochain):
@@ -217,19 +212,6 @@ class _Product(Cochain):
         return total
 
 
-class _AnchorConnection:
-    """The anchor, as the connection on the trivial line bundle along which
-    the differential of a scalar cochain differentiates."""
-
-    __slots__ = ("alg",)
-
-    def __init__(self, alg):
-        self.alg = alg
-
-    def apply(self, sigma, f):
-        return self.alg.anchor_apply(sigma, f)
-
-
 class _Differential(Cochain):
     """Degree +1 differential along a connection (see the module docstring)."""
 
@@ -266,8 +248,10 @@ class _Differential(Cochain):
             # and the next
             sections = ctx.sections
             along = self.along
-            inert = (ctx.anchor_free_ids() if type(along) is _AnchorConnection
-                     else zero_ids)
+            if along is None:
+                apply, inert = alg.anchor_apply, ctx.anchor_free_ids
+            else:
+                apply, inert = along.apply, zero_ids
             drops = _drop_plan(len(es))
             for i, e in enumerate(es):
                 if e in inert:
@@ -278,7 +262,7 @@ class _Differential(Cochain):
                 if v is None:
                     v = memo[key] = child._eval(k, args, fs, ctx)
                 if not v.is_zero():
-                    dv = along.apply(sections[e], v)
+                    dv = apply(sections[e], v)
                     total = total + dv if i % 2 == 0 else total - dv
             # bracket insertion at the place of the later argument; a zero
             # bracket in a slot of the R-multilinear child makes the term zero
@@ -380,15 +364,6 @@ def _node(cls, alg, *args):
     return node
 
 
-def _along(alg, along):
-    """along, or for None the anchor connection of alg (one per algebroid)."""
-    if along is None:
-        along = alg.metadata.get("anchor_connection")
-        if along is None:
-            along = alg.metadata["anchor_connection"] = _AnchorConnection(alg)
-    return along
-
-
 def _zero_like(node, degree):
     return _node(_Zero, node.alg, node.alg, node.zero, degree)
 
@@ -423,7 +398,7 @@ def differential(child, along=None):
         return _zero_like(child, child.degree + 1)
     if child.degree + 1 > DEGREE_CAP:
         raise DegreeCapError(f"degree {child.degree + 1} exceeds cap {DEGREE_CAP}")
-    return _node(_Differential, child.alg, _along(child.alg, along), child)
+    return _node(_Differential, child.alg, along, child)
 
 
 def interior_e(section, child):
@@ -443,7 +418,7 @@ def lie_e(section, child, along=None):
     (None: the anchor)."""
     if isinstance(child, _Zero):
         return _zero_like(child, child.degree)
-    return _node(_LieE, child.alg, _along(child.alg, along), section, child)
+    return _node(_LieE, child.alg, along, section, child)
 
 
 def lie_f(function, child, along=None):
@@ -451,7 +426,7 @@ def lie_f(function, child, along=None):
     (None: the anchor)."""
     if child.degree - 1 < 0 or isinstance(child, _Zero):
         return _zero_like(child, child.degree - 1)
-    return _node(_LieF, child.alg, _along(child.alg, along), function, child)
+    return _node(_LieF, child.alg, along, function, child)
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +445,16 @@ class EvalContext:
     cochains of several algebroids and bundle-valued cochains alike; it
     holds every value it has computed until it is dropped.
 
-    ``zero_ids`` holds the ids of zero sections, marked as they are
-    interned; :meth:`anchor_free_ids` is the set of ids of sections with a
-    zero anchor image, brought up to date when it is asked for.  The
-    differential skips the terms these flags show to vanish.
+    ``zero_ids`` holds the ids of zero sections and ``anchor_free_ids``
+    those of sections with a zero anchor image, both marked as the sections
+    are interned.  The differential skips the terms these flags show to
+    vanish: along the anchor, a derivative along an anchor-free section;
+    along a connection, one along a zero section.
     """
 
     __slots__ = ("memo", "sections", "functions", "_section_ids",
                  "_function_ids", "_brackets", "_d_e", "zero_ids",
-                 "_anchor_free", "_anchor_checked")
+                 "anchor_free_ids")
 
     def __init__(self):
         self.memo = {}
@@ -489,8 +465,7 @@ class EvalContext:
         self._brackets = {}
         self._d_e = {}
         self.zero_ids = set()
-        self._anchor_free = set()
-        self._anchor_checked = 0
+        self.anchor_free_ids = set()
 
     def section_id(self, section):
         i = self._section_ids.get(section)
@@ -499,17 +474,9 @@ class EvalContext:
             self.sections.append(section)
             if section.is_zero():
                 self.zero_ids.add(i)
+            if not any(c.num for c in section.module._anchor_row(section)):
+                self.anchor_free_ids.add(i)
         return i
-
-    def anchor_free_ids(self):
-        """Ids of the interned sections whose anchor image is zero."""
-        sections = self.sections
-        for i in range(self._anchor_checked, len(sections)):
-            sigma = sections[i]
-            if not any(c.num for c in sigma.module._anchor_row(sigma)):
-                self._anchor_free.add(i)
-        self._anchor_checked = len(sections)
-        return self._anchor_free
 
     def function_id(self, function):
         i = self._function_ids.get(function)
@@ -668,12 +635,7 @@ class EqualityResult:
         return f"EqualityResult(differ at {self.witness}, residual {self.residual})"
 
 
-def _default_battery(alg, *nodes):
-    bound = max((n.order for n in nodes), default=1)
-    return Battery(alg, degree=2 + bound)
-
-
-def equal_combinations(lhs, rhs, battery=None, reduced=False, ctx=None):
+def equal_combinations(lhs, rhs, battery, reduced=False, ctx=None):
     """Exact equality of two signed sums of cochains on the battery.
 
     lhs and rhs are lists of (coefficient, cochain) with rational
@@ -689,8 +651,6 @@ def equal_combinations(lhs, rhs, battery=None, reduced=False, ctx=None):
     if odd is not None:
         return EqualityResult(False, 0, witness="degree mismatch",
                               residual=f"{odd.degree} != {nodes[0].degree}")
-    if battery is None and nodes:
-        battery = _default_battery(nodes[0].alg, *nodes)
     if ctx is None:
         ctx = EvalContext()
     return EqualityResult(*verdict(*_combination_check(
@@ -749,12 +709,12 @@ def _component_tuples(battery, sec_arity, fun_arity, reduced):
                 yield secs, funs
 
 
-def equal(w, h, battery=None, reduced=False, ctx=None):
+def equal(w, h, battery, reduced=False, ctx=None):
     """True iff all components of w and h agree exactly on every battery tuple."""
     return equal_combinations([(1, w)], [(1, h)], battery, reduced, ctx)
 
 
-def vanishes(w, battery=None, reduced=False, ctx=None):
+def vanishes(w, battery, reduced=False, ctx=None):
     return equal_combinations([(1, w)], [], battery, reduced, ctx)
 
 
@@ -763,7 +723,7 @@ def vanishes(w, battery=None, reduced=False, ctx=None):
 # ---------------------------------------------------------------------------
 
 
-def check_symmetry_condition(w, battery=None):
+def check_symmetry_condition(w, battery):
     """Adjacent-swap relation tying component k to component k + 1.
 
     For every component k, swapping two adjacent section arguments flips the
@@ -771,8 +731,6 @@ def check_symmetry_condition(w, battery=None):
     of the swapped pair (carried in the leading function slot).
     """
     report = Report("symmetry condition")
-    if battery is None:
-        battery = _default_battery(w.alg, w)
     ctx = EvalContext()
 
     def swaps():
@@ -841,20 +799,17 @@ def _probe_sequences(probes, depth):
             yield (f,) + rest
 
 
-def symbol_E(w, slot, probe, battery=None):
+def symbol_E(w, slot, probes, battery):
     """Confirm the section-slot order bounds by iterated-symbol vanishing.
 
     The declared bound for slot i of component k is the order field of the
     cochain for leading slots and one less for the final slot; the check
     applies the symbol construction (bound + 1) times with the probe
-    function(s) and requires an exactly zero result on the battery.
+    functions and requires an exactly zero result on the battery.
     """
-    probes = list(probe) if isinstance(probe, (list, tuple)) else [probe]
     report = Report("section-slot symbols")
     if not 0 <= slot < w.degree:
         raise ValueError(f"section slot {slot} out of range for degree {w.degree}")
-    if battery is None:
-        battery = _default_battery(w.alg, w)
     ctx = EvalContext()
 
     def symbols(k, arity, bound):
@@ -879,7 +834,7 @@ def symbol_E(w, slot, probe, battery=None):
     return report
 
 
-def symbol_Omega(w, slot, probe, battery=None):
+def symbol_Omega(w, slot, probes, battery):
     """Function-slot symbol probed through the product-rule defect.
 
     Function slots stand for differentials of their entries, so the slot
@@ -888,12 +843,9 @@ def symbol_Omega(w, slot, probe, battery=None):
     which must vanish for slots acting as derivations.  The check iterates
     the defect (declared order) times and requires exact vanishing.
     """
-    probes = list(probe) if isinstance(probe, (list, tuple)) else [probe]
     report = Report("function-slot symbols")
     if not 0 <= slot < w.degree // 2:
         raise ValueError(f"function slot {slot} out of range for degree {w.degree}")
-    if battery is None:
-        battery = _default_battery(w.alg, w)
     ctx = EvalContext()
 
     def at_slot(fs, g):
@@ -922,12 +874,10 @@ def symbol_Omega(w, slot, probe, battery=None):
 # ---------------------------------------------------------------------------
 
 
-def cartan_suite(alg, battery=None, max_degree=4):
+def cartan_suite(alg, battery, max_degree=4):
     """All eight commutation relations of the calculus plus the two
     contraction brackets, verified as operator identities on test cochains:
     the first two generator cochains of each degree up to max_degree."""
-    if battery is None:
-        battery = Battery(alg)
     # a spread over the degrees, so at max_degree 4 no identity is vacuous
     per_degree = {}
     for w in generator_cochains(alg, battery):
@@ -1036,10 +986,8 @@ def cartan_suite(alg, battery=None, max_degree=4):
 # ---------------------------------------------------------------------------
 
 
-def generator_cochains(alg, battery=None):
+def generator_cochains(alg, battery):
     """Deterministic DAG cochains of degree <= 4 covering every node kind."""
-    if battery is None:
-        battery = Battery(alg)
     n = alg.n
     e = list(alg.frame)
     r = alg.rank
@@ -1085,10 +1033,8 @@ def generator_cochains(alg, battery=None):
     ]
 
 
-def random_cochain(alg, degree, rng, battery=None):
+def random_cochain(alg, degree, rng, battery):
     """Seeded random DAG of the requested degree (0 <= degree <= 6)."""
-    if battery is None:
-        battery = Battery(alg)
     pool_sections = battery.frame + battery.scaled[:4] + battery.randoms
     pool_functions = battery.functions
 

@@ -48,7 +48,7 @@ from .algebroid import (
     FramedModule,
     Section,
     _gradient_image,
-    _keyed_entries,
+    _keyed_array,
     _leibniz,
     _pair,
     _require_fields,
@@ -62,6 +62,7 @@ from .cochain import (
     Cochain,
     EvalContext,
     _Leaf,
+    _node,
     differential,
     equal_combinations,
     evaluate,
@@ -245,22 +246,22 @@ class DorfmanConnection:
 # ---------------------------------------------------------------------------
 
 
-def build_connection(bundle, battery=None):
+def build_connection(bundle, battery):
     """Produce a connection on the predual bundle.
 
     The frame values start from the derivation term d_B of the pairing
     coefficients; the obstruction to the third axiom is linear in a
     correction matrix per algebroid frame index, solved exactly over the
     fraction field with deterministic pivoting and free block set to zero.
-    The result is verified once, by verify_connection on the battery (a
-    fresh default Battery when none is given), as a self-test.
+    The result is verified once, by verify_connection on the battery, as a
+    self-test.
 
     Returns (connection, report), the report being that of the self-test.
     Raises PreconditionError when some system is inconsistent and
     ConstructionError if the result fails verification (it cannot happen
     when the predual compatibility holds).
     """
-    alg, s, n, r = bundle.alg, bundle.rank, bundle.alg.n, bundle.alg.rank
+    s, n, r = bundle.rank, bundle.alg.n, bundle.alg.rank
     A, P = bundle.alpha_matrix, bundle.pairing_matrix
     a_const = all(x.is_constant() for row in A for x in row)
 
@@ -308,8 +309,6 @@ def build_connection(bundle, battery=None):
                 rows.append([base[q] + corrections[k][j][q] for q in range(s)])
         gamma.append(rows)
     conn = DorfmanConnection(bundle, gamma)
-    if battery is None:
-        battery = Battery(alg)
     report = verify_connection(conn, battery)
     _self_test(report, "constructed connection")
     return conn, report
@@ -477,11 +476,9 @@ class LinearConnection:
         return self.conn.alg.anchor_apply(self._to_section(b), f)
 
 
-def induced_linear_connection(conn, case, battery=None):
+def induced_linear_connection(conn, case, battery):
     """The module connection induced in the case, self-tested."""
     lin = LinearConnection(conn, case)
-    if battery is None:
-        battery = Battery(conn.alg)
     _self_test(verify_linear_connection(lin, battery), "induced connection")
     return lin
 
@@ -615,7 +612,7 @@ class TensorConnection:
 
 def b_leaf(bundle, b):
     """The degree-0 cochain with the constant value b."""
-    return _Leaf(bundle.alg, b, bundle.zero())
+    return _node(_Leaf, bundle.alg, bundle.alg, b, bundle.zero())
 
 
 def tensor(omega, bundle, b):
@@ -707,7 +704,7 @@ class _Curvature(Cochain):
 
 def curvature(conn):
     """The curvature of conn as an End(B)-valued cochain of degree 2."""
-    return _Curvature(conn)
+    return _node(_Curvature, conn.alg, conn)
 
 
 def curvature_symbol_checks(conn, lin, battery):
@@ -913,56 +910,31 @@ def build_port_hamiltonian_connections(alg):
     """The two projection connections of a port-Hamiltonian algebroid.
 
     Returns (conn, conn_prime) on the cotangent+port and cotangent+co-port
-    preduals; both are projections of the bracket restricted to the
-    respective sub-bundles.
+    preduals: each is the bracket of the algebroid projected on the
+    sub-frame, which the bracket keeps invariant.
     """
-    meta = alg.metadata.get("port_hamiltonian")
-    if meta is None:
+    v = alg.metadata.get("port_hamiltonian")
+    if v is None:
         raise PreconditionError("algebroid does not carry port-Hamiltonian data")
-    n, v, theta = meta["n"], meta["v"], meta["christoffel"]
-    zero, one = Scalar.zero(n), Scalar.one(n)
-    r = alg.rank
-    s = n + v
-    tan, cot, out, inn = 0, n, 2 * n, 2 * n + v
+    n = alg.n
+    cotangent = list(range(n, 2 * n))
+    ports = list(range(2 * n, 2 * n + v))
+    co_ports = list(range(2 * n + v, 2 * n + 2 * v))
+    return _projection(alg, cotangent + ports), _projection(alg, cotangent + co_ports)
 
-    # predual on cotangent + port frames
-    p1 = [[zero] * r for _ in range(s)]
-    for l in range(n):
-        p1[l][tan + l] = one
-    for a in range(v):
-        p1[n + a][inn + a] = one
-    a1 = [[one if col == i and i < n else zero for col in range(n)]
-          for i in range(s)]
-    bundle1 = PredualBundle(alg, s, p1, a1)
-    g1 = [[[zero] * s for _ in range(s)] for _ in range(r)]
-    for l in range(n):
-        for a in range(v):
-            for b in range(v):
-                t = theta[l][a][b]
-                if t.is_zero():
-                    continue
-                g1[tan + l][n + a][n + b] = t
-                g1[inn + a][n + b][l] = g1[inn + a][n + b][l] - theta[l][b][a]
-    conn1 = DorfmanConnection(bundle1, g1)
 
-    # predual on cotangent + co-port frames
-    p2 = [[zero] * r for _ in range(s)]
-    for l in range(n):
-        p2[l][tan + l] = one
-    for a in range(v):
-        p2[n + a][out + a] = one
-    bundle2 = PredualBundle(alg, s, p2, a1)
-    g2 = [[[zero] * s for _ in range(s)] for _ in range(r)]
-    for l in range(n):
-        for a in range(v):
-            for b in range(v):
-                t = theta[l][a][b]
-                if t.is_zero():
-                    continue
-                g2[tan + l][n + b][n + a] = g2[tan + l][n + b][n + a] - t
-                g2[out + a][n + b][l] = g2[out + a][n + b][l] + t
-    conn2 = DorfmanConnection(bundle2, g2)
-    return conn1, conn2
+def _projection(alg, sub):
+    """The bracket of alg projected on the sub-frame of the frame indices
+    sub: the predual whose frame element j is frame section sub[j], paired
+    and differentiated as in alg, with the connection coefficients
+    gamma[i][j] the sub components of the frame bracket [e_i, e_sub[j]]."""
+    bundle = PredualBundle(alg, len(sub),
+                           [[alg.pairing_matrix[i][j] for i in range(alg.rank)]
+                            for j in sub],
+                           [alg._dual_anchor[j] for j in sub])
+    gamma = [[[alg.bracket_coeffs[i][j][q] for q in sub] for j in sub]
+             for i in range(alg.rank)]
+    return DorfmanConnection(bundle, gamma)
 
 
 def bott_connection(alg, l_sections, battery_degree=2, extras=3, seed=0):
@@ -1062,14 +1034,9 @@ def predual_from_json(alg, doc):
 
 def connection_from_json(bundle, doc):
     """{ "gamma": { "i,j": [scalar-string x s] } } with 1-based indices."""
-    n = bundle.alg.n
-    r, s = bundle.alg.rank, bundle.rank
-    zero = Scalar.zero(n)
-    gamma = [[[zero] * s for _ in range(s)] for _ in range(r)]
     _require_fields(doc, "connection", ())
-    for i, j, comps in _keyed_entries(doc, "gamma", "gamma", r, s, n):
-        gamma[i][j] = comps
-    return DorfmanConnection(bundle, gamma)
+    return DorfmanConnection(bundle, _keyed_array(
+        doc, "gamma", "gamma", bundle.alg.rank, bundle.rank, bundle.alg.n))
 
 
 def connection_to_json(conn):
@@ -1089,9 +1056,5 @@ def dirac_from_json(alg, doc):
 
 def christoffel_from_json(doc, n):
     """{ "gamma": { "i,j": [scalar-string x n] } }, 1-based, zero default."""
-    zero = Scalar.zero(n)
-    ch = [[[zero] * n for _ in range(n)] for _ in range(n)]
     _require_fields(doc, "christoffel", ())
-    for i, j, comps in _keyed_entries(doc, "gamma", "christoffel", n, n, n):
-        ch[i][j] = comps
-    return ch
+    return _keyed_array(doc, "gamma", "christoffel", n, n, n)

@@ -445,3 +445,47 @@ def test_christoffel_entry_errors(case, entries, code, message):
         dc.christoffel_from_json({"gamma": entries}, 2)
     _, text = message.format(field="gamma", kind="christoffel").split(": ", 1)
     assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("case", ["F", "K"])
+def test_curvature_with_an_explicit_case(case):
+    # the self-predual of standard(2) fits both adapted-frame cases
+    small = ("--battery-degree", "1", "--extras", "1")
+    proc = run_cli("curvature", STD2, PRE2, CONNECTION, "--case", case, *small)
+    assert proc.returncode == 0
+    assert "leibniz-in-the-section-slot" in proc.stdout
+    if case == "F":
+        # auto tries F first, so it takes the same case
+        assert proc.stdout == run_cli("curvature", STD2, PRE2, CONNECTION,
+                                      *small).stdout
+
+
+def test_curvature_without_an_adapted_frame_case_exits_3(tmp_path):
+    conn = tmp_path / "conn.json"
+    conn.write_text(json.dumps({"gamma": {}}))
+    proc = run_cli("curvature", str(DATA / "port_hamiltonian11.json"),
+                   str(DATA / "predual_ph11.json"), str(conn))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("precondition failed: cannot infer an adapted-frame "
+                           "case from the pairing; pass --case\n")
+
+
+def test_output_file_holds_the_text_report_and_keeps_the_exit_code(tmp_path):
+    broken = str(ROOT / "tests" / "golden" / "connection_broken.json")
+    argv = ("connection-verify", STD2, PRE2, broken,
+            "--battery-degree", "1", "--extras", "1")
+    out = tmp_path / "report.txt"
+    proc = run_cli(*argv, "-o", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert out.read_text() == run_cli(*argv).stdout
+    assert "result: checks FAILED" in out.read_text()
+
+
+def test_non_integer_numeric_flag_exits_2():
+    proc = run_cli("verify-algebroid", str(DATA / "su2.json"),
+                   "--battery-degree", "two")
+    assert proc.returncode == 2
+    assert "argument --battery-degree: invalid int value: 'two'" in proc.stderr
+    assert proc.stdout == ""

@@ -787,6 +787,35 @@ def test_node_table_does_not_keep_nodes_alive():
         gc.enable()
 
 
+def test_bundle_leaves_tensors_and_curvature_come_from_the_node_table(standard2,
+                                                                      battery2):
+    conn = dc.build_standard_connection(standard2)
+    b = conn.bundle.frame[1]
+    w = co.section_leaf(standard2, battery2.randoms[0])
+    assert dc.b_leaf(conn.bundle, b) is dc.b_leaf(conn.bundle, b)
+    assert dc.b_leaf(conn.bundle, b) is not dc.b_leaf(conn.bundle, conn.bundle.frame[0])
+    assert dc.tensor(w, conn.bundle, b) is dc.tensor(w, conn.bundle, b)
+    assert dc.curvature(conn) is dc.curvature(conn)
+    other = dc.build_standard_connection(standard2)
+    assert dc.curvature(other) is not dc.curvature(conn)
+
+
+def test_node_table_does_not_keep_curvature_nodes_alive():
+    alg = build_standard(1)
+    conn = dc.build_standard_connection(alg)
+    gc.disable()
+    try:
+        r = dc.curvature(conn)
+        table = alg.metadata["cochain_nodes"]
+        assert len(table) == 1
+        node = weakref.ref(r)
+        del r
+        assert node() is None
+        assert len(table) == 0
+    finally:
+        gc.enable()
+
+
 def test_zero_cochain_has_no_instance_dict(standard2):
     assert not hasattr(co.zero_cochain(standard2, 1), "__dict__")
 

@@ -151,10 +151,9 @@ def test_build_connection_returns_its_self_test_report(standard1,
     zero, one = Scalar.zero(1), Scalar.one(1)
     p = [list(row) for row in standard1.pairing_matrix] + [[zero, zero]]
     kernel_line = dc.PredualBundle(standard1, 3, p, [[zero], [one], [S1("x1")]])
-    for bundle, battery in ((self_predual1, battery1), (kernel_line, battery1),
-                            (self_predual1, None)):
-        conn, report = dc.build_connection(bundle, battery)
-        fresh = dc.verify_connection(conn, battery or Battery(standard1))
+    for bundle in (self_predual1, kernel_line):
+        conn, report = dc.build_connection(bundle, battery1)
+        fresh = dc.verify_connection(conn, battery1)
         assert report.passed
         assert report.to_dict() == fresh.to_dict()
 
@@ -333,6 +332,86 @@ def test_port_hamiltonian_connection_formula():
     co_port = conn_prime.bundle.frame[1]
     assert conn_prime.apply(tangent, co_port) == \
         conn_prime.bundle.element([S1("0"), S1("-x1")])
+
+
+def hand_port_hamiltonian_connections(n, v, theta):
+    """The two projection connections written out index by index from the
+    Christoffel data theta, frame order tangent, cotangent, port, co-port:
+    (pairing_P, alpha_A, gamma) of each."""
+    zero, one = Scalar.zero(n), Scalar.one(n)
+    r, s = 2 * n + 2 * v, n + v
+    tan, out, inn = 0, 2 * n, 2 * n + v
+    alpha = [[one if col == i and i < n else zero for col in range(n)]
+             for i in range(s)]
+    p1 = [[zero] * r for _ in range(s)]
+    p2 = [[zero] * r for _ in range(s)]
+    g1 = [[[zero] * s for _ in range(s)] for _ in range(r)]
+    g2 = [[[zero] * s for _ in range(s)] for _ in range(r)]
+    for l in range(n):
+        p1[l][tan + l] = p2[l][tan + l] = one
+    for a in range(v):
+        p1[n + a][inn + a] = one
+        p2[n + a][out + a] = one
+    for l, a, b in product(range(n), range(v), range(v)):
+        t = theta[l][a][b]
+        if t.is_zero():
+            continue
+        # ports along the tangent frame, and the cotangent part of the
+        # co-port bracket with a port
+        g1[tan + l][n + a][n + b] = t
+        g1[inn + a][n + b][l] = g1[inn + a][n + b][l] - theta[l][b][a]
+        # the dual connection on co-ports, and the port bracket with a co-port
+        g2[tan + l][n + b][n + a] = g2[tan + l][n + b][n + a] - t
+        g2[out + a][n + b][l] = g2[out + a][n + b][l] + t
+    return (p1, alpha, g1), (p2, alpha, g2)
+
+
+def flat_constant_theta(seed):
+    """n = 2, v = 2: a seeded constant matrix along x1 and a multiple of the
+    identity along x2, which commute, so the port connection is flat."""
+    m = [[random_polynomial(2, 0, seed + 2 * a + b) for b in range(2)]
+         for a in range(2)]
+    c = random_polynomial(2, 0, seed + 7)
+    eye = [[c if a == b else Scalar.zero(2) for b in range(2)] for a in range(2)]
+    return [m, eye]
+
+
+def seeded_theta(n, v, seed):
+    return [[[random_polynomial(n, 2, 1000 * seed + 9 * l + 3 * a + b)
+              for b in range(v)] for a in range(v)] for l in range(n)]
+
+
+PORT_GRID = ([(1, v, "poly", seed) for v in (1, 2) for seed in range(6)]
+             + [(2, 2, "flat", seed) for seed in (0, 1)]
+             + [(1, 1, "none", 0), (2, 3, "none", 0)])
+
+
+@pytest.mark.parametrize("n,v,kind,seed", PORT_GRID,
+                         ids=[f"n{n}v{v}-{kind}{seed}" for n, v, kind, seed in PORT_GRID])
+def test_port_hamiltonian_connections_are_the_hand_formula(n, v, kind, seed):
+    if kind == "poly":
+        theta = seeded_theta(n, v, seed)
+    elif kind == "flat":
+        theta = flat_constant_theta(seed)
+    else:
+        theta = None
+    alg = build_port_hamiltonian(n, v, theta)
+    if theta is None:
+        theta = [[[Scalar.zero(n)] * v for _ in range(v)] for _ in range(n)]
+    built = dc.build_port_hamiltonian_connections(alg)
+    for conn, (pairing, alpha, gamma) in zip(
+            built, hand_port_hamiltonian_connections(n, v, theta)):
+        assert conn.bundle.pairing_matrix == pairing
+        assert conn.bundle.alpha_matrix == alpha
+        assert conn.gamma == gamma
+
+
+def test_port_hamiltonian_connections_need_the_builder():
+    # a loaded document carries no port data, so no connections are read off
+    alg = algebroid_from_json(algebroid.algebroid_to_json(
+        build_port_hamiltonian(1, 1, [[[S1("x1")]]])))
+    with pytest.raises(PreconditionError, match="port-Hamiltonian data"):
+        dc.build_port_hamiltonian_connections(alg)
 
 
 # -- affine structure --------------------------------------------------------------------
