@@ -52,6 +52,15 @@ def main():
     dump("su2_plus_r.json", algebroid_to_json(
         build_quadratic_lie_algebra(eps4, eye4)))
 
+    # a negative control: [e1,e2] = e1 + e3, [e2,e3] = e1, [e1,e3] = e2 with
+    # the identity pairing breaks the Jacobi identity
+    broken = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, value in [(0, 1, [1, 0, 1]), (1, 2, [1, 0, 0]), (0, 2, [0, 1, 0])]:
+        broken[i][j] = value
+        broken[j][i] = [-x for x in value]
+    dump("non_jacobi.json", algebroid_to_json(
+        build_quadratic_lie_algebra(broken, eye3)))
+
     zero4 = [[[0] * 4 for _ in range(4)] for _ in range(4)]
     dump("abelian4.json", algebroid_to_json(
         build_quadratic_lie_algebra(zero4, eye4)))

@@ -1,11 +1,17 @@
+import json
+import pathlib
+
 import pytest
 
 from courantcalc.algebroid import (
+    algebroid_from_json,
     build_port_hamiltonian,
     build_quadratic_lie_algebra,
     build_standard,
 )
 from courantcalc.battery import Battery
+
+DATA = pathlib.Path(__file__).parent.parent / "demos" / "data"
 
 
 def su2_structure_constants():
@@ -41,13 +47,8 @@ def su2_bad_form():
 @pytest.fixture(scope="session")
 def non_jacobi():
     """A point algebroid whose bracket breaks Jacobi: identity pairing,
-    [e1,e2] = e1 + e3, [e2,e3] = e1, [e1,e3] = e2."""
-    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for i, j, value in [(0, 1, [1, 0, 1]), (1, 2, [1, 0, 0]), (0, 2, [0, 1, 0])]:
-        c[i][j] = value
-        c[j][i] = [-x for x in value]
-    eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    return build_quadratic_lie_algebra(c, eye)
+    [e1,e2] = e1 + e3, [e2,e3] = e1, [e1,e3] = e2 (demos/data/non_jacobi.json)."""
+    return algebroid_from_json(json.loads((DATA / "non_jacobi.json").read_text()))
 
 
 @pytest.fixture(scope="session")

@@ -106,6 +106,14 @@ def test_product_degree_cap(standard2):
         quad = leaf if quad is None else co.mul(quad, leaf)
     with pytest.raises(co.DegreeCapError):
         co.mul(quad, quad)
+    # L_e is i_e d + d i_e: it is capped where the differential is
+    top = co.section_leaf(standard2, standard2.frame[0])
+    while top.degree < co.DEGREE_CAP:
+        top = co.differential(top)
+    for along in (None, dc.build_standard_connection(standard2)):
+        with pytest.raises(co.DegreeCapError):
+            co.lie_e(standard2.frame[1], top, along)
+    assert co.lie_e(standard2.frame[1], top.child).degree == co.DEGREE_CAP - 1
 
 
 # -- reference evaluator ---------------------------------------------------------
@@ -304,16 +312,18 @@ def test_evaluate_agrees_with_reference_evaluator(name, request):
 
 @pytest.mark.parametrize("name", ["standard2", "su2"])
 def test_evaluate_agrees_with_reference_evaluator_at_arity_4_and_5(name, request):
-    """The degree-4 generators and their differentials, on every component:
-    the arities at which the d^2 checks evaluate their nodes."""
+    """The degree-4 generators, their differentials and their Lie
+    derivatives along a section, on every component: the arities at which
+    the d^2 and Cartan checks evaluate their nodes."""
     alg = request.getfixturevalue(name)
     # su(2) has no scaled frame over a point: three random sections make the
     # five distinct ones that a degree-5 component samples
     battery = Battery(alg, degree=1, extras=3 if alg.n == 0 else 1)
     sections, functions = _reference_pools(alg, battery)
     nodes = [w for w in co.generator_cochains(alg, battery) if w.degree == 4]
-    nodes += [co.differential(w) for w in nodes]
-    assert sorted(w.degree for w in nodes) == [4, 4, 5, 5]
+    e = battery.randoms[0]
+    nodes += [co.differential(w) for w in nodes] + [co.lie_e(e, w) for w in nodes]
+    assert sorted(w.degree for w in nodes) == [4, 4, 4, 4, 5, 5]
     rng = random.Random(f"reference-4-5:{name}")
     nonzero = {4: 0, 5: 0}
     for node in nodes:
@@ -341,7 +351,8 @@ def test_bianchi_cochain_agrees_with_reference_evaluator(standard2):
     # contraction of R does not
     curvature = dc.curvature(conn)
     for node in (co.differential(curvature, end),
-                 co.differential(co.interior_e(battery.randoms[0], curvature), end)):
+                 co.differential(co.interior_e(battery.randoms[0], curvature), end),
+                 co.lie_e(battery.scaled[0], curvature, end)):
         calls = _oracle_tuples(node, sections, functions, rng, per_component=2)
         _assert_agrees_with_reference(node, calls, _EndRef(conn))
 
@@ -538,6 +549,60 @@ def test_lie_derivative_nodes_are_commutators(standard2, battery2):
     assert co.equal_combinations([(1, le)], direct, battery2, reduced=True)
 
 
+def _lie_e_sections(alg, battery):
+    """Frame, scaled, random and zero sections, and an anchor-free one: the
+    frame elements with no anchor image, summed and scaled by a function."""
+    free = [e for j, e in enumerate(alg.frame)
+            if all(row[j].is_zero() for row in alg.anchor_matrix)]
+    anchor_free = free[0]
+    for e in free[1:]:
+        anchor_free = anchor_free + e
+    return (battery.frame + battery.scaled[:1] + battery.randoms[:1]
+            + [alg.zero(), anchor_free.scale(battery.functions[-1])])
+
+
+def _assert_cartan_formula(alg, battery, pairs, along=None):
+    """L_e w = i_e d w + d i_e w for each (e, w) in pairs; returns how many
+    of the L_e w are not zero on the battery."""
+    ctx = co.EvalContext()
+    nonzero = 0
+    for e, w in pairs:
+        lhs = co.lie_e(e, w, along)
+        rhs = [(1, co.interior_e(e, co.differential(w, along))),
+               (1, co.differential(co.interior_e(e, w), along))]
+        res = co.equal_combinations([(1, lhs)], rhs, battery, ctx=ctx)
+        assert res.equal, (e, res)
+        nonzero += not co.vanishes(lhs, battery, ctx=ctx).equal
+    return nonzero
+
+
+@pytest.mark.parametrize("name", ["standard2", "su2", "cotangent_su2",
+                                  "non_jacobi"])
+def test_lie_e_is_cartans_formula(name, request):
+    # the one-pass L_e against the two differentials it replaces, on every
+    # generator and every component; the cancelling terms cancel for any
+    # bracket, so the algebroid that breaks Jacobi passes too
+    alg = request.getfixturevalue(name)
+    battery = Battery(alg, degree=1, extras=1)
+    gens = co.generator_cochains(alg, battery)
+    assert {w.degree for w in gens} == {0, 1, 2, 3, 4}
+    pairs = [(e, w) for w in gens for e in _lie_e_sections(alg, battery)]
+    assert _assert_cartan_formula(alg, battery, pairs)
+
+
+def test_lie_e_along_a_connection_is_cartans_formula(standard2):
+    doc = json.loads((DATA / "christoffel_poly2.json").read_text())
+    conn = dc.build_standard_connection(standard2, dc.christoffel_from_json(doc, 2))
+    battery = Battery(standard2, degree=1, extras=1)
+    b = conn.bundle.element(battery.randoms[0].components)
+    s = co.section_leaf(standard2, battery.scaled[0])
+    # a B-valued cochain of degree 3, so component 1 has a function slot
+    x = dc.product_b(co.differential(s), dc.covariant_differential(
+        conn, dc.b_leaf(conn.bundle, b)))
+    pairs = [(e, x) for e in _lie_e_sections(standard2, battery)]
+    assert _assert_cartan_formula(standard2, battery, pairs, conn)
+
+
 def test_graded_commutativity(standard2, battery2, gens):
     rng = random.Random("commutativity")
     pool = [w for w in gens if 0 <= w.degree <= 3]
@@ -709,13 +774,10 @@ def test_equal_values_built_separately_give_one_node(standard2, gens):
 
 
 def test_lie_derivative_parts_are_the_shared_nodes(standard2, gens):
-    e = standard2.frame[1]
+    # L_f keeps its two nodes; L_e is evaluated in one pass and is checked
+    # against i_e d + d i_e by test_lie_e_is_cartans_formula
     f = S("x1^2")
     for w in gens:
-        node = co.lie_e(e, w)
-        if isinstance(node, co._LieE):
-            assert node._a is co.interior_e(e, co.differential(w))
-            assert node._b is co.differential(co.interior_e(e, w))
         node = co.lie_f(f, w)
         if isinstance(node, co._LieF):
             assert node._a is co.interior_f(f, co.differential(w))
@@ -778,7 +840,8 @@ def test_node_table_does_not_keep_nodes_alive():
         w = co.lie_e(alg.frame[1], co.mul(co.section_leaf(alg, alg.frame[0]),
                                           co.differential(co.scalar_leaf(alg, f))))
         table = alg.metadata["cochain_nodes"]
-        assert len(table) >= 6
+        # the two leaves, their differential and product, and L_e
+        assert len(table) == 5
         node = weakref.ref(w)
         del w
         assert node() is None

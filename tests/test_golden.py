@@ -54,6 +54,9 @@ CLI_CASES = {
     "verify_ph11_curved": ["verify-algebroid",
                            "demos/data/port_hamiltonian11_curved.json"],
     "cartan_su2": ["cartan", "demos/data/su2.json"],
+    # negative control: a bracket that breaks Jacobi fails only
+    # [L_e1, L_e2] = L_[e1,e2], the one relation that needs it
+    "cartan_non_jacobi": ["cartan", "demos/data/non_jacobi.json"],
     "connection_build": ["connection-build", STD2, PRE2],
     "connection_build_ph11": ["connection-build",
                               "demos/data/port_hamiltonian11.json",
