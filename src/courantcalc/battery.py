@@ -7,13 +7,19 @@ probes where one argument is a frame section scaled by a monomial while the
 other slots cycle through the frame, and (c) seeded random polynomial
 sections taken jointly in all slots.  A fixed (degree, extras, seed) triple
 fully determines every tuple, so runs are reproducible.
+
+A battery builds each section stream, one per (arity, reduced), once and
+keeps it as tuples of canonical indices into its sections: the index of a
+section is the first index of its value, so the stream is deduplicated by
+value on plain int tuples.  An evaluation context maps such a stream to
+tuples of its own ids once (``cochain.EvalContext.component_tuples``).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .scalar import Scalar, monomials_up_to
 
@@ -46,6 +52,12 @@ class Battery:
                 self._labels.setdefault(s, label)
         self.frame, self.scaled, self.randoms = ([s for _, s in part] for part in parts)
         self.sections = self.frame + self.scaled + self.randoms
+        # frame, scaled and randoms as canonical indices into sections
+        first = {}
+        canonical = [first.setdefault(s, i) for i, s in enumerate(self.sections)]
+        a, b = len(self.frame), len(self.frame) + len(self.scaled)
+        self._parts = canonical[:a], canonical[a:b], canonical[b:]
+        self._streams = {}
 
         self.functions = [Scalar.monomial(n, mono)
                           for mono in monomials_up_to(n, degree + 1)]
@@ -72,72 +84,67 @@ class Battery:
     # -- tuple streams ----------------------------------------------------------
 
     def section_tuples(self, arity, reduced=False):
-        """Deterministic stream of section argument tuples, deduplicated."""
+        """Deterministic stream of section argument tuples, deduplicated:
+        the sections of :meth:`index_tuples`."""
+        sections = self.sections
+        for t in self.index_tuples(arity, reduced):
+            yield tuple(map(sections.__getitem__, t))
+
+    def index_tuples(self, arity, reduced=False):
+        """The section stream of this arity as a tuple of index tuples into
+        ``self.sections``, built once.  An index is canonical, the first
+        index of its section's value, so equal section tuples are one index
+        tuple and are kept at their first occurrence."""
+        key = (arity, reduced)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = self._streams[key] = tuple(
+                dict.fromkeys(self._candidates(arity, reduced)))
+        return stream
+
+    def _candidates(self, arity, reduced):
+        """The stream of :meth:`index_tuples` with its repeats."""
         if arity == 0:
             yield ()
             return
-        seen = set()
-
-        def emit(t):
-            if t not in seen:
-                seen.add(t)
-                return True
-            return False
-
-        r = len(self.frame)
+        frame, scaled, randoms = self._parts
+        r = len(frame)
         if not reduced and r**arity <= FRAME_CAP:
-            for t in product(self.frame, repeat=arity):
-                if emit(t):
-                    yield t
+            yield from product(frame, repeat=arity)
         else:
             c = max(2, int(FRAME_CAP ** (1.0 / arity))) if not reduced else 2
-            for t in product(self.frame[: min(c, r)], repeat=arity):
-                if emit(t):
-                    yield t
+            yield from product(frame[: min(c, r)], repeat=arity)
             for j in range(r):
-                t = tuple(self.frame[(j + k) % r] for k in range(arity))
-                if emit(t):
-                    yield t
-                t = tuple(self.frame[(j - k) % r] for k in range(arity))
-                if emit(t):
-                    yield t
-        scaled = self.scaled if not reduced else self.scaled[::2]
+                yield tuple(frame[(j + k) % r] for k in range(arity))
+                yield tuple(frame[(j - k) % r] for k in range(arity))
+        if reduced:
+            scaled = scaled[::2]
         for slot in range(arity):
             for idx, s in enumerate(scaled):
                 base = idx % r
-                fwd = [self.frame[(base + 1 + k) % r] for k in range(arity)]
-                rev = [self.frame[(base - 1 - k) % r] for k in range(arity)]
+                fwd = [frame[(base + 1 + k) % r] for k in range(arity)]
+                rev = [frame[(base - 1 - k) % r] for k in range(arity)]
                 for fill in (fwd, rev):
-                    t = tuple(fill[:slot] + [s] + fill[slot + 1 : arity])
-                    if emit(t):
-                        yield t
-        m = len(self.randoms)
+                    yield tuple(fill[:slot] + [s] + fill[slot + 1 : arity])
+        m = len(randoms)
         for shift in range(m):
-            t = tuple(self.randoms[(shift + k) % m] for k in range(arity))
-            if emit(t):
-                yield t
-            mixed = tuple([self.randoms[shift]]
-                          + [self.frame[(shift + 1 + k) % r] for k in range(arity - 1)])
-            if emit(mixed):
-                yield mixed
+            yield tuple(randoms[(shift + k) % m] for k in range(arity))
+            yield tuple([randoms[shift]]
+                        + [frame[(shift + 1 + k) % r] for k in range(arity - 1)])
 
     def function_tuples(self, arity):
+        """Deterministic stream of function argument tuples, deduplicated:
+        the joint tuples of the core functions while they are few, then
+        cyclic runs through all battery functions."""
         if arity == 0:
             yield ()
             return
-        seen = set()
-        core = self.core_functions
-        if len(core) ** arity <= JOINT_CAP:
-            for t in product(core, repeat=arity):
-                if t not in seen:
-                    seen.add(t)
-                    yield t
-        m = len(self.functions)
-        for shift in range(m):
-            t = tuple(self.functions[(shift + k) % m] for k in range(arity))
-            if t not in seen:
-                seen.add(t)
-                yield t
+        core, functions = self.core_functions, self.functions
+        joint = product(core, repeat=arity) if len(core) ** arity <= JOINT_CAP else ()
+        m = len(functions)
+        cyclic = (tuple(functions[(shift + k) % m] for k in range(arity))
+                  for shift in range(m))
+        yield from dict.fromkeys(chain(joint, cyclic))
 
 
 def probes(module, degree, extras, rng):

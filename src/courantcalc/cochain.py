@@ -506,11 +506,16 @@ class EvalContext:
     are interned.  The differential skips the terms these flags show to
     vanish: along the anchor, a derivative along an anchor-free section;
     along a connection, one along a zero section.
+
+    A battery's component tuples are mapped to id tuples once per context,
+    by :meth:`component_tuples`: the battery keeps each section stream as
+    index tuples, and the context interns each section of a stream once,
+    not once per tuple it is met in.
     """
 
     __slots__ = ("memo", "sections", "functions", "_section_ids",
                  "_function_ids", "_brackets", "_d_e", "zero_ids",
-                 "anchor_free_ids")
+                 "anchor_free_ids", "_components")
 
     def __init__(self):
         self.memo = {}
@@ -522,6 +527,7 @@ class EvalContext:
         self._d_e = {}
         self.zero_ids = set()
         self.anchor_free_ids = set()
+        self._components = {}
 
     def section_id(self, section):
         i = self._section_ids.get(section)
@@ -563,6 +569,31 @@ class EvalContext:
         """The argument tuples as id tuples."""
         return (tuple(map(self.section_id, sections)),
                 tuple(map(self.function_id, functions)))
+
+    def component_tuples(self, battery, sec_arity, fun_arity, reduced):
+        """The battery's argument tuples of a component with sec_arity
+        sections and fun_arity functions, as a list of (index tuple,
+        functions, section ids, function ids), built once per context.
+
+        Without function slots the section stream is the one of ``reduced``;
+        with them, the reduced stream runs against every function tuple.
+        """
+        reduced = reduced or fun_arity > 0
+        key = (battery, sec_arity, fun_arity, reduced)
+        out = self._components.get(key)
+        if out is None:
+            stream = battery.index_tuples(sec_arity, reduced)
+            # each section of the stream is interned once, in stream order
+            ids = dict.fromkeys(i for t in stream for i in t)
+            for i in ids:
+                ids[i] = self.section_id(battery.sections[i])
+            funs = [(f, tuple(map(self.function_id, f)))
+                    for f in battery.function_tuples(fun_arity)]
+            out = self._components[key] = []
+            for t in stream:
+                es = tuple(map(ids.__getitem__, t))
+                out += [(t, f, es, fs) for f, fs in funs]
+        return out
 
 
 @cache
@@ -728,9 +759,9 @@ def _combination_check(instances, battery, reduced, ctx):
             zero = live[0][1].zero if live else None
             degree = live[0][1].degree if live else -1
             for k in range(degree // 2 + 1):
-                for secs, funs in _component_tuples(battery, degree - 2 * k, k,
-                                                    reduced):
-                    yield prefix, plus, minus, zero, k, secs, funs
+                for idx, funs, es, fs in ctx.component_tuples(
+                        battery, degree - 2 * k, k, reduced):
+                    yield prefix, plus, minus, zero, k, idx, funs, es, fs
 
     def total(terms, zero, k, es, fs):
         acc = zero
@@ -743,26 +774,19 @@ def _combination_check(instances, battery, reduced, ctx):
             acc = v if acc is zero else acc + v
         return acc
 
-    def sides(prefix, plus, minus, zero, k, secs, funs):
-        es, fs = ctx.ids(secs, funs)
+    def sides(prefix, plus, minus, zero, k, idx, funs, es, fs):
         return total(plus, zero, k, es, fs), total(minus, zero, k, es, fs)
 
-    def witness(prefix, plus, minus, zero, k, secs, funs):
+    def witness(prefix, plus, minus, zero, k, idx, funs, es, fs):
         return prefix + " , ".join(
-            (f"k={k}", *battery.describe(secs), *(f"f={f}" for f in funs)))
+            (f"k={k}", *_describe(battery, idx), *(f"f={f}" for f in funs)))
 
     return tuples(), sides, witness
 
 
-def _component_tuples(battery, sec_arity, fun_arity, reduced):
-    if fun_arity == 0:
-        for secs in battery.section_tuples(sec_arity, reduced=reduced):
-            yield secs, ()
-    else:
-        fun_tuples = list(battery.function_tuples(fun_arity))
-        for secs in battery.section_tuples(sec_arity, reduced=True):
-            for funs in fun_tuples:
-                yield secs, funs
+def _describe(battery, idx):
+    """The labels of the battery sections at the indices idx."""
+    return battery.describe([battery.sections[i] for i in idx])
 
 
 def equal(w, h, battery, reduced=False, ctx=None):
@@ -794,20 +818,20 @@ def check_symmetry_condition(w, battery):
             arity = w.degree - 2 * k
             if arity < 2:
                 continue
-            for secs, funs in _component_tuples(battery, arity, k, True):
-                es, fs = ctx.ids(secs, funs)
+            for idx, _, es, fs in ctx.component_tuples(battery, arity, k, True):
                 for i in range(arity - 1):
-                    yield k, i, secs, es, fs
+                    yield k, i, idx, es, fs
 
-    def sides(k, i, secs, es, fs):
+    def sides(k, i, idx, es, fs):
         plain = _eval(w, k, es, fs, ctx)
         flip = _eval(w, k, es[:i] + (es[i + 1], es[i]) + es[i + 2 :], fs, ctx)
-        pair = ctx.function_id(w.alg.pairing(secs[i], secs[i + 1]))
+        pair = ctx.function_id(w.alg.pairing(ctx.sections[es[i]],
+                                             ctx.sections[es[i + 1]]))
         return plain + flip, -_eval(w, k + 1, es[:i] + es[i + 2 :], (pair,) + fs, ctx)
 
     run_check(report, "symmetry-condition", swaps(), sides,
-              lambda k, i, secs, es, fs: " , ".join(
-                  (f"k={k}", f"swap at {i}", *battery.describe(secs))))
+              lambda k, i, idx, es, fs: " , ".join(
+                  (f"k={k}", f"swap at {i}", *_describe(battery, idx))))
     return report
 
 
@@ -869,10 +893,9 @@ def symbol_E(w, slot, probes, battery):
     ctx = EvalContext()
 
     def symbols(k, arity, bound):
-        for secs, funs in _component_tuples(battery, arity, k, True):
-            es, fs = ctx.ids(secs, funs)
+        for idx, _, es, fs in ctx.component_tuples(battery, arity, k, True):
             for fseq in _probe_sequences(probes, bound + 1):
-                yield k, secs, es, fs, fseq
+                yield k, idx, es, fs, fseq
 
     for k in range(w.degree // 2 + 1):
         arity = w.degree - 2 * k
@@ -884,9 +907,9 @@ def symbol_E(w, slot, probes, battery):
             bound = max(w.order - 1, 0)
         run_check(report, f"symbol-E[k={k},slot={slot},order<={bound}]",
                   symbols(k, arity, bound),
-                  lambda k, secs, es, fs, fseq: _symbol_sides(
+                  lambda k, idx, es, fs, fseq: _symbol_sides(
                       w, k, slot, fseq, es, fs, ctx),
-                  lambda k, secs, es, fs, fseq: " , ".join(battery.describe(secs)))
+                  lambda k, idx, es, fs, fseq: " , ".join(_describe(battery, idx)))
     return report
 
 
@@ -908,20 +931,20 @@ def symbol_Omega(w, slot, probes, battery):
         return fs[:slot] + (ctx.function_id(g),) + fs[slot + 1 :]
 
     def defects(k):
-        for secs, funs in _component_tuples(battery, w.degree - 2 * k, k, True):
-            es, fs = ctx.ids(secs, funs)
+        for idx, funs, es, fs in ctx.component_tuples(battery, w.degree - 2 * k,
+                                                      k, True):
             for f in probes:
-                yield k, secs, es, fs, f, funs[slot]
+                yield k, idx, es, fs, f, funs[slot]
 
-    def defect(k, secs, es, fs, f, g):
+    def defect(k, idx, es, fs, f, g):
         return (_eval(w, k, es, at_slot(fs, f * g), ctx),
                 f * _eval(w, k, es, fs, ctx)
                 + g * _eval(w, k, es, at_slot(fs, f), ctx))
 
     for k in range(slot + 1, w.degree // 2 + 1):
         run_check(report, f"symbol-Omega[k={k},slot={slot}]", defects(k), defect,
-                  lambda k, secs, es, fs, f, g: " , ".join(
-                      (f"k={k}", *battery.describe(secs), f"f={f}", f"g={g}")))
+                  lambda k, idx, es, fs, f, g: " , ".join(
+                      (f"k={k}", *_describe(battery, idx), f"f={f}", f"g={g}")))
     return report
 
 

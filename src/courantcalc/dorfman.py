@@ -788,19 +788,13 @@ def curvature_laws(conn, case, battery):
               lambda b, dd, f: f"b={b}, f={f}")
 
     pairs = list(battery.section_tuples(2, reduced=True))[:20]
-
-    def scaled_squares():
-        for b in _strided(b_elements, 4):
-            dd = square(b)
-            for f in functions[:4]:
-                dds = square(b.scale(f))
-                for pair in pairs:
-                    yield b, dd, f, dds, pair
-
-    run_check(report, "squared-differential-linear-over-functions", scaled_squares(),
-              lambda b, dd, f, dds, pair: (evaluate(dds, 0, pair, (), ctx),
-                                           evaluate(dd, 0, pair, (), ctx).scale(f)),
-              lambda b, dd, f, dds, pair: f"b={b}, f={f}, {battery.describe(pair)}")
+    # f.b recurs for every pair; the squares' values are memoised in ctx
+    sc = _scaler()
+    run_check(report, "squared-differential-linear-over-functions",
+              product(_strided(b_elements, 4), functions[:4], pairs),
+              lambda b, f, pair: (evaluate(square(sc(b, f)), 0, pair, (), ctx),
+                                  evaluate(square(b), 0, pair, (), ctx).scale(f)),
+              lambda b, f, pair: f"b={b}, f={f}, {battery.describe(pair)}")
 
     lin = LinearConnection(conn, case)
     report.extend(curvature_symbol_checks(conn, lin, battery))
@@ -839,21 +833,18 @@ def bianchi_check(conn, battery):
                for beta in dual.bundle.frame]
     sample = _strided(_b_elements(conn.bundle, battery), 4)
 
-    def dual_tuples():
-        for e1, e2 in battery.section_tuples(2, reduced=True):
-            for i, square in enumerate(squares):
-                r0s = evaluate(square, 0, (e1, e2), (), ctx)
-                for b in sample:
-                    yield e1, e2, i, r0s, b
+    def duality(pair, i, b):
+        # a square's value at a pair serves every b, through ctx's memo
+        return (dual.bundle.contract(evaluate(squares[i], 0, pair, (), ctx), b),
+                -curvature_R0(conn, *pair, b).components[i])
 
-    def duality(e1, e2, i, r0s, b):
-        return (dual.bundle.contract(r0s, b),
-                -curvature_R0(conn, e1, e2, b).components[i])
+    def at(pair, i, b):
+        return f"{', '.join(battery.describe(pair))}, beta={i}, b={b}"
 
-    def at(e1, e2, i, r0s, b):
-        return f"{battery.label(e1)}, {battery.label(e2)}, beta={i}, b={b}"
-
-    run_check(report, "dual-curvature-duality", dual_tuples(), duality, at)
+    run_check(report, "dual-curvature-duality",
+              product(battery.section_tuples(2, reduced=True), range(len(squares)),
+                      sample),
+              duality, at)
     return report
 
 

@@ -3,7 +3,7 @@ import json
 import pathlib
 import random
 import weakref
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice, permutations, product
 from math import comb
 
 import pytest
@@ -432,7 +432,8 @@ def _sample_calls(battery, nodes, per_component=4):
     calls = []
     for node in nodes:
         for k in range(node.degree // 2 + 1):
-            tuples = co._component_tuples(battery, node.degree - 2 * k, k, True)
+            tuples = product(battery.section_tuples(node.degree - 2 * k, True),
+                             battery.function_tuples(k))
             for secs, funs in islice(tuples, per_component):
                 calls.append((node, k, secs, funs))
     return calls

@@ -9,6 +9,7 @@ from courantcalc import cochain as co
 from courantcalc import dorfman as dc
 from courantcalc import linalg
 from courantcalc.algebroid import (
+    Section,
     algebroid_from_json,
     build_port_hamiltonian,
     build_standard,
@@ -777,6 +778,55 @@ def test_bianchi_trivial(conn_trivial2, battery2):
 
 def test_bianchi_polynomial(conn_poly2, battery2):
     assert dc.bianchi_check(conn_poly2, battery2).passed
+
+
+@pytest.mark.parametrize("suite, name", [
+    (dc.bianchi_check, "dual-curvature-duality"),
+    (lambda conn, battery: dc.curvature_laws(conn, "K", battery),
+     "squared-differential-linear-over-functions"),
+])
+def test_a_failing_check_computes_nothing_past_its_witness(conn_poly2, suite, name,
+                                                           monkeypatch):
+    # the check is made to fail at its first tuple; while the runner counts
+    # the tuples after it, no square may be evaluated and nothing scaled
+    battery = Battery(conn_poly2.alg, degree=1, extras=1)
+    passing = suite(conn_poly2, battery)[name]
+    assert passing.passed
+
+    past, late = [False], []
+    run_check, evaluate, scale = dc.run_check, dc.evaluate, Section.scale
+
+    def failing_run_check(report, check, tuples, sides, witness):
+        if check != name:
+            return run_check(report, check, tuples, sides, witness)
+
+        def fail_first(*t):
+            sides(*t)
+            past[0] = True
+            return 1, 0
+
+        try:
+            return run_check(report, check, tuples, fail_first, witness)
+        finally:
+            past[0] = False
+
+    def spy_evaluate(*args, **kwargs):
+        if past[0]:
+            late.append("evaluate")
+        return evaluate(*args, **kwargs)
+
+    def spy_scale(self, f):
+        if past[0]:
+            late.append("scale")
+        return scale(self, f)
+
+    monkeypatch.setattr(dc, "run_check", failing_run_check)
+    monkeypatch.setattr(dc, "evaluate", spy_evaluate)
+    monkeypatch.setattr(Section, "scale", spy_scale)
+    failing = suite(conn_poly2, battery)[name]
+    assert (failing.passed, failing.residual) == (False, "1")
+    assert failing.checked == passing.checked
+    assert late == []
 
 
 def commutator_rows(r, m):
