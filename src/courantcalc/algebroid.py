@@ -8,13 +8,17 @@ sections by the Leibniz rules, and :func:`verify_axioms` checks the defining
 identities exactly on a battery of test sections and functions.
 
 Memos: an algebroid keeps its brackets, pairings, anchor rows, anchor
-derivatives and dual differentials for its lifetime, keyed by value.  The
-bracket memo is for argument pairs that callers meet again (battery pairs,
-the bracket insertions of a cochain differential); ``verify_axioms``
-brackets an argument it builds for one tuple (a function-scaled section,
-``d_E f``, an inner Jacobi bracket) through the unmemoised kernel
-``_bracket``, and keeps its scaled sections in a memo of its own that it
-drops when it returns.  Partial derivatives are kept on the scalar.
+derivatives and dual differentials for its lifetime, keyed by value, as the
+bundles and connections of ``dorfman`` keep theirs.  Lifetime memos hold
+the argument pairs that callers meet again: battery pairs, the bracket
+insertions of a cochain differential.  A value that a check builds for one
+tuple (a function-scaled section, ``d_E f``, an inner bracket) goes into a
+per-check memo, ``_memo(fn)``, which the check drops when it returns; a
+pairing is one scalar, so the pairing memos keep every pair.
+``verify_axioms`` keeps its scaled sections in ``_memo(Section.scale)``, but
+brackets its per-tuple arguments through the unmemoised kernel
+``_bracket`` and keeps them nowhere: a memo of them would cost more memory
+than the time it saves.  Partial derivatives are kept on the scalar.
 
 All indices in the Python API are 0-based; the JSON file format uses
 1-based indices ("i,j" keys) and the x1..xn text syntax.
@@ -359,19 +363,18 @@ def _leibniz(g, h, rho, struct, pairing, d):
 # ---------------------------------------------------------------------------
 
 
-def _scaler():
-    """sc(x, f) = x.scale(f), memoised on the pair for as long as sc lives:
-    a check keeps one while it runs and drops it when it returns."""
-    scaled = {}
+def _memo(fn):
+    """fn memoised on its argument tuple for as long as the returned function
+    lives: a check keeps one while it runs and drops it when it returns."""
+    values = {}
 
-    def sc(x, f):
-        key = (x, f)
-        xf = scaled.get(key)
-        if xf is None:
-            xf = scaled[key] = x.scale(f)
-        return xf
+    def memo(*args):
+        value = values.get(args)
+        if value is None:
+            value = values[args] = fn(*args)
+        return value
 
-    return sc
+    return memo
 
 
 def verify_axioms(alg, battery):
@@ -398,7 +401,7 @@ def verify_axioms(alg, battery):
     # afresh, br1, and kept nowhere
     br, br1, pr, rho = alg.bracket, alg._bracket, alg.pairing, alg.anchor_apply
     # f.b recurs for every a, and [a, b].f in both Leibniz checks
-    sc = _scaler()
+    sc = _memo(Section.scale)
 
     # each identity as its two sides (lhs, rhs), the terms with a plus sign
     # on the left

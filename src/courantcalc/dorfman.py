@@ -10,13 +10,19 @@ are its :class:`~courantcalc.algebroid.Section` over their own frames.
 
 A connection is stored through its frame coefficients and extended to all
 arguments by its two Leibniz axioms; the third axiom (d_B-equivariance) is
-what construction has to arrange and what verification checks.  A
-connection keeps ``apply`` for its lifetime, keyed by the argument pair, for
-the pairs that callers meet again: battery pairs and curvature.
-``verify_connection`` applies along or to an argument it builds for one
-tuple (a function-scaled section or element, ``d_B f``) through the
-unmemoised kernel ``_apply``, and keeps its scaled arguments in a memo of
-its own that it drops when it returns.
+what construction has to arrange and what verification checks.
+
+Memos follow the policy of ``algebroid``.  A predual keeps its pairings and
+derivation images, and a connection and its induced module connection keep
+``apply``, for their lifetime, keyed by value: lifetime memos hold the
+argument pairs that callers meet again, the battery pairs.  A check keeps
+what it builds for one tuple in per-check memos, ``_memo``, and drops them
+when it returns: its function-scaled sections and elements, the derivatives
+taken with one of them or a ``d_B`` image as an argument (by the
+unmemoised kernel ``_apply``), and the curvature values it compares more
+than once.  The curvature operators R0 and R1 themselves apply through the
+lifetime memo, whatever their arguments: their inner derivatives are the
+pairs that the curvature meets again.
 
 Bundle-valued cochains are not a second DAG: they are nodes of the cochain
 DAG of ``cochain`` whose values lie in a module with a connection, and the
@@ -50,10 +56,10 @@ from .algebroid import (
     _gradient_image,
     _keyed_array,
     _leibniz,
+    _memo,
     _pair,
     _require_fields,
     _scalar_rows,
-    _scaler,
     _sparse_rows,
     _sparse_struct,
 )
@@ -154,6 +160,7 @@ class PredualBundle(_FramedBundle):
         # for each algebroid frame index i, the nonzero <e_i, b_j> as (j, value)
         self._pairing = _sparse_rows(
             [[self.pairing_matrix[j][i] for j in range(rank)] for i in range(alg.rank)])
+        self._pairing_cache = {}
         self._dB_cache = {}
 
     def d_B(self, f):
@@ -165,10 +172,15 @@ class PredualBundle(_FramedBundle):
         return cached
 
     def b_pairing(self, sigma, b):
-        """Pairing of an algebroid section against a bundle element."""
+        """Pairing of an algebroid section against a bundle element, kept
+        for the bundle's lifetime, keyed by the argument pair."""
         if sigma.module is not self.alg or b.module is not self:
             raise PreconditionError(_MIXED)
-        return _pair(sigma, self._pairing, b)
+        key = (sigma, b)
+        cached = self._pairing_cache.get(key)
+        if cached is None:
+            cached = self._pairing_cache[key] = _pair(sigma, self._pairing, b)
+        return cached
 
     def test_elements(self, degree=2, extras=3, seed=0):
         """Frame, monomial-scaled frame and seeded random bundle elements."""
@@ -334,7 +346,11 @@ def _strided(xs, k):
 
 
 def verify_connection(conn, battery):
-    """Exact check of the three connection axioms on battery data."""
+    """Exact check of the three connection axioms on battery data.
+
+    Battery pairs go through the connection's memo; what is built for one
+    tuple goes through memos of this call's own (see the module docstring).
+    """
     bundle, alg = conn.bundle, conn.alg
     b_elements = _b_elements(bundle, battery)
     secs = battery.frame + battery.scaled[: 2 * alg.rank] + battery.randoms
@@ -344,11 +360,13 @@ def verify_connection(conn, battery):
     report = Report(f"connection axioms of {conn!r}")
     # battery pairs recur from check to check, so their derivatives go
     # through the connection's memo; one with an argument built for one
-    # tuple (a scaled element, a d_B image) is computed afresh, ap1
-    ap, ap1 = conn.apply, conn._apply
+    # tuple (a scaled section or element, a d_B image) is computed afresh
+    # by the kernel, ap1, and kept for this call only: the same value pair
+    # recurs (f = 1 keeps the argument, x1.(x2.e1) = x2.(x1.e1))
+    ap, ap1 = conn.apply, _memo(conn._apply)
     # f.sigma recurs for every b, f.b for every sigma, and nabla_sigma b.f in
     # both Leibniz checks
-    sc = _scaler()
+    sc = _memo(Section.scale)
 
     def section_scaling(sigma, f, b):
         return (ap1(sc(sigma, f), b),
@@ -385,7 +403,8 @@ def affine_combine(conn0, conn1, g):
 
 def difference_check(conn0, conn1, battery):
     """The difference of two connections is bilinear over the scalar ring
-    and kills every d_B image."""
+    and kills every d_B image.  Battery pairs go through the connections'
+    memos, what is built for one tuple through memos of this call's own."""
     bundle, alg = conn0.bundle, conn0.alg
     if conn1.bundle is not bundle:
         raise PreconditionError("connections live on different preduals")
@@ -394,23 +413,27 @@ def difference_check(conn0, conn1, battery):
     sample = list(product(secs, battery.functions[:5],
                           _strided(b_elements, 6)))
     report = Report("difference of connections")
+    fresh0, fresh1 = _memo(conn0._apply), _memo(conn1._apply)
+    sc = _memo(Section.scale)
+    # the difference at a battery pair recurs for every f in both checks
+    diff = _memo(lambda sigma, b: conn0.apply(sigma, b) - conn1.apply(sigma, b))
 
-    def diff(sigma, b):
-        return conn0.apply(sigma, b) - conn1.apply(sigma, b)
+    def diff1(sigma, b):
+        return fresh0(sigma, b) - fresh1(sigma, b)
 
     def at(sigma, f, *_):
         return f"{battery.label(sigma)}, f={f}"
 
     run_check(report, "linear-over-functions-in-the-section-slot", sample,
-              lambda sigma, f, b: (diff(sigma.scale(f), b), diff(sigma, b).scale(f)),
+              lambda sigma, f, b: (diff1(sc(sigma, f), b), sc(diff(sigma, b), f)),
               at)
     run_check(report, "linear-over-functions-in-the-bundle-slot", sample,
-              lambda sigma, f, b: (diff(sigma, b.scale(f)), diff(sigma, b).scale(f)),
+              lambda sigma, f, b: (diff1(sigma, sc(b, f)), sc(diff(sigma, b), f)),
               at)
     # the difference kills d_B f: both connections agree on it
     run_check(report, "kills-derivation-images", product(secs, battery.functions),
-              lambda sigma, f: (conn0.apply(sigma, bundle.d_B(f)),
-                                conn1.apply(sigma, bundle.d_B(f))), at)
+              lambda sigma, f: (fresh0(sigma, bundle.d_B(f)),
+                                fresh1(sigma, bundle.d_B(f))), at)
     return report
 
 
@@ -459,6 +482,7 @@ class LinearConnection:
             raise PreconditionError(defect)
         self.conn = conn
         self.case = case
+        self._apply_cache = {}
 
     def _to_section(self, b):
         alg = self.conn.alg
@@ -468,7 +492,16 @@ class LinearConnection:
         return Section(alg, b.components + (zero,) * (alg.rank - len(b.components)))
 
     def apply(self, b, e):
-        """Derivative of the section e along the bundle element b."""
+        """Derivative of the section e along the bundle element b, kept for
+        the instance's lifetime, keyed by the argument pair."""
+        key = (b, e)
+        cached = self._apply_cache.get(key)
+        if cached is None:
+            cached = self._apply_cache[key] = self._apply(b, e)
+        return cached
+
+    def _apply(self, b, e):
+        """The derivative computed afresh, kept nowhere."""
         conn = self.conn
         return self._to_section(conn.apply(e, b)) - conn.alg.bracket(e, self._to_section(b))
 
@@ -484,6 +517,9 @@ def induced_linear_connection(conn, case, battery):
 
 
 def verify_linear_connection(lin, battery):
+    """The module-connection laws of lin on battery data.  Battery pairs go
+    through lin's memo, what is built for one tuple through memos of this
+    call's own."""
     conn = lin.conn
     bundle, alg = conn.bundle, conn.alg
     b_elements = _b_elements(bundle, battery)
@@ -491,17 +527,19 @@ def verify_linear_connection(lin, battery):
     sample = list(product(_strided(b_elements, 8),
                           battery.functions[:5], secs))
     report = Report(f"module-connection laws ({lin.case})")
+    ap, ap1 = lin.apply, _memo(lin._apply)
+    # nabla_b e.f recurs in both checks
+    sc = _memo(Section.scale)
 
     def at(b, f, e):
         return f"b={b}, f={f}, {battery.label(e)}"
 
     run_check(report, "tensorial-in-the-bundle-slot", sample,
-              lambda b, f, e: (lin.apply(b.scale(f), e), lin.apply(b, e).scale(f)),
+              lambda b, f, e: (ap1(sc(b, f), e), sc(ap(b, e), f)),
               at)
     run_check(report, "leibniz-in-the-section-slot", sample,
-              lambda b, f, e: (lin.apply(b, e.scale(f)),
-                               lin.apply(b, e).scale(f)
-                               + e.scale(lin.anchor_apply(b, f))),
+              lambda b, f, e: (ap1(b, sc(e, f)),
+                               sc(ap(b, e), f) + e.scale(lin.anchor_apply(b, f))),
               at)
     return report
 
@@ -713,6 +751,8 @@ def curvature_symbol_checks(conn, lin, battery):
     The second-slot defect must contract to the induced module connection
     against the derivation image; the first-slot defect carries two extra
     terms (dual differential of the pairing and a rescaled derivative).
+    Each curvature value is computed once, in a memo of this call's own:
+    R0(e1, e2, b) serves every f in both checks.
     """
     bundle, alg = conn.bundle, conn.alg
     b_elements = _b_elements(bundle, battery)
@@ -728,10 +768,11 @@ def curvature_symbol_checks(conn, lin, battery):
     sample = [(e1, e2, f, b) for e1, e2 in pairs for f in funs
               for b in _strided(b_elements, 4)]
     report = Report("curvature slot symbols")
+    r0, ap1, sc = _memo(curvature_R0), _memo(conn._apply), _memo(Section.scale)
 
     def second_slot(e1, e2, f, b):
-        return (curvature_R0(conn, e1, e2.scale(f), b),
-                curvature_R0(conn, e1, e2, b).scale(f)
+        return (r0(conn, e1, sc(e2, f), b),
+                sc(r0(conn, e1, e2, b), f)
                 + bundle.d_B(f).scale(-alg.pairing(lin.apply(b, e1), e2)))
 
     def first_slot(e1, e2, f, b):
@@ -740,10 +781,10 @@ def curvature_symbol_checks(conn, lin, battery):
         # with the minus terms of each side moved to the other
         pair12 = alg.pairing(e1, e2)
         d_f = bundle.d_B(f)
-        return (curvature_R0(conn, e1.scale(f), e2, b)
+        return (r0(conn, sc(e1, f), e2, b)
                 + d_f.scale(bundle.b_pairing(alg.d_E(pair12), b))
-                + conn.apply(alg.d_E(f).scale(pair12), b),
-                curvature_R0(conn, e1, e2, b).scale(f)
+                + ap1(sc(alg.d_E(f), pair12), b),
+                sc(r0(conn, e1, e2, b), f)
                 + d_f.scale(alg.pairing(e1, lin.apply(b, e2))))
 
     def at(e1, e2, f, b):
@@ -789,7 +830,7 @@ def curvature_laws(conn, case, battery):
 
     pairs = list(battery.section_tuples(2, reduced=True))[:20]
     # f.b recurs for every pair; the squares' values are memoised in ctx
-    sc = _scaler()
+    sc = _memo(Section.scale)
     run_check(report, "squared-differential-linear-over-functions",
               product(_strided(b_elements, 4), functions[:4], pairs),
               lambda b, f, pair: (evaluate(square(sc(b, f)), 0, pair, (), ctx),
@@ -811,7 +852,9 @@ def bianchi_check(conn, battery):
     function component at a section and a function.  The dual check pairs
     the curvature of the connection induced on B*, T^{0,1}(B), the square of
     its covariant differential on the dual frame, against the curvature of
-    conn.
+    conn.  Values are kept in memos of this call's own: the cochain values
+    in one evaluation context, and R0 at (pair, b) once for every dual frame
+    index.
     """
     report = Report("Bianchi identity")
     ctx = EvalContext()
@@ -832,11 +875,13 @@ def bianchi_check(conn, battery):
     squares = [differential(differential(b_leaf(dual.bundle, beta), dual), dual)
                for beta in dual.bundle.frame]
     sample = _strided(_b_elements(conn.bundle, battery), 4)
+    r0 = _memo(curvature_R0)
 
     def duality(pair, i, b):
-        # a square's value at a pair serves every b, through ctx's memo
+        # a square's value at a pair serves every b, through ctx's memo, and
+        # R0 at (pair, b) every i
         return (dual.bundle.contract(evaluate(squares[i], 0, pair, (), ctx), b),
-                -curvature_R0(conn, *pair, b).components[i])
+                -r0(conn, *pair, b).components[i])
 
     def at(pair, i, b):
         return f"{', '.join(battery.describe(pair))}, beta={i}, b={b}"

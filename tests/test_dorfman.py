@@ -1,5 +1,6 @@
 import json
 import pathlib
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -209,17 +210,152 @@ def test_standard_connection_polynomial_verifies(conn_poly2, battery2):
 
 
 def test_apply_memo_keeps_only_battery_pairs():
-    # verify_connection applies along scaled sections, to scaled elements
-    # and to d_B images afresh; only (battery section, test element) pairs,
-    # which recur from check to check, stay in the connection's memo
-    conn = poly2_connection(build_standard(2))
-    battery = Battery(conn.alg)
+    # verify_connection and difference_check apply along scaled sections, to
+    # scaled elements and to d_B images through memos of their own; only
+    # (battery section, test element) pairs, which recur from check to
+    # check, stay in the connections' memos
+    alg = build_standard(2)
+    conn, trivial = poly2_connection(alg), dc.build_standard_connection(alg)
+    battery = Battery(alg)
     assert dc.verify_connection(conn, battery).passed
+    assert dc.difference_check(conn, trivial, battery).passed
     sections = set(battery.sections)
     elements = set(dc._b_elements(conn.bundle, battery))
-    assert conn._apply_cache
-    assert all(sigma in sections and b in elements
-               for sigma, b in conn._apply_cache)
+    for c in (conn, trivial):
+        assert c._apply_cache
+        assert all(sigma in sections and b in elements
+                   for sigma, b in c._apply_cache)
+
+
+def _check_rows(report):
+    return [(c.name, c.passed, c.checked, c.witness, c.residual)
+            for c in report.checks]
+
+
+def _unmemoised(monkeypatch):
+    """Make every per-check memo of dorfman compute afresh."""
+    monkeypatch.setattr(dc, "_memo", lambda fn: fn)
+
+
+def test_verify_connection_applies_each_fresh_pair_once(monkeypatch):
+    # the kernel runs once per distinct value pair of the fresh arguments
+    # (a scaled section or element, a d_B image), where it ran once per
+    # tuple; battery pairs go through the connection's own memo
+    calls = []
+    kernel = dc.DorfmanConnection._apply
+
+    def recording(self, sigma, b):
+        calls.append((sigma, b))
+        return kernel(self, sigma, b)
+
+    monkeypatch.setattr(dc.DorfmanConnection, "_apply", recording)
+    alg = build_standard(2)
+    battery = Battery(alg, degree=1, extras=1)
+
+    def run():
+        calls.clear()
+        conn = dc.DorfmanConnection(dc._self_predual(alg),
+                                    poly2_connection(alg).gamma)
+        report = dc.verify_connection(conn, battery)
+        fresh = Counter(calls)
+        fresh.subtract(conn._apply_cache.keys())
+        return report, +fresh
+
+    report, fresh = run()
+    assert report.passed
+    assert set(fresh.values()) == {1}
+    _unmemoised(monkeypatch)
+    report_once, fresh_once = run()
+    assert _check_rows(report) == _check_rows(report_once)
+    assert set(fresh_once) == set(fresh)
+    assert sum(fresh_once.values()) > len(fresh)
+
+
+def test_bianchi_duality_computes_each_curvature_value_once(conn_poly2,
+                                                            monkeypatch):
+    # dual-curvature-duality compares component i of R0(pair, b) for every
+    # dual frame index i; R0 at (pair, b) is computed once for all of them
+    battery = Battery(conn_poly2.alg, degree=1, extras=1)
+    calls, counts, name = [], {}, "dual-curvature-duality"
+    curvature_R0, run_check = dc.curvature_R0, dc.run_check
+
+    def counting_R0(conn, *args):
+        calls.append(args)
+        return curvature_R0(conn, *args)
+
+    def duality_only(report, check, *rest):
+        calls.clear()
+        run_check(report, check, *rest)
+        if check == name:
+            counts[check] = list(calls)
+
+    monkeypatch.setattr(dc, "curvature_R0", counting_R0)
+    monkeypatch.setattr(dc, "run_check", duality_only)
+    report = dc.bianchi_check(conn_poly2, battery)
+    assert report.passed
+    memoised = counts[name]
+    assert len(memoised) == len(set(memoised)) == 120
+
+    _unmemoised(monkeypatch)
+    unmemoised = dc.bianchi_check(conn_poly2, battery)
+    assert len(counts[name]) == 480 == conn_poly2.bundle.rank * 120
+    assert set(counts[name]) == set(memoised)
+    assert _check_rows(report) == _check_rows(unmemoised)
+
+
+def _b_pairing_formula(bundle, sigma, b):
+    """sum_ij g_j P[i][j] h_i for sigma = g_j e_j and b = h_i b_i, from the
+    pairing matrix P."""
+    zero = Scalar.zero(bundle.alg.n)
+    return sum((g * bundle.pairing_matrix[i][j] * h
+                for i, h in enumerate(b.components)
+                for j, g in enumerate(sigma.components)), zero)
+
+
+def _lin_formula(lin, b, e):
+    """Delta_e b - [e, b] with b read as a section in the case, afresh."""
+    conn, alg = lin.conn, lin.conn.alg
+    zero = Scalar.zero(alg.n)
+
+    def as_section(x):
+        comps = x.components[: alg.rank] if lin.case == "K" else \
+            x.components + (zero,) * (alg.rank - len(x.components))
+        return Section(alg, comps)
+
+    return as_section(conn._apply(e, b)) - alg._bracket(e, as_section(b))
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "bott"])
+def test_pairing_memo_agrees_with_the_formula(kind):
+    alg = build_standard(2)
+    if kind == "polynomial":
+        bundle = poly2_connection(alg).bundle
+    else:
+        bundle, _, report = dc.bott_connection(
+            alg, two_form_graph(alg, parse_scalar("x1", 2)), 1, 1)
+        assert report.passed
+    battery = Battery(bundle.alg, degree=1, extras=1)
+    pairs = list(product(battery.sections, dc._b_elements(bundle, battery)))
+    nonzero = 0
+    for sigma, b in pairs:
+        value = bundle.b_pairing(sigma, b)
+        assert value == _b_pairing_formula(bundle, sigma, b)
+        assert bundle.b_pairing(sigma, b) is value
+        nonzero += not value.is_zero()
+    assert nonzero and set(pairs) <= set(bundle._pairing_cache)
+
+
+@pytest.mark.parametrize("case", ["K", "F"])
+def test_linear_connection_memo_agrees_with_the_formula(case):
+    conn = poly2_connection(build_standard(2))
+    lin = dc.LinearConnection(conn, case)
+    battery = Battery(conn.alg, degree=1, extras=1)
+    pairs = list(product(dc._b_elements(conn.bundle, battery), battery.sections))
+    for b, e in pairs:
+        value = lin.apply(b, e)
+        assert value == _lin_formula(lin, b, e) == lin._apply(b, e)
+        assert lin.apply(b, e) is value
+    assert len(lin._apply_cache) == len(set(pairs))
 
 
 # -- mutation guard: the Leibniz checks catch a wrong kernel ----------------------
