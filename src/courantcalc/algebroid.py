@@ -452,7 +452,7 @@ def verify_axioms(alg, battery):
     ok = linalg.mat_is_zero(prod)
     report.add("anchor-isotropy-matrix-identity", ok, 1,
                None if ok else "anchor . pairing_inv . anchor^T",
-               None if ok else str(prod))
+               None if ok else linalg.mat_str(prod))
 
     # defining property of the dual differential on battery data
     run_check(report, "dual-differential-defining-property", with_functions(1),

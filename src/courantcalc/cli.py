@@ -78,8 +78,6 @@ def build_parser():
     p.add_argument("algebroid")
     p.add_argument("predual")
     p.add_argument("connection")
-    p.add_argument("--case", choices=("auto", "K", "F"), default="auto",
-                   help="adapted-frame case for the induced connection")
     common(p)
 
     p = sub.add_parser("bianchi", help="check both Bianchi components")
@@ -171,35 +169,16 @@ def cmd_connection_build(args):
     return report, _config(args, alg, battery), ("connection", payload)
 
 
-def cmd_connection_verify(args):
-    alg, bundle, conn = _load_connection_inputs(args)
-    battery = _battery(alg, args)
-    report = dc.verify_connection(conn, battery)
-    return report, _config(args, alg, battery), None
-
-
-def _resolve_case(args, bundle):
-    if args.case != "auto":
-        return args.case
-    for case in ("F", "K"):
-        if dc.adapted_frame_defect(bundle, case) is None:
-            return case
-    raise PreconditionError(
-        "cannot infer an adapted-frame case from the pairing; pass --case")
-
-
-def cmd_curvature(args):
-    alg, bundle, conn = _load_connection_inputs(args)
-    battery = _battery(alg, args)
-    report = dc.curvature_laws(conn, _resolve_case(args, bundle), battery)
-    return report, _config(args, alg, battery), None
-
-
-def cmd_bianchi(args):
-    alg, bundle, conn = _load_connection_inputs(args)
-    battery = _battery(alg, args)
-    report = dc.bianchi_check(conn, battery)
-    return report, _config(args, alg, battery), None
+def _connection_check(check):
+    """The command running the check of that name in ``dorfman`` on the
+    loaded connection, looked up when it runs: a wrapper put on the module
+    attribute is the one called."""
+    def command(args):
+        alg, _, conn = _load_connection_inputs(args)
+        battery = _battery(alg, args)
+        report = getattr(dc, check)(conn, battery)
+        return report, _config(args, alg, battery), None
+    return command
 
 
 def cmd_bott(args):
@@ -253,9 +232,9 @@ COMMANDS = {
     "verify-algebroid": cmd_verify_algebroid,
     "cartan": cmd_cartan,
     "connection-build": cmd_connection_build,
-    "connection-verify": cmd_connection_verify,
-    "curvature": cmd_curvature,
-    "bianchi": cmd_bianchi,
+    "connection-verify": _connection_check("verify_connection"),
+    "curvature": _connection_check("curvature_laws"),
+    "bianchi": _connection_check("bianchi_check"),
     "bott": cmd_bott,
     "cohomology": cmd_cohomology,
     "predual-diagnose": cmd_predual_diagnose,

@@ -53,6 +53,7 @@ from .algebroid import (
     CourantAlgebroid,
     FramedModule,
     Section,
+    _derivative,
     _gradient_image,
     _keyed_array,
     _leibniz,
@@ -155,7 +156,7 @@ class PredualBundle(_FramedBundle):
         if not linalg.mat_eq(lhs, alg.anchor_matrix):
             raise PreconditionError(
                 "alpha^T . pairing must equal the anchor matrix; "
-                f"got {lhs} vs {alg.anchor_matrix}")
+                f"got {linalg.mat_str(lhs)} vs {linalg.mat_str(alg.anchor_matrix)}")
         super().__init__(alg, rank)
         # for each algebroid frame index i, the nonzero <e_i, b_j> as (j, value)
         self._pairing = _sparse_rows(
@@ -262,11 +263,14 @@ def build_connection(bundle, battery):
     """Produce a connection on the predual bundle.
 
     The frame values start from the derivation term d_B of the pairing
-    coefficients; the obstruction to the third axiom is linear in a
-    correction matrix per algebroid frame index, solved exactly over the
-    fraction field with deterministic pivoting and free block set to zero.
-    The result is verified once, by verify_connection on the battery, as a
-    self-test.
+    coefficients.  The obstruction to the third axiom is, for algebroid
+    frame index k, N_k[l][q] = sum_t P[t][k] [alpha_q, alpha_t]^l, the
+    bracket of the vector fields alpha_q = sum_j alpha[q][j] d_j weighted by
+    the pairing; it is cancelled by a correction C_k with alpha^T C_k = N_k,
+    solved exactly over the fraction field with deterministic pivoting and
+    free block set to zero.  A zero N_k (constant alpha, a point) has the
+    zero correction.  The result is verified once, by verify_connection on
+    the battery, as a self-test.
 
     Returns (connection, report), the report being that of the self-test.
     Raises PreconditionError when some system is inconsistent and
@@ -275,55 +279,34 @@ def build_connection(bundle, battery):
     """
     s, n, r = bundle.rank, bundle.alg.n, bundle.alg.rank
     A, P = bundle.alpha_matrix, bundle.pairing_matrix
-    a_const = all(x.is_constant() for row in A for x in row)
-
-    corrections = []
-    if a_const:
-        corrections = [None] * r
-    else:
-        dA = [[[A[t][l].partial(j + 1) for l in range(n)] for j in range(n)]
-              for t in range(s)]
-        at = linalg.mat_transpose(A)
-        for k in range(r):
-            nk = [[Scalar.zero(n) for _ in range(s)] for _ in range(n)]
-            for l in range(n):
-                for q in range(s):
-                    acc = Scalar.zero(n)
-                    for t in range(s):
-                        p = P[t][k]
-                        if p.is_zero():
-                            continue
-                        for j in range(n):
-                            first = A[q][j] * dA[t][j][l] if not (
-                                A[q][j].is_zero() or dA[t][j][l].is_zero()) else None
-                            second = A[t][j] * dA[q][j][l] if not (
-                                A[t][j].is_zero() or dA[q][j][l].is_zero()) else None
-                            if first is not None:
-                                acc = acc + first * p
-                            if second is not None:
-                                acc = acc - second * p
-                    nk[l][q] = acc
+    at = linalg.mat_transpose(A)
+    brackets = [[_field_bracket(A[q], A[t]) for t in range(s)] for q in range(s)]
+    zero = Scalar.zero(n)
+    gamma = []
+    for k in range(r):
+        weights = [(t, P[t][k]) for t in range(s) if not P[t][k].is_zero()]
+        nk = [[sum((p * brackets[q][t][l] for t, p in weights
+                    if not brackets[q][t][l].is_zero()), zero)
+               for q in range(s)] for l in range(n)]
+        rows = [list(bundle.d_B(P[j][k]).components) for j in range(s)]
+        if not linalg.mat_is_zero(nk):
             ck = linalg.solve_matrix(at, nk)
             if ck is None:
                 raise PreconditionError(
                     f"no connection correction exists for frame index {k}: "
                     "the linear system alpha^T C = N is inconsistent")
-            corrections.append(ck)
-
-    gamma = []
-    for k in range(r):
-        rows = []
-        for j in range(s):
-            base = bundle.d_B(P[j][k]).components
-            if corrections[k] is None:
-                rows.append(list(base))
-            else:
-                rows.append([base[q] + corrections[k][j][q] for q in range(s)])
+            rows = [[x + c for x, c in zip(row, crow)] for row, crow in zip(rows, ck)]
         gamma.append(rows)
     conn = DorfmanConnection(bundle, gamma)
     report = verify_connection(conn, battery)
     _self_test(report, "constructed connection")
     return conn, report
+
+
+def _field_bracket(u, v):
+    """[u, v]^l = u(v^l) - v(u^l), the bracket of the vector fields with
+    coefficient rows u and v."""
+    return [_derivative(u, b) - _derivative(v, a) for a, b in zip(u, v)]
 
 
 def _self_test(report, what):
@@ -442,54 +425,42 @@ def difference_check(conn0, conn1, battery):
 # ---------------------------------------------------------------------------
 
 
-def adapted_frame_defect(bundle, case):
-    """Why the predual's pairing does not fit the adapted-frame case, or None.
+def adapted_frame_defect(bundle):
+    """Why the predual's frame is not adapted to the algebroid's, or None.
 
-    case "K": the bundle frame starts with a copy of the algebroid frame
-    (pairing rows above the kernel block equal the algebroid pairing, rows
-    below it vanish).  case "F": the algebroid frame starts with a copy of
-    the bundle frame (every pairing row equals the algebroid's).
+    The frames are adapted when bundle frame element i pairs as algebroid
+    frame element i for i < min(r, s) and pairs to zero for i >= r: the
+    bundle frame starts with a copy of the algebroid frame when s >= r, and
+    the algebroid frame with a copy of the bundle frame when s <= r.
     """
     alg = bundle.alg
-    r, s = alg.rank, bundle.rank
     zero = Scalar.zero(alg.n)
-    if case not in ("K", "F"):
-        return f"case must be 'K' or 'F', got {case!r}"
-    if case == "K" and s < r:
-        return "case K needs bundle rank >= algebroid rank"
-    if case == "F" and s > r:
-        return "case F needs bundle rank <= algebroid rank"
-    for i in range(s):
-        for j in range(r):
-            want = alg.pairing_matrix[i][j] if i < r else zero
+    for i in range(bundle.rank):
+        for j in range(alg.rank):
+            want = alg.pairing_matrix[i][j] if i < alg.rank else zero
             if bundle.pairing_matrix[i][j] != want:
-                return (f"case {case} adapted-frame check failed at "
+                return ("adapted-frame check failed at "
                         f"({i}, {j}): {bundle.pairing_matrix[i][j]} != {want}")
     return None
 
 
 class LinearConnection:
-    """Classical module connection induced on the algebroid sections.
+    """Classical module connection induced on the algebroid sections, over
+    an adapted frame (see :func:`adapted_frame_defect`): a bundle element
+    acts as the section of its first r components, padded with zeros below
+    rank r."""
 
-    In case "K" (see :func:`adapted_frame_defect`) a bundle element acts
-    through its algebroid part; in case "F" bundle elements embed as
-    sections.
-    """
-
-    def __init__(self, conn, case):
-        defect = adapted_frame_defect(conn.bundle, case)
+    def __init__(self, conn):
+        defect = adapted_frame_defect(conn.bundle)
         if defect is not None:
             raise PreconditionError(defect)
         self.conn = conn
-        self.case = case
         self._apply_cache = {}
+        self._zeros = (Scalar.zero(conn.alg.n),) * conn.alg.rank
 
     def _to_section(self, b):
         alg = self.conn.alg
-        if self.case == "K":
-            return Section(alg, b.components[: alg.rank])
-        zero = Scalar.zero(alg.n)
-        return Section(alg, b.components + (zero,) * (alg.rank - len(b.components)))
+        return Section(alg, (b.components + self._zeros)[: alg.rank])
 
     def apply(self, b, e):
         """Derivative of the section e along the bundle element b, kept for
@@ -509,9 +480,9 @@ class LinearConnection:
         return self.conn.alg.anchor_apply(self._to_section(b), f)
 
 
-def induced_linear_connection(conn, case, battery):
-    """The module connection induced in the case, self-tested."""
-    lin = LinearConnection(conn, case)
+def induced_linear_connection(conn, battery):
+    """The module connection induced over the adapted frame, self-tested."""
+    lin = LinearConnection(conn)
     _self_test(verify_linear_connection(lin, battery), "induced connection")
     return lin
 
@@ -526,7 +497,7 @@ def verify_linear_connection(lin, battery):
     secs = battery.frame + battery.scaled[: alg.rank] + battery.randoms
     sample = list(product(_strided(b_elements, 8),
                           battery.functions[:5], secs))
-    report = Report(f"module-connection laws ({lin.case})")
+    report = Report("module-connection laws")
     ap, ap1 = lin.apply, _memo(lin._apply)
     # nabla_b e.f recurs in both checks
     sc = _memo(Section.scale)
@@ -610,7 +581,7 @@ class TensorBundle(_FramedBundle):
         if self.p + self.q < 2:
             return super().show(components)
         s = self.base.rank
-        return str([list(components[k:k + s]) for k in range(0, self.rank, s)])
+        return linalg.mat_str(components[k:k + s] for k in range(0, self.rank, s))
 
 
 class TensorConnection:
@@ -795,10 +766,11 @@ def curvature_symbol_checks(conn, lin, battery):
     return report
 
 
-def curvature_laws(conn, case, battery):
+def curvature_laws(conn, battery):
     """The curvature laws of conn: its action on derivation images, the
     square of its covariant differential, and the laws tying the curvature
-    to the module connection induced in the case."""
+    to the induced module connection, whose adapted frame is checked first."""
+    lin = LinearConnection(conn)
     bundle = conn.bundle
     zero = bundle.zero()
     b_elements = _b_elements(bundle, battery)
@@ -837,7 +809,6 @@ def curvature_laws(conn, case, battery):
                                   evaluate(square(b), 0, pair, (), ctx).scale(f)),
               lambda b, f, pair: f"b={b}, f={f}, {battery.describe(pair)}")
 
-    lin = LinearConnection(conn, case)
     report.extend(curvature_symbol_checks(conn, lin, battery))
     report.extend(verify_linear_connection(lin, battery))
     report.extend(compatibility_check(conn, lin, battery))

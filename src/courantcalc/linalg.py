@@ -16,6 +16,7 @@ __all__ = [
     "mat_mul",
     "mat_is_zero",
     "mat_eq",
+    "mat_str",
     "rank",
     "det",
     "inverse",
@@ -62,6 +63,11 @@ def mat_is_zero(a):
 
 def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+
+
+def mat_str(a):
+    """The rows of a as text, each entry printed by str: [[0, 1], [x1, 0]]."""
+    return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in a) + "]"
 
 
 def _eliminate(m, aug=None):

@@ -261,7 +261,7 @@ def test_criterion_7_curvature_laws(connection_pool, standard2, battery2):
             lhs = dc.evaluateB(dc.interior_f_b(g, dd), 0, ())
             if not (lhs - dc.curvature_R1(conn, g, b)).is_zero():
                 ok = False
-        lin = dc.induced_linear_connection(conn, "F", battery)
+        lin = dc.induced_linear_connection(conn, battery)
         symbol_report = dc.curvature_symbol_checks(conn, lin, battery)
         if not symbol_report.passed:
             ok = False

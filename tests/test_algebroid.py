@@ -205,6 +205,14 @@ def test_rank_one_algebroid():
     assert verify_axioms(alg, Battery(alg)).passed
 
 
+def test_anchor_isotropy_residual_prints_the_matrix_entries():
+    # a rank-one algebroid whose anchor is not isotropic: rho rho* = [[1]]
+    one, zero = Scalar.one(1), Scalar.zero(1)
+    alg = build_from_structure_data(1, 1, [[one]], [[one]], [[[zero]]])
+    check = verify_axioms(alg, Battery(alg))["anchor-isotropy-matrix-identity"]
+    assert not check.passed and check.residual == "[[1]]"
+
+
 def test_port_hamiltonian_axioms(port_hamiltonian11):
     assert verify_axioms(port_hamiltonian11, Battery(port_hamiltonian11)).passed
 

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -13,7 +15,7 @@ from courantcalc import cli
 from courantcalc import cochain as co
 from courantcalc import dorfman as dc
 from courantcalc import linalg
-from courantcalc.algebroid import algebroid_to_json
+from courantcalc.algebroid import algebroid_from_json, algebroid_to_json
 from courantcalc.cohomology import PointComplex
 from courantcalc.report import Report
 
@@ -447,28 +449,34 @@ def test_christoffel_entry_errors(case, entries, code, message):
     assert str(exc.value) == text
 
 
-@pytest.mark.parametrize("case", ["F", "K"])
-def test_curvature_with_an_explicit_case(case):
-    # the self-predual of standard(2) fits both adapted-frame cases
-    small = ("--battery-degree", "1", "--extras", "1")
-    proc = run_cli("curvature", STD2, PRE2, CONNECTION, "--case", case, *small)
-    assert proc.returncode == 0
-    assert "leibniz-in-the-section-slot" in proc.stdout
-    if case == "F":
-        # auto tries F first, so it takes the same case
-        assert proc.stdout == run_cli("curvature", STD2, PRE2, CONNECTION,
-                                      *small).stdout
-
-
-def test_curvature_without_an_adapted_frame_case_exits_3(tmp_path):
+def test_curvature_without_an_adapted_frame_exits_3(tmp_path):
     conn = tmp_path / "conn.json"
     conn.write_text(json.dumps({"gamma": {}}))
     proc = run_cli("curvature", str(DATA / "port_hamiltonian11.json"),
                    str(DATA / "predual_ph11.json"), str(conn))
+    bundle = dc.predual_from_json(
+        algebroid_from_json(json.loads((DATA / "port_hamiltonian11.json").read_text())),
+        json.loads((DATA / "predual_ph11.json").read_text()))
+    defect = dc.adapted_frame_defect(bundle)
+    assert defect.startswith("adapted-frame check failed at ")
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == ("precondition failed: cannot infer an adapted-frame "
-                           "case from the pairing; pass --case\n")
+    assert proc.stderr == f"precondition failed: {defect}\n"
+
+
+def test_every_command_line_option_is_documented():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    missing = sorted({f"{command} {option}"
+                      for command, parser in subparsers.choices.items()
+                      for action in parser._actions
+                      if not isinstance(action, argparse._HelpAction)
+                      for option in action.option_strings
+                      if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])",
+                                       section)})
+    assert missing == []
 
 
 def test_output_file_holds_the_text_report_and_keeps_the_exit_code(tmp_path):

@@ -84,6 +84,14 @@ def test_predual_rejects_incompatible_alpha(standard1):
         dc.PredualBundle(standard1, 2, standard1.pairing_matrix, bad_alpha)
 
 
+def test_incompatible_alpha_message_prints_the_matrix_entries(standard1):
+    eye = [[S1("1"), S1("0")], [S1("0"), S1("1")]]
+    with pytest.raises(PreconditionError) as exc:
+        dc.PredualBundle(standard1, 2, eye, [[S1("1")], [S1("1")]])
+    assert str(exc.value) == ("alpha^T . pairing must equal the anchor matrix; "
+                              "got [[1, 1]] vs [[1, 0]]")
+
+
 def _contract_end_with_dual(b, other):
     end, dual = dc.TensorBundle.of(b, 1, 1), dc.TensorBundle.of(b, 0, 1)
     return end.contract(end.frame[0], dual.frame[0])
@@ -150,10 +158,7 @@ def test_perturbed_gamma_fails_third_axiom(standard1, self_predual1, battery1):
 def test_build_connection_returns_its_self_test_report(standard1,
                                                        self_predual1,
                                                        battery1):
-    zero, one = Scalar.zero(1), Scalar.one(1)
-    p = [list(row) for row in standard1.pairing_matrix] + [[zero, zero]]
-    kernel_line = dc.PredualBundle(standard1, 3, p, [[zero], [one], [S1("x1")]])
-    for bundle in (self_predual1, kernel_line):
+    for bundle in (self_predual1, kernel_line(standard1, S1("x1"))):
         conn, report = dc.build_connection(bundle, battery1)
         fresh = dc.verify_connection(conn, battery1)
         assert report.passed
@@ -161,6 +166,21 @@ def test_build_connection_returns_its_self_test_report(standard1,
 
 
 # -- construction branches -----------------------------------------------------------
+
+def kernel_line(standard1, last):
+    """standard(1) plus one kernel line, the derivation row on it last."""
+    zero, one = Scalar.zero(1), Scalar.one(1)
+    p = [list(row) for row in standard1.pairing_matrix] + [[zero, zero]]
+    return dc.PredualBundle(standard1, 3, p, [[zero], [one], [last]])
+
+
+def full_rank_predual(standard2):
+    """A rank-2 predual of standard(2) with invertible polynomial alpha."""
+    zero, one = Scalar.zero(2), Scalar.one(2)
+    p = [[one, S2("-x1"), zero, zero], [zero, one, zero, zero]]
+    a = [[one, zero], [S2("x1"), one]]
+    return dc.PredualBundle(standard2, 2, p, a)
+
 
 def test_build_connection_point_case(su2):
     eye = su2.pairing_matrix
@@ -177,11 +197,7 @@ def test_build_connection_kernel_extension_with_polynomial_alpha(standard1,
                                                                 battery1):
     # bundle = algebroid + one kernel line, nonzero derivation row on the
     # kernel: exercises the rank-deficient correction solve
-    zero, one = Scalar.zero(1), Scalar.one(1)
-    p = [list(row) for row in standard1.pairing_matrix] + [[zero, zero]]
-    a = [[zero], [one], [S1("x1")]]
-    bundle = dc.PredualBundle(standard1, 3, p, a)
-    conn, _ = dc.build_connection(bundle, battery1)
+    conn, _ = dc.build_connection(kernel_line(standard1, S1("x1")), battery1)
     report = dc.verify_connection(conn, battery1)
     assert report.passed
     # the correction must hit the kernel slot of the second bundle frame
@@ -190,13 +206,35 @@ def test_build_connection_kernel_extension_with_polynomial_alpha(standard1,
 
 def test_build_connection_full_rank_polynomial_alpha(standard2, battery2):
     # invertible polynomial alpha: the unique-solution branch
-    zero, one = Scalar.zero(2), Scalar.one(2)
-    p = [[one, S2("-x1"), zero, zero], [zero, one, zero, zero]]
-    a = [[one, zero], [S2("x1"), one]]
-    bundle = dc.PredualBundle(standard2, 2, p, a)
+    bundle = full_rank_predual(standard2)
     assert linalg.rank(bundle.alpha_matrix) == 2
     conn, _ = dc.build_connection(bundle, battery2)
     assert dc.verify_connection(conn, battery2).passed
+
+
+_FIELD_BRACKET = dc._field_bracket
+
+# the obstruction with the bracket [u, v]^l = u(v^l) - v(u^l) of the alpha
+# vector fields broken: its sign flipped, or one of its two terms dropped.
+# The kernel line weights only the bracket with alpha_1 = d_1, whose
+# coefficient is constant, so it cannot see u(v^l) dropped
+OBSTRUCTION_MUTATIONS = {
+    "sign-flipped": lambda u, v: [-x for x in _FIELD_BRACKET(u, v)],
+    "first-term-only": lambda u, v: [algebroid._derivative(u, b) for b in v],
+    "second-term-only": lambda u, v: [-algebroid._derivative(v, a) for a in u],
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(OBSTRUCTION_MUTATIONS))
+def test_build_connection_rejects_a_wrong_obstruction(standard1, standard2, battery1,
+                                                      battery2, monkeypatch, mutation):
+    monkeypatch.setattr(dc, "_field_bracket", OBSTRUCTION_MUTATIONS[mutation])
+    cases = [(full_rank_predual(standard2), battery2)]
+    if mutation != "second-term-only":
+        cases.append((kernel_line(standard1, S1("x1")), battery1))
+    for bundle, battery in cases:
+        with pytest.raises(dc.ConstructionError):
+            dc.build_connection(bundle, battery)
 
 
 # -- named examples -------------------------------------------------------------------
@@ -313,14 +351,14 @@ def _b_pairing_formula(bundle, sigma, b):
 
 
 def _lin_formula(lin, b, e):
-    """Delta_e b - [e, b] with b read as a section in the case, afresh."""
+    """Delta_e b - [e, b] with b read as the section of its first r
+    components, padded with zeros below rank r, afresh."""
     conn, alg = lin.conn, lin.conn.alg
     zero = Scalar.zero(alg.n)
 
     def as_section(x):
-        comps = x.components[: alg.rank] if lin.case == "K" else \
-            x.components + (zero,) * (alg.rank - len(x.components))
-        return Section(alg, comps)
+        comps = list(x.components[: alg.rank])
+        return Section(alg, comps + [zero] * (alg.rank - len(comps)))
 
     return as_section(conn._apply(e, b)) - alg._bracket(e, as_section(b))
 
@@ -345,17 +383,32 @@ def test_pairing_memo_agrees_with_the_formula(kind):
     assert nonzero and set(pairs) <= set(bundle._pairing_cache)
 
 
+# the two ways the formula reads b as a section: K drops the components past
+# the algebroid rank r (bundle rank s >= r: a kernel line over standard(1),
+# and the self-predual of standard(2)), F pads them with zeros (s <= r: su(2)
+# paired against its first two frame sections, and the self-predual again)
 @pytest.mark.parametrize("case", ["K", "F"])
-def test_linear_connection_memo_agrees_with_the_formula(case):
-    conn = poly2_connection(build_standard(2))
-    lin = dc.LinearConnection(conn, case)
-    battery = Battery(conn.alg, degree=1, extras=1)
-    pairs = list(product(dc._b_elements(conn.bundle, battery), battery.sections))
-    for b, e in pairs:
-        value = lin.apply(b, e)
-        assert value == _lin_formula(lin, b, e) == lin._apply(b, e)
-        assert lin.apply(b, e) is value
-    assert len(lin._apply_cache) == len(set(pairs))
+def test_linear_connection_memo_agrees_with_the_formula(case, standard1, su2,
+                                                         conn_poly2):
+    if case == "K":
+        wider = kernel_line(standard1, Scalar.zero(1))
+        other = dc.build_connection(wider, Battery(standard1, degree=1, extras=1))[0]
+    else:
+        narrower = dc.PredualBundle(su2, 2, su2.pairing_matrix[:2], [[], []])
+        other = dc.build_connection(narrower, Battery(su2))[0]
+    for conn in (other, conn_poly2):
+        lin = dc.LinearConnection(conn)
+        battery = Battery(conn.alg, degree=1, extras=1)
+        pairs = list(product(dc._b_elements(conn.bundle, battery), battery.sections))
+        nonzero = 0
+        for b, e in pairs:
+            value = lin.apply(b, e)
+            assert value == _lin_formula(lin, b, e) == lin._apply(b, e)
+            assert lin.apply(b, e) is value
+            nonzero += not value.is_zero()
+        assert nonzero and len(lin._apply_cache) == len(set(pairs))
+    if case == "F":
+        assert dc.curvature_laws(other, Battery(su2)).passed
 
 
 # -- mutation guard: the Leibniz checks catch a wrong kernel ----------------------
@@ -582,7 +635,7 @@ def test_difference_kills_derivation_images(standard2, conn_trivial2,
 
 def test_induced_connection_case_f(standard1, self_predual1, battery1):
     conn, _ = dc.build_connection(self_predual1, battery1)
-    lin = dc.induced_linear_connection(conn, "F", battery1)
+    lin = dc.induced_linear_connection(conn, battery1)
     # with zero frame coefficients the derivative reduces to minus the bracket
     b = self_predual1.frame[0]
     e = standard1.frame[1].scale(S1("x1"))
@@ -594,32 +647,24 @@ def test_induced_connection_case_f(standard1, self_predual1, battery1):
 
 
 def test_induced_connection_case_k(standard1, battery1):
-    zero, one = Scalar.zero(1), Scalar.one(1)
-    p = [list(row) for row in standard1.pairing_matrix] + [[zero, zero]]
-    a = [[zero], [one], [zero]]
-    bundle = dc.PredualBundle(standard1, 3, p, a)
-    conn, _ = dc.build_connection(bundle, battery1)
-    lin = dc.induced_linear_connection(conn, "K", battery1)
+    conn, _ = dc.build_connection(kernel_line(standard1, Scalar.zero(1)), battery1)
+    lin = dc.induced_linear_connection(conn, battery1)
     assert dc.verify_linear_connection(lin, battery1).passed
 
 
 def test_induced_connection_adapted_frame_gate(standard2, battery2):
-    zero, one = Scalar.zero(2), Scalar.one(2)
-    p = [[one, S2("-x1"), zero, zero], [zero, one, zero, zero]]
-    a = [[one, zero], [S2("x1"), one]]
-    bundle = dc.PredualBundle(standard2, 2, p, a)
-    conn, _ = dc.build_connection(bundle, battery2)
+    conn, _ = dc.build_connection(full_rank_predual(standard2), battery2)
     with pytest.raises(PreconditionError):
-        dc.induced_linear_connection(conn, "F", battery2)
+        dc.induced_linear_connection(conn, battery2)
 
 
 def test_compatibility_identity(conn_poly2, battery2):
-    lin = dc.induced_linear_connection(conn_poly2, "F", battery2)
+    lin = dc.induced_linear_connection(conn_poly2, battery2)
     assert dc.compatibility_check(conn_poly2, lin, battery2).passed
 
 
 def test_linear_connection_laws(conn_poly2, battery2):
-    lin = dc.induced_linear_connection(conn_poly2, "F", battery2)
+    lin = dc.induced_linear_connection(conn_poly2, battery2)
     assert dc.verify_linear_connection(lin, battery2).passed
 
 
@@ -689,6 +734,12 @@ def test_dual_curvature_duality(standard2, conn_poly2, battery2):
 def endomorphism(bundle, rows):
     """The endomorphism of bundle with the given matrix rows, in T^{1,1}."""
     return dc.TensorBundle.of(bundle, 1, 1).element([x for row in rows for x in row])
+
+
+def test_endomorphism_prints_its_matrix_rows():
+    bundle = dc._self_predual(build_standard(1))
+    m = endomorphism(bundle, [[S1("1"), S1("0")], [S1("x1"), S1("-1")]])
+    assert str(m) == "[[1, 0], [x1, -1]]"
 
 
 def rows_of(m):
@@ -776,7 +827,7 @@ def test_curvature_laws_share_one_evaluation_context(conn_poly2, monkeypatch):
 
     monkeypatch.setattr(dc, "EvalContext", CountingContext)
     monkeypatch.setattr(co, "EvalContext", CountingContext)
-    report = dc.curvature_laws(conn_poly2, "K",
+    report = dc.curvature_laws(conn_poly2,
                                Battery(conn_poly2.alg, degree=1, extras=1))
     assert report.passed, report
     assert len(made) == 1
@@ -820,12 +871,12 @@ def test_squared_differential_function_linear(standard2, conn_poly2, battery2):
 
 
 def test_curvature_symbol_identities(conn_poly2, battery2):
-    lin = dc.induced_linear_connection(conn_poly2, "F", battery2)
+    lin = dc.induced_linear_connection(conn_poly2, battery2)
     assert dc.curvature_symbol_checks(conn_poly2, lin, battery2).passed
 
 
 def test_curvature_symbols_vanish_for_constants(conn_poly2, battery2):
-    lin = dc.induced_linear_connection(conn_poly2, "F", battery2)
+    lin = dc.induced_linear_connection(conn_poly2, battery2)
     bundle = conn_poly2.bundle
     b = bundle.frame[1]
     c = Scalar.const(2, 3)
@@ -918,7 +969,7 @@ def test_bianchi_polynomial(conn_poly2, battery2):
 
 @pytest.mark.parametrize("suite, name", [
     (dc.bianchi_check, "dual-curvature-duality"),
-    (lambda conn, battery: dc.curvature_laws(conn, "K", battery),
+    (lambda conn, battery: dc.curvature_laws(conn, battery),
      "squared-differential-linear-over-functions"),
 ])
 def test_a_failing_check_computes_nothing_past_its_witness(conn_poly2, suite, name,
@@ -1023,7 +1074,8 @@ def test_bianchi_residual_is_the_covariant_differential_of_curvature():
     value = dc.evaluateB(dc.covariant_differential(dc.TensorConnection(conn, 1, 1),
                                                    dc.curvature(conn)),
                          0, alg.frame)
-    assert bad.residual == str(value) == str(rows_of(value))
+    assert bad.residual == str(value) == linalg.mat_str(rows_of(value)) \
+        == "[[0, 0, 0], [0, 0, -1], [0, 1, 0]]"
     assert rows_of(value)[1][2] == Scalar.const(0, -1)
 
 
