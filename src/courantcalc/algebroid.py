@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from . import linalg
 from .report import PreconditionError, Report, run_check
-from .scalar import ParseError, Scalar, parse_scalar
+from .scalar import ParseError, Scalar, parse_scalar, sum_of_products
 
 __all__ = [
     "Section",
@@ -295,13 +295,13 @@ def _pair(sigma, rows, b):
 
 def _derivative(row, f):
     """sum_l row[l] * df/dx_l: f differentiated along a vector field."""
-    total = Scalar.zero(f.n)
+    pairs = []
     for l, a in enumerate(row):
         if a.num:
             d = f.partial(l + 1)
             if d.num:
-                total = total + a * d
-    return total
+                pairs.append((a, d))
+    return sum_of_products(f.n, pairs)
 
 
 def _gradient_image(matrix, f):
@@ -327,34 +327,39 @@ def _leibniz(g, h, rho, struct, pairing, d):
     ``pairing[i]`` lists (j, <e_i, b_j>) for the nonzero pairings.  ``d``
     is D (d_E or d_B, returning an element with ``components``), or None
     when there is no D term.
+
+    Each component is one sum of products, the structure terms, the anchor
+    derivatives and the D-terms together, taken by ``sum_of_products``.
     """
     gs = [(i, gi) for i, gi in enumerate(g) if gi.num]
     hs = {j: hj for j, hj in enumerate(h) if hj.num}
     n = len(rho)
-    out = [Scalar.zero(n)] * len(h)
+    terms = {}  # component q: the (a, b) whose products a*b sum to it
     for i, gi in gs:
         for j, cells in struct[i]:
             hj = hs.get(j)
             if hj is not None:
                 coeff = gi * hj
                 for q, c in cells:
-                    out[q] = out[q] + coeff * c
+                    terms.setdefault(q, []).append((coeff, c))
     for q, hq in hs.items():
-        out[q] = out[q] + _derivative(rho, hq)
-    if d is None:
-        return out
-    for i, gi in gs:
-        if gi.is_constant():
-            continue
-        coeff = Scalar.zero(n)
-        for j, p in pairing[i]:
-            hj = hs.get(j)
-            if hj is not None:
-                coeff = coeff + hj * p
-        if coeff.num:
-            for q, c in enumerate(d(gi).components):
-                if c.num:
-                    out[q] = out[q] + coeff * c
+        for l, a in enumerate(rho, 1):
+            if a.num:
+                dq = hq.partial(l)
+                if dq.num:
+                    terms.setdefault(q, []).append((a, dq))
+    if d is not None:
+        for i, gi in gs:
+            if gi.is_constant():
+                continue
+            pairs = [(hs[j], p) for j, p in pairing[i] if j in hs]
+            if pairs and (coeff := sum_of_products(n, pairs)).num:
+                for q, c in enumerate(d(gi).components):
+                    if c.num:
+                        terms.setdefault(q, []).append((coeff, c))
+    out = [Scalar.zero(n)] * len(h)
+    for q, pairs in terms.items():
+        out[q] = sum_of_products(n, pairs)
     return out
 
 

@@ -304,7 +304,7 @@ class _InteriorE(Cochain):
         self.child = child
 
     def _eval(self, k, es, fs, ctx):
-        return _eval(self.child, k, (ctx.section_id(self.section),) + es, fs, ctx)
+        return _eval(self.child, k, (ctx.node_section_id(self),) + es, fs, ctx)
 
 
 class _InteriorF(Cochain):
@@ -352,7 +352,7 @@ class _LieE(Cochain):
         alg = self.alg
         child = self.child
         zero_ids = ctx.zero_ids
-        e = ctx.section_id(self.section)
+        e = ctx.node_section_id(self)
         total = self.zero
         drops = _drop_plan(k)
         for mu in range(k):
@@ -510,12 +510,13 @@ class EvalContext:
     A battery's component tuples are mapped to id tuples once per context,
     by :meth:`component_tuples`: the battery keeps each section stream as
     index tuples, and the context interns each section of a stream once,
-    not once per tuple it is met in.
+    not once per tuple it is met in.  So too the section of an interior
+    product or Lie derivative node: once per node, by ``node_section_id``.
     """
 
     __slots__ = ("memo", "sections", "functions", "_section_ids",
-                 "_function_ids", "_brackets", "_d_e", "zero_ids",
-                 "anchor_free_ids", "_components")
+                 "_function_ids", "_node_sections", "_brackets", "_d_e",
+                 "zero_ids", "anchor_free_ids", "_components")
 
     def __init__(self):
         self.memo = {}
@@ -523,6 +524,7 @@ class EvalContext:
         self.functions = []
         self._section_ids = {}
         self._function_ids = {}
+        self._node_sections = {}
         self._brackets = {}
         self._d_e = {}
         self.zero_ids = set()
@@ -538,6 +540,15 @@ class EvalContext:
                 self.zero_ids.add(i)
             if not any(c.num for c in section.module._anchor_row(section)):
                 self.anchor_free_ids.add(i)
+        return i
+
+    def node_section_id(self, node):
+        """Id of the section a DAG node carries, interned once per node: the
+        table is keyed by the node itself, which hashes by identity and which
+        the table keeps alive."""
+        i = self._node_sections.get(node)
+        if i is None:
+            i = self._node_sections[node] = self.section_id(node.section)
         return i
 
     def function_id(self, function):

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
+from courantcalc import algebroid, scalar
 from courantcalc.algebroid import (
     CourantAlgebroid,
     _derivative,
@@ -119,6 +122,45 @@ def test_bracket_with_a_degenerate_pairing_has_no_dual_differential_term():
             want = alg.bracket(ei, ej).scale(f) - ei.scale(alg.anchor_apply(ej, f))
             assert alg.bracket(ei.scale(f), ej) == want
     assert alg.pairing(alg.frame[0], alg.frame[0]) == one
+
+
+def _fold(n, pairs):
+    """sum a*b over pairs, one product after another."""
+    total = Scalar.zero(n)
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+def test_a_bracket_sums_each_component_once(monkeypatch):
+    # every component of [rnd1, x1*x2*rnd2] is one sum of products, fused:
+    # two nonzero scalars are added only where _bracket subtracts
+    # rho(tau)(g_k), at most once per component (48 times as a fold)
+    alg = build_standard(3)
+    battery = Battery(alg)
+    sigma = battery.randoms[0]
+    tau = battery.randoms[1].scale(parse_scalar("x1*x2", 3))
+    sums = []
+    add = scalar._sum
+    monkeypatch.setattr(scalar, "_sum", lambda *args: sums.append(args) or add(*args))
+    got = alg._bracket(sigma, tau)
+    assert 0 < len(sums) <= alg.rank
+    monkeypatch.setattr(algebroid, "sum_of_products", _fold)
+    assert alg._bracket(sigma, tau) == got
+
+
+def test_a_d_term_whose_coefficient_cancels_is_dropped():
+    # <e_0, b> = h_0 + h_1 = 0 although both pairings and both h_j are
+    # nonzero: the D-term vanishes, and each component is the anchor
+    # derivative alone, a sum of two products of multi-term factors
+    S = lambda text: parse_scalar(text, 2)
+    g = [S("x1^2 + x2"), S("0")]
+    h = [S("x1^2 + x1*x2 + x2^2"), S("-x1^2 - x1*x2 - x2^2")]
+    rho = [S("x1 + x2"), S("x1 - x2")]
+    pairing = [[(0, S("1")), (1, S("1"))], []]
+    d = lambda f: SimpleNamespace(components=(f.partial(1), f.partial(2)))
+    got = algebroid._leibniz(g, h, rho, [[], []], pairing, d)
+    assert got == [_derivative(rho, hq) for hq in h]
 
 
 # -- verification -----------------------------------------------------------------

@@ -504,6 +504,27 @@ def test_equal_b_with_shared_context(standard2, battery2):
     assert shared.equal and shared.checked > 0
 
 
+def test_a_node_interns_its_section_once_per_context(standard2, monkeypatch):
+    # i_e and L_e find the id of e by the node, so e is looked up by value
+    # once per node and context, however many tuples the node is evaluated on
+    battery = Battery(standard2, degree=1, extras=1)
+    conn = dc.build_standard_connection(standard2)
+    e = standard2.element_from_strings(["x1", "1", "x2", "0"])
+    w = next(w for w in co.generator_cochains(standard2, battery) if w.degree == 3)
+    nodes = [co.interior_e(e, w), co.lie_e(e, w), co.lie_e(e, w, conn)]
+    calls = _sample_calls(battery, nodes, per_component=6)
+    interned = []
+    section_id = co.EvalContext.section_id
+    monkeypatch.setattr(co.EvalContext, "section_id",
+                        lambda ctx, s: interned.append(s) or section_id(ctx, s))
+    for ctx in (co.EvalContext(), co.EvalContext()):
+        values = [co.evaluate(node, k, secs, funs, ctx)
+                  for node, k, secs, funs in calls]
+        assert any(not v.is_zero() for v in values)
+    assert len(calls) > 2 * len(nodes)
+    assert sum(s is e for s in interned) == 2 * len(nodes)
+
+
 def test_differential_never_evaluates_at_a_zero_section(standard2):
     # coordinate-frame brackets of standard(n) vanish; a bracket insertion
     # of a zero section is a zero term, skipped before the memo is touched

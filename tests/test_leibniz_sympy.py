@@ -14,6 +14,11 @@ with D f = G^-1 A^T grad f, and
 
 with d_B f = alpha grad f.  The structure data enter sympy through their
 printed form only, and the results are compared as printed canonical forms.
+
+Besides random sections, each case runs one pair of sections whose every
+component has several terms, so that some component sum takes the fused
+path of ``scalar.sum_of_products``; a counter patched into that path
+checks that it does.
 """
 
 import random
@@ -23,6 +28,7 @@ import pytest
 from sympy import Matrix, parse_expr, symbols
 from test_scalar_sympy import K2, X1, X2, normal_form
 
+from courantcalc import scalar
 from courantcalc.algebroid import build_port_hamiltonian, build_standard
 from courantcalc.dorfman import build_standard_connection
 from courantcalc.scalar import parse_scalar
@@ -55,6 +61,26 @@ def random_texts(rng, n, count):
             terms.append(f"{c}{mono}")
         out.append(" + ".join(terms) or "0")
     return out
+
+
+MULTI_TERM = {1: ("x1^2 + x1", "2*x1^3 - x1 + 1", "x1^2 - 3", "1/2*x1^2 + x1"),
+              2: ("x1*x2 + x1^2", "x2^2 - 2*x1 + 1", "x1 + x2", "1/3*x1*x2 - x2")}
+
+
+def multi_term_texts(n, count, shift):
+    """count polynomials in x1..xn of two or three terms each, as text."""
+    texts = MULTI_TERM[n]
+    return [texts[(k + shift) % len(texts)] for k in range(count)]
+
+
+@pytest.fixture
+def fused(monkeypatch):
+    """The argument lists of every sum that takes the fused path."""
+    calls = []
+    kernel = scalar._fused_sum
+    monkeypatch.setattr(scalar, "_fused_sum",
+                        lambda *args: calls.append(args) or kernel(*args))
+    return calls
 
 
 def anchor_derivative(anchor, i, f):
@@ -109,17 +135,21 @@ def oracle_apply(conn, g, h):
     lambda: build_port_hamiltonian(1, 1, [[[parse_scalar("x1^2 - 2", 1)]]]),
     lambda: build_standard(2),
 ], ids=["port_hamiltonian11", "port_hamiltonian11-christoffel", "standard2"])
-def test_bracket_matches_sympy_leibniz_formula(build):
+def test_bracket_matches_sympy_leibniz_formula(build, fused):
     alg = build()
     rng = random.Random(f"bracket-oracle:{alg.n}:{alg.rank}")
-    for _ in range(12):
-        gs, hs = random_texts(rng, alg.n, alg.rank), random_texts(rng, alg.n, alg.rank)
+    cases = [(random_texts(rng, alg.n, alg.rank), random_texts(rng, alg.n, alg.rank))
+             for _ in range(12)]
+    cases.append((multi_term_texts(alg.n, alg.rank, 0),
+                  multi_term_texts(alg.n, alg.rank, 1)))
+    for gs, hs in cases:
         got = alg.bracket(alg.element_from_strings(gs), alg.element_from_strings(hs))
         want = oracle_bracket(alg, [field(x) for x in gs], [field(x) for x in hs])
         assert [str(c) for c in got.components] == [normal_form(w) for w in want]
+    assert fused
 
 
-def test_apply_of_a_levi_civita_lift_matches_sympy_leibniz_formula():
+def test_apply_of_a_levi_civita_lift_matches_sympy_leibniz_formula(fused):
     # Christoffel symbols of the rational metric g = [[1, x2], [x2, 2 + x1^2]]:
     # christoffel[i][j][k] = Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
     x = list(SYMBOLS.values())
@@ -134,10 +164,13 @@ def test_apply_of_a_levi_civita_lift_matches_sympy_leibniz_formula():
         for cell in row] for row in christoffel])
     assert not all(c.is_polynomial() for row in conn.gamma for cell in row for c in cell)
     rng = random.Random("apply-oracle")
-    for _ in range(12):
-        gs = random_texts(rng, alg.n, alg.rank)
-        hs = random_texts(rng, alg.n, conn.bundle.rank)
+    cases = [(random_texts(rng, alg.n, alg.rank),
+              random_texts(rng, alg.n, conn.bundle.rank)) for _ in range(12)]
+    cases.append((multi_term_texts(alg.n, alg.rank, 0),
+                  multi_term_texts(alg.n, conn.bundle.rank, 1)))
+    for gs, hs in cases:
         got = conn.apply(alg.element_from_strings(gs),
                          conn.bundle.element_from_strings(hs))
         want = oracle_apply(conn, [field(x) for x in gs], [field(x) for x in hs])
         assert [str(c) for c in got.components] == [normal_form(w) for w in want]
+    assert fused

@@ -152,6 +152,20 @@ def test_exponent_guard():
         S(f"x1^{limit + 1}")
 
 
+def test_fused_sum_of_products_keeps_the_degree_guard():
+    # two products of multi-term factors over constants: the fused path,
+    # which must refuse a product past the cap as __mul__ does
+    limit = 2**16 - 1
+    high = Scalar.monomial(2, (limit - 1, 0), Fraction(1, 2)) + S("x2")
+    low = S("x1/3 + 1")
+    fine = scalar.sum_of_products(2, [(high, low), (low, low)])
+    assert fine == high * low + low * low and fine.total_degree() == limit
+    with pytest.raises(ScalarError):
+        scalar.sum_of_products(2, [(low, low), (high, low * S("x2 + 1"))])
+    with pytest.raises(ScalarError):
+        high * (low * S("x2 + 1"))
+
+
 def test_parser_caps_bound_each_intermediate_value():
     # at or under the caps: exponent 64, 4,096 terms, 4,096-bit coefficients,
     # 2^20 term pairs in one product
@@ -180,6 +194,8 @@ def test_arithmetic_creates_no_fraction(monkeypatch):
     for u in (a, b, c):
         for v in (a, b, c):
             (u + v) * (u - v) / (u * v + Scalar.one(2))
+            # a sum of products fused (u = v = b) and folded (the others)
+            scalar.sum_of_products(2, [(u, v), (v, b), (b, u + v)])
         u.partial(1).partial(2)
         Scalar(2, u.num, u.den)
 

@@ -515,3 +515,109 @@ def test_operand_checks_come_before_the_fast_paths(op, left):
     for other in (Scalar.zero(3), Scalar.one(3), parse_scalar("x3", 3)):
         with pytest.raises(ScalarError):
             getattr(value, op)(other)
+
+
+# --- the sum-of-products kernel -----------------------------------------------
+#
+# sum_of_products fuses a sum whose factors all have constant denominators
+# and which holds at least two products of two multi-term factors, and folds
+# the others product by product.  The factors mix the three kinds that
+# decide the path: polynomials over 1, polynomials over 2, 3 or 4, which
+# make the common denominator grow, and rational functions, which force the
+# fold.
+
+
+@st.composite
+def factors(draw, n, kinds):
+    """(Scalar, sympy or Fraction value), nonzero, of one of the kinds."""
+    def terms(max_exp=2):
+        size = draw(st.sampled_from((1, 2, 3)))
+        return draw(st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * n),
+                                    st.integers(-6, 6).filter(bool),
+                                    min_size=min(size, 3 ** n), max_size=size))
+
+    kind = draw(st.sampled_from(kinds))
+    num = terms()
+    if kind == "rational":
+        den = terms(max_exp=1)
+        return ours(n, num) / ours(n, den), theirs(n, num) / theirs(n, den)
+    k = 1 if kind == "polynomial" else draw(st.sampled_from((2, 3, 4)))
+    num = {m: Fraction(c, k) for m, c in num.items()}
+    return ours(n, num), theirs(n, num)
+
+
+def _fold(n, products):
+    total = Scalar.zero(n)
+    for a, b in products:
+        total = total + a * b
+    return total
+
+
+def _assert_kernel_matches(n, products, expected):
+    got = scalar.sum_of_products(n, products)
+    folded = _fold(n, products)
+    assert str(got) == normal_form(expected)
+    assert (got.num, got.den) == (folded.num, folded.den)
+    _assert_one_is_shared(got.den)
+
+
+def _counting_fused_sums():
+    """A patch of the fused path that records each call, and the record."""
+    calls = []
+    kernel = scalar._fused_sum
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    return mock.patch.object(scalar, "_fused_sum", counting), calls
+
+
+# the kinds of factor that one drawn sum mixes, with its least number of
+# products: a sum with a rational function is folded; one without, of two
+# products or more, is fused when two of them multiply multi-term factors
+KINDS = ((("polynomial", "over-k", "rational"), 0), (("polynomial", "over-k"), 2))
+
+
+def product_lists(n):
+    """(n, [((a, sympy a), (b, sympy b)), ...]) with up to 6 pairs."""
+    return st.sampled_from(KINDS).flatmap(lambda kinds: st.tuples(
+        st.just(n), st.lists(st.tuples(factors(n, kinds[0]), factors(n, kinds[0])),
+                             min_size=kinds[1], max_size=6)))
+
+
+def test_sum_of_products_matches_sympy_and_the_fold():
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from((0, 2)).flatmap(product_lists))
+    def check(case):
+        n, drawn = case
+        products = [(a, b) for (a, _), (b, _) in drawn]
+        expected = sum((sa * sb for (_, sa), (_, sb) in drawn),
+                       K2.zero if n else Fraction(0))
+        _assert_kernel_matches(n, products, expected)
+
+    patch, fused = _counting_fused_sums()
+    with patch:
+        check()
+    assert fused, "no drawn sum took the fused path"
+
+
+def test_sum_of_products_fuses_over_a_growing_denominator():
+    # every factor multi-term over a constant: the common denominator goes
+    # 2, 6, 12, and what is summed so far is rescaled at each step
+    texts = [("x1/2 + 1", "x2 - 3"), ("x1 + x2/3", "x1 - x2"),
+             ("x1*x2/4 - 1", "x2 + 1/2"), ("x1 - 1", "x1 + 1")]
+    values = [(X1 / 2 + 1, X2 - 3), (X1 + X2 / 3, X1 - X2),
+              (X1 * X2 / 4 - 1, X2 + QQ(1, 2)), (X1 - 1, X1 + 1)]
+    products = [(parse_scalar(a, 2), parse_scalar(b, 2)) for a, b in texts]
+    patch, fused = _counting_fused_sums()
+    with patch:
+        _assert_kernel_matches(2, products, sum((a * b for a, b in values), K2.zero))
+    assert len(fused) == 1
+
+
+def test_sum_of_products_that_cancels_is_the_zero_scalar():
+    a, b = parse_scalar("x1/2 + x2", 2), parse_scalar("x1 - 1/3", 2)
+    got = scalar.sum_of_products(2, [(a, b), (-a, b), (b, b), (-b, b)])
+    assert got.is_zero() and got.den is scalar._ONE
+    assert got == _fold(2, [(a, b), (-a, b)])
