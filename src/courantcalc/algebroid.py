@@ -147,6 +147,8 @@ class CourantAlgebroid(FramedModule):
 
     def __init__(self, n, rank, pairing_matrix, anchor_matrix, bracket_coeffs,
                  _allow_degenerate=False):
+        if rank < 1:
+            raise PreconditionError(f"rank must be >= 1, got {rank}")
         super().__init__(n, rank)
         if len(pairing_matrix) != rank or any(len(row) != rank for row in pairing_matrix):
             raise PreconditionError("pairing matrix must be rank x rank")

@@ -30,7 +30,7 @@ Nodes are hash-consed: each constructor looks its node up by structure
 (the node class, the child nodes, the section, function or leaf value by
 value, and the connection d is taken along, None for the anchor) in a table
 of the algebroid, and returns the node already built if there is one.  So
-an equal subexpression built twice is one node, and shares one memo entry
+an equal subexpression built twice is one node, and shares its memo tables
 when it is evaluated; ``differential(w)`` and ``differential(w, None)`` are
 one node.  The table holds its nodes weakly: a node lives as long as a
 caller or a parent node refers to it, not as long as its algebroid.
@@ -38,11 +38,15 @@ caller or a parent node refers to it, not as long as its algebroid.
 Every evaluation runs in an :class:`EvalContext`.  The context interns each
 section and function argument to a small int, so the DAG works on id
 tuples, and it memoises node values, brackets and dual differentials on
-those ids.  Functions taking a ``ctx`` accept such a context to share its
-tables across calls, or None for a fresh one.  The product and differential
-loops take the argument tuples of their terms through plans built once per
-arity and cached: getters of each section shuffle, function split, dropped
-slot and bracket insertion.
+those ids.  Node values sit in one table per (node, component, function-id
+tuple), keyed by section-id tuple, and brackets in one row per section id,
+keyed by the other id: the product, differential and Lie-derivative loops
+fix the node, component and functions, so each fetches its tables once and
+probes them by section ids alone.  Functions taking a ``ctx`` accept such a
+context to share its tables across calls, or None for a fresh one.  The
+product and differential loops take the argument tuples of their terms
+through plans built once per arity and cached: getters of each section
+shuffle, function split, dropped slot and bracket insertion.
 
 Every component is R-multilinear in its section slots (the description of
 the complex by Keller and Waldmann, arXiv:0807.0584): leaves pair linearly,
@@ -78,6 +82,7 @@ derivatives keep the bound of their differential expansion).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
@@ -200,23 +205,25 @@ class _Product(Cochain):
         for r, t, shuffles, fsplits in _product_plan(
                 left.degree, right.degree, k, len(es), len(fs)):
             # function slots are shared out unsigned, the same way for every
-            # section shuffle
-            fsplits = [(lf(fs), rf(fs)) for lf, rf in fsplits]
+            # section shuffle; each factor's value table of a split is
+            # fetched once, for all shuffles
+            tables = []
+            for lf, rf in fsplits:
+                lfs, rfs = lf(fs), rf(fs)
+                tables.append((memo[left, r, lfs], memo[right, t, rfs], lfs, rfs))
             for left_get, right_get, sign in shuffles:
                 les = left_get(es)
                 res = right_get(es)
-                for lfs, rfs in fsplits:
+                for ltab, rtab, lfs, rfs in tables:
                     # the memo probe of _eval, inlined in this hot loop
-                    key = (left, r, les, lfs)
-                    v1 = memo.get(key)
+                    v1 = ltab.get(les)
                     if v1 is None:
-                        v1 = memo[key] = left._eval(r, les, lfs, ctx)
+                        v1 = ltab[les] = left._eval(r, les, lfs, ctx)
                     if v1.is_zero():
                         continue
-                    key = (right, t, res, rfs)
-                    v2 = memo.get(key)
+                    v2 = rtab.get(res)
                     if v2 is None:
-                        v2 = memo[key] = right._eval(t, res, rfs, ctx)
+                        v2 = rtab[res] = right._eval(t, res, rfs, ctx)
                     if v2.is_zero():
                         continue
                     term = v2.scale(v1)
@@ -238,7 +245,6 @@ class _Differential(Cochain):
         alg = self.alg
         child = self.child
         p = child.degree
-        memo = ctx.memo
         zero_ids = ctx.zero_ids
         total = self.zero
         # function slots feed back through the dual differential; the child
@@ -256,8 +262,9 @@ class _Differential(Cochain):
             # connection is R-linear in the section it differentiates along,
             # so it vanishes along a zero section, and the anchor along one
             # with no anchor image: those terms are skipped before the child
-            # is evaluated.  The memo probe of _eval is inlined in this loop
-            # and the next
+            # is evaluated.  Both loops read the child's one value table of
+            # (k, fs): the memo probe of _eval, inlined
+            table = ctx.memo[child, k, fs]
             sections = ctx.sections
             along = self.along
             if along is None:
@@ -269,28 +276,25 @@ class _Differential(Cochain):
                 if e in inert:
                     continue
                 args = drops[i](es)
-                key = (child, k, args, fs)
-                v = memo.get(key)
+                v = table.get(args)
                 if v is None:
-                    v = memo[key] = child._eval(k, args, fs, ctx)
+                    v = table[args] = child._eval(k, args, fs, ctx)
                 if not v.is_zero():
                     dv = apply(sections[e], v)
                     total = total + dv if i % 2 == 0 else total - dv
             # bracket insertion at the place of the later argument; a zero
             # bracket in a slot of the R-multilinear child makes the term zero
-            brackets = ctx._brackets
-            for pair, insert, sign in _insertion_plan(len(es)):
-                ij = pair(es)
-                br = brackets.get(ij)
+            rows = ctx._rows
+            for i, j, insert, sign in _insertion_plan(len(es)):
+                br = rows[es[i]].get(es[j])
                 if br is None:
-                    br = ctx.bracket(*ij)
+                    br = ctx.bracket(es[i], es[j])
                 if br in zero_ids:
                     continue
                 args = insert(es + (br,))
-                key = (child, k, args, fs)
-                v = memo.get(key)
+                v = table.get(args)
                 if v is None:
-                    v = memo[key] = child._eval(k, args, fs, ctx)
+                    v = table[args] = child._eval(k, args, fs, ctx)
                 total = total + v if sign > 0 else total - v
         return total
 
@@ -367,14 +371,26 @@ class _LieE(Cochain):
             apply, inert = alg.anchor_apply, ctx.anchor_free_ids
         else:
             apply, inert = along.apply, zero_ids
+        # the last two terms read the child's one value table of (k, fs)
+        table = ctx.memo[child, k, fs]
         if e not in inert:
-            v = _eval(child, k, es, fs, ctx)
+            v = table.get(es)
+            if v is None:
+                v = table[es] = child._eval(k, es, fs, ctx)
             if not v.is_zero():
                 total = total + apply(ctx.sections[e], v)
+        row = ctx._rows[e]
         for j, a in enumerate(es):
-            br = ctx.bracket(e, a)
-            if br not in zero_ids:
-                total = total - _eval(child, k, es[:j] + (br,) + es[j + 1:], fs, ctx)
+            br = row.get(a)
+            if br is None:
+                br = ctx.bracket(e, a)
+            if br in zero_ids:
+                continue
+            args = es[:j] + (br,) + es[j + 1:]
+            v = table.get(args)
+            if v is None:
+                v = table[args] = child._eval(k, args, fs, ctx)
+            total = total - v
         return total
 
 
@@ -495,11 +511,16 @@ class EvalContext:
 
     Each distinct section and function argument is interned, by value, to a
     small int the first time it enters an evaluation; DAG nodes pass tuples
-    of these ids, so memo keys hash in C.  Alongside the memo of node values
-    the context keeps the bracket of two section ids and the dual
-    differential of a function id, both as ids.  A context may serve
-    cochains of several algebroids and bundle-valued cochains alike; it
-    holds every value it has computed until it is dropped.
+    of these ids.  ``memo[node, k, fs]`` is the value table of component k
+    of a node at the function-id tuple fs, keyed by section-id tuple and
+    made empty when first asked for, so a loop whose node, component and
+    functions are fixed fetches the table once and probes it by the section
+    ids alone.  Alongside the memo the context keeps the brackets of section
+    ids, one row per id (``_rows[i][j]`` is the id of the bracket of i and
+    j; a row is added as its section is interned and filled by
+    :meth:`bracket`), and the dual differential of a function id.  A context
+    may serve cochains of several algebroids and bundle-valued cochains
+    alike; it holds every value it has computed until it is dropped.
 
     ``zero_ids`` holds the ids of zero sections and ``anchor_free_ids``
     those of sections with a zero anchor image, both marked as the sections
@@ -515,17 +536,17 @@ class EvalContext:
     """
 
     __slots__ = ("memo", "sections", "functions", "_section_ids",
-                 "_function_ids", "_node_sections", "_brackets", "_d_e",
+                 "_function_ids", "_node_sections", "_rows", "_d_e",
                  "zero_ids", "anchor_free_ids", "_components")
 
     def __init__(self):
-        self.memo = {}
+        self.memo = defaultdict(dict)
         self.sections = []
         self.functions = []
         self._section_ids = {}
         self._function_ids = {}
         self._node_sections = {}
-        self._brackets = {}
+        self._rows = []
         self._d_e = {}
         self.zero_ids = set()
         self.anchor_free_ids = set()
@@ -536,6 +557,7 @@ class EvalContext:
         if i is None:
             i = self._section_ids[section] = len(self.sections)
             self.sections.append(section)
+            self._rows.append({})
             if section.is_zero():
                 self.zero_ids.add(i)
             if not any(c.num for c in section.module._anchor_row(section)):
@@ -560,11 +582,11 @@ class EvalContext:
 
     def bracket(self, i, j):
         """Id of the bracket of the sections with ids i and j."""
-        key = (i, j)
-        b = self._brackets.get(key)
+        row = self._rows[i]
+        b = row.get(j)
         if b is None:
             sigma = self.sections[i]
-            b = self._brackets[key] = self.section_id(
+            b = row[j] = self.section_id(
                 sigma.module.bracket(sigma, self.sections[j]))
         return b
 
@@ -645,12 +667,13 @@ def _drop_plan(m):
 
 @cache
 def _insertion_plan(m):
-    """(pair, insert, sign) for each bracket insertion i < j of the
-    differential, in its loop order: pair maps an m-tuple t to (t[i], t[j]),
-    insert maps t + (b,) to t[:i] + t[i + 1:j] + (b,) + t[j + 1:], and sign
-    is the sign of the term."""
+    """(i, j, insert, sign) for each bracket insertion i < j of the
+    differential, in its loop order: the bracket is of the arguments in
+    slots i and j, insert maps an m-tuple t with b appended to
+    t[:i] + t[i + 1:j] + (b,) + t[j + 1:], and sign is the sign of the
+    term."""
     return tuple(
-        (itemgetter(i, j),
+        (i, j,
          _getter([a for a in range(j) if a != i] + [m] + list(range(j + 1, m))),
          -1 if i % 2 == 0 else 1)
         for i in range(m) for j in range(i + 1, m))
@@ -680,12 +703,11 @@ def _product_plan(p, q, k, n_sections, n_functions):
 def _eval(node, k, es, fs, ctx):
     """Memoised component k of a scalar or bundle-valued node on id tuples."""
     # nodes are interned by structure per algebroid, so equal subexpressions
-    # are one node and share this entry; the entry keeps its node alive
-    key = (node, k, es, fs)
-    memo = ctx.memo
-    hit = memo.get(key)
+    # are one node and share this table; the table's key keeps its node alive
+    table = ctx.memo[node, k, fs]
+    hit = table.get(es)
     if hit is None:
-        hit = memo[key] = node._eval(k, es, fs, ctx)
+        hit = table[es] = node._eval(k, es, fs, ctx)
     return hit
 
 

@@ -958,9 +958,12 @@ def bott_connection(alg, l_sections, battery_degree=2, extras=3, seed=0):
     """
     r = alg.rank
     half = r // 2
-    if 2 * half != r or len(l_sections) != half:
+    if 2 * half != r:
         raise PreconditionError(
-            f"need rank/2 = {r // 2} spanning sections, got {len(l_sections)}")
+            f"rank {r} is odd, so the algebroid has no Lagrangian subbundle")
+    if len(l_sections) != half:
+        raise PreconditionError(
+            f"need rank/2 = {half} spanning sections, got {len(l_sections)}")
     for i, li in enumerate(l_sections):
         for j, lj in enumerate(l_sections):
             p = alg.pairing(li, lj)

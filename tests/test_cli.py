@@ -67,13 +67,20 @@ def test_missing_file_exit_code():
     assert proc.returncode == 2
 
 
-def test_semantic_precondition_exit_code(tmp_path):
-    doc = {"n": 1, "rank": 1, "pairing": [["x1"]], "anchor": [["0"]]}
+@pytest.mark.parametrize("command", ["verify-algebroid", "cartan", "cohomology"])
+@pytest.mark.parametrize("doc", [
+    {"n": 1, "rank": 1, "pairing": [["x1"]], "anchor": [["0"]]},
+    {"n": 1, "rank": 0, "pairing": [], "anchor": [[]]},
+    {"n": 0, "rank": 0, "pairing": [], "anchor": []},
+    {"n": 0, "rank": -1, "pairing": [], "anchor": []},
+], ids=["nonconstant-pairing", "rank-0", "rank-0-over-a-point", "negative-rank"])
+def test_semantic_precondition_exit_code(tmp_path, doc, command):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(doc))
-    proc = run_cli("verify-algebroid", str(path))
+    proc = run_cli(command, str(path))
     assert proc.returncode == 3
     assert "precondition" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cohomology_table():
@@ -134,6 +141,17 @@ def test_bott_rejects_bad_dirac_with_witness():
                    str(DATA / "dirac_bad.json"))
     assert proc.returncode == 3
     assert "isotropic" in proc.stderr
+
+
+def test_bott_on_an_odd_rank_algebroid_says_the_rank_is_odd(tmp_path):
+    alg, dirac = tmp_path / "alg.json", tmp_path / "dirac.json"
+    alg.write_text(json.dumps({"n": 0, "rank": 1, "pairing": [["1"]],
+                               "anchor": []}))
+    dirac.write_text(json.dumps({"frame": []}))
+    proc = run_cli("bott", str(alg), str(dirac))
+    assert proc.returncode == 3
+    assert "rank 1 is odd" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bott_accepts_tangent_distribution():

@@ -386,16 +386,16 @@ def test_argument_plans_rebuild_the_sliced_tuples():
         assert [g(es) for g in drops] == [es[:i] + es[i + 1:] for i in range(m)]
         plan = co._insertion_plan(m)
         assert co._insertion_plan(m) is plan
-        assert [(pair(es), insert(es + (br,)), sign)
-                for pair, insert, sign in plan] == [
-            ((es[i], es[j]), es[:i] + es[i + 1:j] + (br,) + es[j + 1:],
+        assert [(i, j, insert(es + (br,)), sign)
+                for i, j, insert, sign in plan] == [
+            (i, j, es[:i] + es[i + 1:j] + (br,) + es[j + 1:],
              -1 if i % 2 == 0 else 1)
             for i in range(m) for j in range(i + 1, m)]
     # a dropped slot of a 2-tuple leaves one index, of a 1-tuple none:
     # itemgetter(i) would give a bare element and itemgetter() raises
     assert co._drop_plan(1)[0]((7,)) == ()
     assert [g((7, 8)) for g in co._drop_plan(2)] == [(8,), (7,)]
-    assert co._insertion_plan(2)[0][1]((7, 8, 9)) == (9,)
+    assert co._insertion_plan(2)[0][2]((7, 8, 9)) == (9,)
     for idx in [(), (0,), (2,), (0, 2), (1, 2), (2, 0)]:
         got = co._getter(idx)((5, 6, 7))
         assert type(got) is tuple and got == tuple((5, 6, 7)[i] for i in idx)
@@ -534,7 +534,10 @@ def test_differential_never_evaluates_at_a_zero_section(standard2):
     ctx = co.EvalContext()
     assert co.vanishes(co.differential(co.differential(w)), battery, ctx=ctx)
     assert ctx.zero_ids
-    assert not [key for key in ctx.memo if ctx.zero_ids.intersection(key[2])]
+    # memo[node, k, fs] is a table keyed by section-id tuples
+    arguments = [es for table in ctx.memo.values() for es in table]
+    assert any(arguments)
+    assert not [es for es in arguments if ctx.zero_ids.intersection(es)]
 
 
 # -- structural laws --------------------------------------------------------------
