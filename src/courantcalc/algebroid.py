@@ -614,11 +614,8 @@ def algebroid_from_json(doc):
     wrong shape, or failing a structural condition, raises PreconditionError.
     """
     _require_fields(doc, "algebroid", ("n", "rank", "pairing"))
-    try:
-        n = int(doc["n"])
-        r = int(doc["rank"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f'"n" and "rank" must be integers: {exc}') from exc
+    n = _json_int(doc, "n")
+    r = _json_int(doc, "rank")
     pairing = _scalar_rows(doc["pairing"], "pairing", n)
     anchor = _scalar_rows(doc.get("anchor", []), "anchor", n)
     bracket = _keyed_array(doc, "bracket", "bracket", r, r, n)
@@ -659,6 +656,15 @@ def _require_fields(doc, kind, fields):
     for name in fields:
         if name not in doc:
             raise ParseError(f"{kind} document lacks {name!r}")
+
+
+def _json_int(doc, name):
+    """The JSON integer doc[name]; ParseError for any other value, so a
+    float such as 2.9 is not truncated and true is not read as 1."""
+    value = doc[name]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f'"{name}" must be a JSON integer, not {value!r}')
+    return value
 
 
 def _scalar_rows(rows, name, n):

@@ -55,6 +55,7 @@ from .algebroid import (
     Section,
     _derivative,
     _gradient_image,
+    _json_int,
     _keyed_array,
     _leibniz,
     _memo,
@@ -80,7 +81,7 @@ from .cochain import (
     mul,
 )
 from .report import PreconditionError, Report, run_check
-from .scalar import ParseError, Scalar
+from .scalar import Scalar
 
 __all__ = [
     "PredualBundle",
@@ -1033,10 +1034,7 @@ def predual_from_json(alg, doc):
     data of the wrong shape raises PreconditionError.
     """
     _require_fields(doc, "predual", ("rank", "pairing_P", "alpha_A"))
-    try:
-        s = int(doc["rank"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f'"rank" must be an integer: {exc}') from exc
+    s = _json_int(doc, "rank")
     n = alg.n
     return PredualBundle(alg, s, _scalar_rows(doc["pairing_P"], "pairing_P", n),
                          _scalar_rows(doc["alpha_A"], "alpha_A", n))

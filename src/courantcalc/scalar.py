@@ -27,6 +27,10 @@ subroutine for computations with rational numbers", J. ACM 3, 1956; Knuth,
 TAOCP vol. 2, 4.5.1), and a gcd with a single-term side is read off the
 exponents and the integer content, without the general algorithm.  The
 quotient rule in ``partial`` cancels the same way, against gcd(den, den').
+The general gcd is the heuristic GCDHEU, which at each level puts an
+integer for a variable that both arguments share, and stops at the joint
+integer content when they share none (a common divisor involves only shared
+variables); the subresultant PRS answers when the heuristic gives up.
 
 The denominator 1 is the one shared dict ``_ONE``: every constructor and
 operation returns it in place of an equal dict, so a polynomial over 1 is
@@ -47,8 +51,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import gcd, isqrt, lcm
+from operator import or_
 
 __all__ = [
     "Scalar",
@@ -253,10 +259,18 @@ def _p_positive(a):
     return _p_neg(a) if a and a[max(a)] < 0 else a
 
 
+def _fields(a):
+    """The OR of a's monomials: an exponent field is nonzero in it exactly
+    when its variable occurs in a (fields do not carry into each other)."""
+    return reduce(or_, a, 0)
+
+
 def _main_shift(a, b, n):
-    """Field shift of the highest-indexed variable occurring in a or b."""
+    """Field shift of the highest-indexed variable occurring in a or b, read
+    off the OR of their monomials."""
+    used = _fields(a) | _fields(b)
     return next(shift for shift in range(0, n * _W, _W)
-                if any(m >> shift & _MASK for m in (*a, *b)))
+                if used >> shift & _MASK)
 
 
 def _to_univar(a, shift, top):
@@ -349,8 +363,9 @@ def _p_heu_gcd(a, b, n):
 
     Take out the joint integer content k, so a and b have joint content 1.
     Put an integer xi >= 2*min(|a|, |b|) + 29 (|.| the largest coefficient
-    size) for one variable x that occurs, find gamma = gcd(a(xi), b(xi)) by
-    recursion down to ``math.gcd`` (each level is exact or gives up), and
+    size) for the highest-indexed variable x that occurs in both a and b,
+    read off the OR of each side's monomials, find gamma = gcd(a(xi), b(xi))
+    by recursion down to ``math.gcd`` (each level is exact or gives up), and
     let h be the primitive part of the polynomial in x whose coefficients
     are the symmetric xi-adic digits of gamma.  h is accepted only when it
     divides a and b exactly; k*h is then the gcd.  Proof: write a = h*A, b =
@@ -364,18 +379,26 @@ def _p_heu_gcd(a, b, n):
     variable, q0(xi) = 0 because q(xi) is constant: impossible.  If q is in
     Z[x] with positive degree, |q(xi)| >= xi - 1 - |a| > xi/2: impossible.
     So q is an integer, and it is 1 because A and B have the joint content
-    of a and b.  When an evaluation vanishes or h fails, xi grows and the
-    heuristic tries again, up to six times, and then gives up; ``_p_gcd``
-    falls back to the subresultant PRS.
+    of a and b.  The proof holds for any variable x that occurs in a or b;
+    a shared one is taken because a common divisor involves only shared
+    variables.  So when a and b share none, the gcd is the integer k at
+    once, and a side whose variables all occur in the other becomes an
+    integer within as many levels as it has variables.  When an evaluation
+    vanishes or h fails, xi grows and the heuristic tries again, up to six
+    times, and then gives up; ``_p_gcd`` falls back to the subresultant PRS.
     """
     k = gcd(*a.values(), *b.values())
     if _p_is_const(a) or _p_is_const(b):
         return {0: k}
+    top = n * _W
+    used_a, used_b = _fields(a), _fields(b)
+    shift = next((shift for shift in range(0, top, _W)
+                  if used_a >> shift & _MASK and used_b >> shift & _MASK), None)
+    if shift is None:  # no shared variable: a common divisor is an integer
+        return {0: k}
     if k != 1:
         a = {m: c // k for m, c in a.items()}
         b = {m: c // k for m, c in b.items()}
-    top = n * _W
-    shift = _main_shift(a, b, n)
     max_degree = min(max((m >> shift) & _MASK for m in a),
                      max((m >> shift) & _MASK for m in b))
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29

@@ -23,6 +23,8 @@ ROOT = pathlib.Path(__file__).parent.parent
 DATA = ROOT / "demos" / "data"
 STD2, PRE2 = str(DATA / "standard2.json"), str(DATA / "predual_standard2.json")
 CONNECTION = str(ROOT / "tests" / "golden" / "connection.json")
+STANDARD2 = json.loads((DATA / "standard2.json").read_text())
+PREDUAL2 = json.loads((DATA / "predual_standard2.json").read_text())
 
 
 def run_cli(*argv):
@@ -297,8 +299,14 @@ def test_numeric_entries_are_malformed_input(tmp_path):
      "bracket": {"1,2": 3}},
     {"n": 2},
     [{"n": 0, "rank": 1, "pairing": [["1"]]}],
+    {**STANDARD2, "n": 2.9},
+    {**STANDARD2, "n": 2.0},
+    {**STANDARD2, "n": "2"},
+    {**STANDARD2, "rank": 4.5},
+    {**STANDARD2, "rank": True},
 ], ids=["anchor-not-a-list", "bracket-entry-not-a-list", "missing-fields",
-        "top-level-list"])
+        "top-level-list", "n-float", "n-integral-float", "n-string",
+        "rank-float", "rank-bool"])
 def test_wrong_typed_or_missing_fields_are_malformed_input(tmp_path, doc):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps(doc))
@@ -327,9 +335,14 @@ PRE2 = str(DATA / "predual_standard2.json")
     ("connection-build", {"rank": 4, "pairing_P": 5, "alpha_A": []}),
     ("connection-verify", []),
     ("connection-verify", {"gamma": 5}),
+    ("connection-build", {**PREDUAL2, "rank": 4.5}),
+    ("connection-build", {**PREDUAL2, "rank": 4.0}),
+    ("connection-build", {**PREDUAL2, "rank": True}),
+    ("connection-build", {**PREDUAL2, "rank": None}),
 ], ids=["dirac-frame-not-a-list", "dirac-top-level-list", "predual-empty",
         "predual-pairing-not-a-list", "connection-top-level-list",
-        "connection-gamma-not-an-object"])
+        "connection-gamma-not-an-object", "predual-rank-float",
+        "predual-rank-integral-float", "predual-rank-bool", "predual-rank-null"])
 def test_malformed_predual_connection_and_dirac_documents(tmp_path, command, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

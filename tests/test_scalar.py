@@ -235,6 +235,50 @@ def test_products_with_monomials_take_no_heuristic_gcd():
         assert Scalar(2, value.num, value.den) == value
 
 
+def _gcd_substitutions(text_a, text_b, n=2):
+    """_p_gcd of two parsed polynomials, and the field shift of every
+    substitution that the heuristic makes on the way."""
+    a, b = S(text_a, n).num, S(text_b, n).num
+    shifts = []
+    subs = scalar._p_subs
+
+    def recording(poly, shift, top, xi):
+        shifts.append(shift)
+        return subs(poly, shift, top, xi)
+
+    with mock.patch.object(scalar, "_p_subs", recording):
+        g = scalar._p_gcd(a, b, n)
+    return g, shifts
+
+
+X1_FIELD = scalar._W  # the exponent field of x1 when n = 2; x2's starts at 0
+
+
+def test_heuristic_gcd_substitutes_only_a_shared_variable():
+    # x2 occurs in the numerator only, so x1 is put in for: the denominator
+    # becomes an integer after one substitution, and the recursion ends there
+    g, shifts = _gcd_substitutions("x1^2*x2 + 3*x1 + x2^2 + 5", "3*x1^2 + 1")
+    assert g == {0: 1}
+    assert shifts == [X1_FIELD, X1_FIELD]
+
+
+def test_heuristic_gcd_without_a_shared_variable_is_the_integer_content():
+    g, shifts = _gcd_substitutions("x2^2 + 1", "x1 + 2")
+    assert (g, shifts) == ({0: 1}, [])
+    g, shifts = _gcd_substitutions("6*x2^2 + 4", "4*x1 + 10")
+    assert (g, shifts) == ({0: 2}, [])
+
+
+def test_heuristic_gcd_finds_a_shared_variable_of_unequal_exponents():
+    # x1 occurs only squared in a and only to the first power in b: the ORs
+    # of the two sides' monomials have disjoint bits in x1's field, so an AND
+    # of them would see no shared variable and miss the factor x1 + 2
+    g, shifts = _gcd_substitutions("x1^2*x2 - 4*x2", "x1 + 2")
+    assert g == S("x1 + 2").num
+    assert shifts and set(shifts) == {X1_FIELD}
+    assert scalar._p_gcd(S("x1 + 2").num, S("x1^2*x2 - 4*x2").num, 2) == g
+
+
 # -- property tests ----------------------------------------------------------------
 
 def scalars(n=2, degree=2):

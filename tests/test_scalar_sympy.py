@@ -296,6 +296,52 @@ def test_monomial_gcd_matches_sympy(heuristic):
     _run(check, heuristic)
 
 
+@st.composite
+def unequal_supports(draw):
+    """(n, a, b): a over every variable, b over a proper subset of them or
+    over variables disjoint from a's, both with a factor g planted or not.
+
+    g involves only variables that a and b share, so b's support stays
+    what was drawn.  Every variable of a side occurs in it: one term of
+    each side has positive exponents in all of that side's variables.
+    """
+    n = draw(st.sampled_from((2, 3)))
+    R = ZZ_RINGS[n]
+    b_vars = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    disjoint = draw(st.booleans())
+    a_vars = set(range(n)) - b_vars if disjoint else set(range(n))
+
+    def poly(variables):
+        exponents = [st.integers(1 if i in variables else 0,
+                                 2 if i in variables else 0) for i in range(n)]
+        spanning = draw(st.tuples(*exponents))
+        others = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2 if i in variables else 0)
+                        for i in range(n)]), big, min_size=1, max_size=2))
+        return R({**others, spanning: draw(big)})
+
+    g = R(1)
+    shared = a_vars & b_vars
+    if shared and draw(st.booleans()):
+        g = poly(shared)
+    return n, poly(a_vars) * g, poly(b_vars) * g
+
+
+@HEURISTIC
+def test_gcd_over_unequal_supports_matches_sympy(heuristic):
+    @settings(max_examples=40, deadline=None)
+    @given(unequal_supports())
+    def check(case):
+        n, a, b = case
+        g = a.gcd(b)  # sympy fixes the gcd only up to sign
+        expected = _packed(n, g if g.LC > 0 else -g)
+        pa, pb = _packed(n, a), _packed(n, b)
+        assert scalar._p_gcd(pa, pb, n) == expected
+        assert scalar._p_gcd(pb, pa, n) == expected
+
+    _run(check, heuristic)
+
+
 # a pair drawn by the [prs] sums test (hypothesis seed 31) on which a
 # primitive PRS, taking the content of every pseudo-remainder, ran for about
 # 20 s as its coefficients grew past a thousand bits
