@@ -230,7 +230,7 @@ class CourantAlgebroid(FramedModule):
             raise PreconditionError("no pairing-dual differential: pairing is degenerate")
         cached = self._dE_cache.get(f)
         if cached is None:
-            cached = Section(self, _gradient_image(self._dual_anchor, f))
+            cached = Section(self, (_derivative(row, f) for row in self._dual_anchor))
             self._dE_cache[f] = cached
         return cached
 
@@ -304,19 +304,6 @@ def _derivative(row, f):
             if d.num:
                 pairs.append((a, d))
     return sum_of_products(f.n, pairs)
-
-
-def _gradient_image(matrix, f):
-    """The components sum_l matrix[k][l] * df/dx_l, one per row of matrix."""
-    grad = [f.partial(l + 1) for l in range(f.n)]
-    out = []
-    for row in matrix:
-        acc = Scalar.zero(f.n)
-        for a, d in zip(row, grad):
-            if a.num and d.num:
-                acc = acc + a * d
-        out.append(acc)
-    return tuple(out)
 
 
 def _leibniz(g, h, rho, struct, pairing, d):

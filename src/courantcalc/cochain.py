@@ -986,15 +986,15 @@ def symbol_Omega(w, slot, probes, battery):
 # ---------------------------------------------------------------------------
 
 
-def cartan_suite(alg, battery, max_degree=4):
+def cartan_suite(alg, battery):
     """All eight commutation relations of the calculus plus the two
     contraction brackets, verified as operator identities on test cochains:
-    the first two generator cochains of each degree up to max_degree."""
-    # a spread over the degrees, so at max_degree 4 no identity is vacuous
+    the first two generator cochains of each degree 0..4."""
+    # a spread over the degrees, so no identity is vacuous: the contraction
+    # of two functions needs a degree-4 cochain
     per_degree = {}
     for w in generator_cochains(alg, battery):
-        if w.degree <= max_degree:
-            per_degree.setdefault(w.degree, []).append(w)
+        per_degree.setdefault(w.degree, []).append(w)
     cochains = [w for d in sorted(per_degree) for w in per_degree[d][:2]]
     # the double Lie-derivative identities nest two derivations, each a sum
     # over the argument tuple, so they run on the low-degree part of the
@@ -1003,8 +1003,6 @@ def cartan_suite(alg, battery, max_degree=4):
     secs = list(battery.frame) + battery.scaled[:2] + battery.randoms[:1]
     funs = [f for f in battery.functions if not f.is_constant()][:2] \
         + battery.functions[-1:]
-    if not funs:
-        funs = battery.functions[:2]
     report = Report(f"commutation relations over {alg!r}")
     ctx = EvalContext()
 

@@ -91,12 +91,8 @@ class PointComplex:
         cached = self._ranks.get(p)
         if cached is not None:
             return cached
-        m = self.differential_matrix(p)
-        if not m or not m[0]:
-            rank = 0
-        else:
-            rank = linalg.rank([[Scalar.const(0, x) for x in row] for row in m])
-        self._ranks[p] = rank
+        rank = self._ranks[p] = linalg.rank(
+            [[Scalar.const(0, x) for x in row] for row in self.differential_matrix(p)])
         return rank
 
     def betti(self, p):
@@ -110,11 +106,11 @@ class PointComplex:
     def euler_characteristic(self):
         return sum((-1) ** p * self.dimension(p) for p in range(self.rank + 1))
 
-    def table(self, max_p=None):
-        """Rows (p, dimension, rank of the outgoing differential, betti)."""
-        top = self.rank if max_p is None else min(max_p, self.rank)
+    def table(self):
+        """Rows (p, dimension, rank of the outgoing differential, betti),
+        one per degree p = 0..rank."""
         rows = []
-        for p in range(top + 1):
+        for p in range(self.rank + 1):
             rank_out = self._rank(p) if p < self.rank else 0
             rows.append({"p": p, "dim": self.dimension(p),
                          "rank_d": rank_out, "betti": self.betti(p)})

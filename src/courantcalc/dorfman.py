@@ -54,7 +54,6 @@ from .algebroid import (
     FramedModule,
     Section,
     _derivative,
-    _gradient_image,
     _json_int,
     _keyed_array,
     _leibniz,
@@ -169,7 +168,7 @@ class PredualBundle(_FramedBundle):
         """Bundle element with components alpha . grad(f)."""
         cached = self._dB_cache.get(f)
         if cached is None:
-            cached = Section(self, _gradient_image(self.alpha_matrix, f))
+            cached = Section(self, (_derivative(row, f) for row in self.alpha_matrix))
             self._dB_cache[f] = cached
         return cached
 

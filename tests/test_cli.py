@@ -86,7 +86,7 @@ def test_semantic_precondition_exit_code(tmp_path, doc, command):
 
 
 def test_cohomology_table():
-    proc = run_cli("cohomology", str(DATA / "su2.json"), "--max-p", "3")
+    proc = run_cli("cohomology", str(DATA / "su2.json"))
     assert proc.returncode == 0
     lines = [l.split() for l in proc.stdout.splitlines()
              if l[:1].isdigit()]
@@ -258,9 +258,7 @@ def test_cartan_command():
 @pytest.mark.parametrize("argv", [
     ["verify-algebroid", "--extras", "-2"],
     ["verify-algebroid", "--battery-degree", "-1"],
-    ["cartan", "--max-degree", "-1"],
-    ["cohomology", "--max-p", "-3"],
-], ids=["extras", "battery-degree", "max-degree", "max-p"])
+], ids=["extras", "battery-degree"])
 def test_negative_numeric_flags_exit_2(argv):
     proc = run_cli(argv[0], str(DATA / "su2.json"), *argv[1:])
     assert proc.returncode == 2
@@ -268,17 +266,33 @@ def test_negative_numeric_flags_exit_2(argv):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("max_degree,empty", [("0", 10), ("1", 6), ("3", 1)])
-def test_cartan_without_a_test_cochain_is_a_failed_precondition(
-        capsys, max_degree, empty):
-    assert cli.main(["cartan", str(DATA / "su2.json"),
-                     "--max-degree", max_degree]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"precondition failed: --max-degree {max_degree} leaves "
-                          f"{empty} of 11 relations without a test cochain: ")
-    assert err.count("\n") == 1
-    assert "interior-function-interior-function" in err
+@pytest.mark.parametrize("argv", [
+    ["cartan", "--max-degree", "4"],
+    ["cohomology", "--max-p", "3"],
+], ids=["max-degree", "max-p"])
+def test_removed_options_are_unrecognized(argv):
+    proc = run_cli(argv[0], str(DATA / "su2.json"), *argv[1:])
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_connection_build_without_a_correction_is_a_failed_precondition(tmp_path):
+    # alpha_1 = d/dx1 and alpha_2 = d/dx2 + x1 d/dx3 do not close:
+    # [alpha_1, alpha_2] = d/dx3, which no correction of gamma absorbs
+    alg = {"n": 3, "rank": 2, "pairing": [["0", "1"], ["1", "0"]],
+           "anchor": [["1", "0"], ["0", "1"], ["0", "x1"]], "bracket": {}}
+    predual = {"rank": 2, "pairing_P": [["1", "0"], ["0", "1"]],
+               "alpha_A": [["1", "0", "0"], ["0", "1", "x1"]]}
+    paths = []
+    for name, doc in (("alg.json", alg), ("predual.json", predual)):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(json.dumps(doc))
+    proc = run_cli("connection-build", *paths)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("precondition failed: no connection correction "
+                                  "exists for frame index 0")
+    assert proc.stdout == ""
 
 
 def test_numeric_entries_are_malformed_input(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from courantcalc import cochain as co
 from courantcalc import dorfman as dc
-from courantcalc.algebroid import Section, build_standard
+from courantcalc.algebroid import Section, algebroid_from_json, build_standard
 from courantcalc.battery import Battery
 from courantcalc.scalar import Scalar, parse_scalar
 
@@ -710,6 +710,25 @@ def test_cartan_suite_fails_only_where_jacobi_enters(non_jacobi, su2, battery_su
     assert [(c.name, c.checked) for c in report.checks] == \
         [(c.name, c.checked) for c in passing.checks]
     assert bad.checked == 500
+
+
+CARTAN_ALGEBROIDS = ["su2", "su2_bad", "su2_plus_r", "abelian4", "non_jacobi",
+                     "standard1", "port_hamiltonian11", "port_hamiltonian11_curved"]
+ABELIAN_POINT = {"n": 0, "rank": 1, "pairing": [["1"]], "anchor": [], "bracket": {}}
+
+
+@pytest.mark.parametrize("name", [*CARTAN_ALGEBROIDS, "abelian-point"])
+@pytest.mark.parametrize("small", [False, True], ids=["default", "degree-0"])
+def test_every_cartan_relation_rests_on_tuples(name, small):
+    # the test cochains span degrees 0..4, so no relation passes vacuously:
+    # the contraction of two functions needs one of degree 4
+    doc = ABELIAN_POINT if name == "abelian-point" else \
+        json.loads((DATA / f"{name}.json").read_text())
+    alg = algebroid_from_json(doc)
+    battery = Battery(alg, degree=0, extras=0) if small else Battery(alg)
+    report = co.cartan_suite(alg, battery)
+    assert len(report.checks) == 11
+    assert [c.name for c in report.checks if c.checked == 0] == []
 
 
 def test_equality_degree_mismatch(standard2, battery2):

@@ -162,7 +162,7 @@ def test_euler_characteristic(su2_complex):
 
 
 def test_table_shape(su2_complex):
-    table = su2_complex.table(3)
+    table = su2_complex.table()
     assert [row["betti"] for row in table] == [1, 0, 0, 1]
     assert [row["dim"] for row in table] == [1, 3, 3, 1]
 

@@ -123,6 +123,20 @@ def test_predual_diagnose_cases(standard1, self_predual1):
     assert diag["case"] == "bundle-extends-algebroid"
 
 
+@pytest.mark.parametrize("rows,expected", [
+    ([["1", "0", "0"], ["0", "1", "0"]],
+     {"pairing_rank": 2, "kernel_in_bundle": 0, "kernel_in_algebroid": 1,
+      "case": "algebroid-extends-bundle"}),
+    ([["1", "0", "0"], ["2", "0", "0"]],
+     {"pairing_rank": 1, "kernel_in_bundle": 1, "kernel_in_algebroid": 2,
+      "case": "degenerate-both"}),
+], ids=["algebroid-extends-bundle", "degenerate-both"])
+def test_predual_diagnose_cases_with_a_kernel_in_the_algebroid(su2, rows, expected):
+    bundle = dc.predual_from_json(su2, {"rank": 2, "pairing_P": rows,
+                                        "alpha_A": [[], []]})
+    assert dc.predual_diagnose(bundle) == expected
+
+
 # -- connection extension rules ----------------------------------------------------
 
 def test_apply_zero_gamma_on_frames(standard1, self_predual1, battery1):

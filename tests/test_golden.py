@@ -66,7 +66,7 @@ CLI_CASES = {
     "bianchi": ["bianchi", STD2, PRE2, CONNECTION],
     "bott_tangent": ["bott", STD2, "demos/data/dirac_tangent.json"],
     "bott_bad": ["bott", STD2, "demos/data/dirac_bad.json"],
-    "cohomology_su2": ["cohomology", "demos/data/su2.json", "--max-p", "3"],
+    "cohomology_su2": ["cohomology", "demos/data/su2.json"],
     "predual_diagnose": ["predual-diagnose", STD2, PRE2],
     "connection_verify_broken": ["connection-verify", STD2, PRE2, BROKEN,
                                  "--battery-degree", "1", "--extras", "1"],
