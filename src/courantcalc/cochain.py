@@ -46,7 +46,11 @@ probes them by section ids alone.  Functions taking a ``ctx`` accept such a
 context to share its tables across calls, or None for a fresh one.  The
 product and differential loops take the argument tuples of their terms
 through plans built once per arity and cached: getters of each section
-shuffle, function split, dropped slot and bracket insertion.
+shuffle, function split, dropped slot and bracket insertion.  Those loops
+collect the nonzero terms of a component as (sign, value, factor or None)
+and sum them once, through ``scalar.signed_sum``: per component for a
+section value.  With constant denominators the terms run into one
+polynomial, over a point into one integer fraction, normalised once.
 
 Every component is R-multilinear in its section slots (the description of
 the complex by Keller and Waldmann, arXiv:0807.0584): leaves pair linearly,
@@ -88,8 +92,9 @@ from itertools import combinations
 from operator import itemgetter
 from weakref import WeakValueDictionary
 
+from .algebroid import Section
 from .report import Report, run_check, verdict
-from .scalar import Scalar
+from .scalar import Scalar, signed_sum
 
 __all__ = [
     "Cochain",
@@ -201,7 +206,7 @@ class _Product(Cochain):
     def _eval(self, k, es, fs, ctx):
         left, right = self.left, self.right
         memo = ctx.memo
-        total = self.zero
+        terms = []
         for r, t, shuffles, fsplits in _product_plan(
                 left.degree, right.degree, k, len(es), len(fs)):
             # function slots are shared out unsigned, the same way for every
@@ -226,9 +231,8 @@ class _Product(Cochain):
                         v2 = rtab[res] = right._eval(t, res, rfs, ctx)
                     if v2.is_zero():
                         continue
-                    term = v2.scale(v1)
-                    total = total + term if sign > 0 else total - term
-        return total
+                    terms.append((sign, v2, v1))
+        return _total(self.zero, terms) if terms else self.zero
 
 
 class _Differential(Cochain):
@@ -246,7 +250,7 @@ class _Differential(Cochain):
         child = self.child
         p = child.degree
         zero_ids = ctx.zero_ids
-        total = self.zero
+        terms = []
         # function slots feed back through the dual differential; the child
         # is R-multilinear in its section slots, so a zero d_E(f) there makes
         # the term zero
@@ -256,7 +260,9 @@ class _Differential(Cochain):
                 de = ctx.d_E(alg, fs[mu])
                 if de in zero_ids:
                     continue
-                total = total + _eval(child, k - 1, (de,) + es, drops[mu](fs), ctx)
+                v = _eval(child, k - 1, (de,) + es, drops[mu](fs), ctx)
+                if not v.is_zero():
+                    terms.append((1, v, None))
         if p - 2 * k >= 0:
             # derivative along each argument of the contracted component; a
             # connection is R-linear in the section it differentiates along,
@@ -279,9 +285,8 @@ class _Differential(Cochain):
                 v = table.get(args)
                 if v is None:
                     v = table[args] = child._eval(k, args, fs, ctx)
-                if not v.is_zero():
-                    dv = apply(sections[e], v)
-                    total = total + dv if i % 2 == 0 else total - dv
+                if not v.is_zero() and not (dv := apply(sections[e], v)).is_zero():
+                    terms.append((-1 if i % 2 else 1, dv, None))
             # bracket insertion at the place of the later argument; a zero
             # bracket in a slot of the R-multilinear child makes the term zero
             rows = ctx._rows
@@ -295,8 +300,9 @@ class _Differential(Cochain):
                 v = table.get(args)
                 if v is None:
                     v = table[args] = child._eval(k, args, fs, ctx)
-                total = total + v if sign > 0 else total - v
-        return total
+                if not v.is_zero():
+                    terms.append((sign, v, None))
+        return _total(self.zero, terms) if terms else self.zero
 
 
 class _InteriorE(Cochain):
@@ -357,15 +363,17 @@ class _LieE(Cochain):
         child = self.child
         zero_ids = ctx.zero_ids
         e = ctx.node_section_id(self)
-        total = self.zero
+        terms = []
         drops = _drop_plan(k)
         for mu in range(k):
             de = ctx.d_E(alg, fs[mu])
             if de in zero_ids:
                 continue
             rest = drops[mu](fs)
-            total = (total + _eval(child, k - 1, (de, e) + es, rest, ctx)
-                     + _eval(child, k - 1, (e, de) + es, rest, ctx))
+            for args in ((de, e) + es, (e, de) + es):
+                v = _eval(child, k - 1, args, rest, ctx)
+                if not v.is_zero():
+                    terms.append((1, v, None))
         along = self.along
         if along is None:
             apply, inert = alg.anchor_apply, ctx.anchor_free_ids
@@ -377,8 +385,8 @@ class _LieE(Cochain):
             v = table.get(es)
             if v is None:
                 v = table[es] = child._eval(k, es, fs, ctx)
-            if not v.is_zero():
-                total = total + apply(ctx.sections[e], v)
+            if not v.is_zero() and not (v := apply(ctx.sections[e], v)).is_zero():
+                terms.append((1, v, None))
         row = ctx._rows[e]
         for j, a in enumerate(es):
             br = row.get(a)
@@ -390,8 +398,9 @@ class _LieE(Cochain):
             v = table.get(args)
             if v is None:
                 v = table[args] = child._eval(k, args, fs, ctx)
-            total = total - v
-        return total
+            if not v.is_zero():
+                terms.append((-1, v, None))
+        return _total(self.zero, terms) if terms else self.zero
 
 
 class _LieF(Cochain):
@@ -409,6 +418,20 @@ class _LieF(Cochain):
 
     def _eval(self, k, es, fs, ctx):
         return _eval(self._a, k, es, fs, ctx) - _eval(self._b, k, es, fs, ctx)
+
+
+def _total(zero, terms):
+    """The sum of the nonzero terms (sign, v, f), sign*f*v or sign*v when f
+    is None, in the module of zero; there is at least one term."""
+    if zero.__class__ is Scalar:
+        return signed_sum(zero.n, terms)
+    n = zero.module.n
+    columns = [[] for _ in zero.components]
+    for sign, v, f in terms:
+        for column, c in zip(columns, v.components):
+            if c.num:
+                column.append((sign, c, f))
+    return Section(zero.module, [signed_sum(n, column) for column in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -1155,24 +1178,15 @@ def random_cochain(alg, degree, rng, battery):
         return rng.choice(pool_functions)
 
     def build(p, depth):
-        if p < 0:
-            return zero_cochain(alg, p)
-        if p == 0 and depth <= 0:
+        if p == 0:
             return scalar_leaf(alg, rand_function())
         if depth <= 0:
             w = section_leaf(alg, rand_section())
             for _ in range(p - 1):
                 w = mul(w, section_leaf(alg, rand_section()))
             return w
-        if p == 0:
-            return scalar_leaf(alg, rand_function())
-        choices = []
-        if p == 1:
-            choices.append("leaf")
-        if p >= 1:
-            choices.append("d")
-            choices.append("mul")
-            choices.append("lie_e")
+        choices = ["leaf"] if p == 1 else []
+        choices += ["d", "mul", "lie_e"]
         if p + 1 <= PRODUCT_DEGREE_CAP:
             choices.append("ie")
             choices.append("lie_f")

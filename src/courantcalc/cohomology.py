@@ -42,13 +42,9 @@ class PointComplex:
 
     def basis(self, p):
         """Index subsets labelling the alternating basis in degree p."""
-        if not 0 <= p <= self.rank:
-            raise PreconditionError(f"degree {p} out of range 0..{self.rank}")
         return self._bases[p]
 
     def dimension(self, p):
-        if p < 0 or p > self.rank:
-            return 0
         return comb(self.rank, p)
 
     def differential_matrix(self, p):
@@ -62,8 +58,6 @@ class PointComplex:
         the one column of its sorted indices, with the sign of moving k from
         place j - 1 to its sorted place.
         """
-        if not 0 <= p <= self.rank:
-            raise PreconditionError(f"degree {p} out of range 0..{self.rank}")
         cached = self._matrices.get(p)
         if cached is not None:
             return cached
@@ -97,8 +91,6 @@ class PointComplex:
 
     def betti(self, p):
         """Betti number in degree p from exact rational ranks."""
-        if p < 0 or p > self.rank:
-            return 0
         rank_out = self._rank(p) if p < self.rank else 0
         rank_in = self._rank(p - 1) if p >= 1 else 0
         return self.dimension(p) - rank_out - rank_in

@@ -45,6 +45,8 @@ integer denominator, rescaled only when a product's denominator does not
 divide it, and the sum is normalised once (Johnson, "Sparse polynomial
 arithmetic", SIGSAM Bull. 8, 1974), not once per partial sum.  Any other
 sum is folded product by product, keeping the fast paths of ``*``.
+``signed_sum`` runs the same loop on signed products and lone values
+whenever the denominators are constant; over a point it adds integers.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ __all__ = [
     "random_polynomial",
     "monomials_up_to",
     "sum_of_products",
+    "signed_sum",
 ]
 
 
@@ -865,7 +868,7 @@ def sum_of_products(n, pairs):
         if len(a.num) > 1 and len(b.num) > 1:
             wide += 1
     if wide > 1 and all(_p_is_const(a.den) and _p_is_const(b.den) for a, b in pairs):
-        return _fused_sum(n, pairs)
+        return _fused_sum(n, [(1, a, b) for a, b in pairs])
     rest = iter(pairs)
     a, b = next(rest)
     total = a * b
@@ -874,25 +877,62 @@ def sum_of_products(n, pairs):
     return total
 
 
-def _fused_sum(n, pairs):
-    """sum a*b, every den constant: the products of the numerators run into
-    one dict over the common denominator D, normalised once."""
+def signed_sum(n, terms):
+    """sum sign*a*b over the terms (sign, a, b) of nonzero Scalars in n
+    variables, sign +-1, a alone where b is None: fused when there are two
+    terms or more and every den is constant, as over a point; else folded."""
+    if len(terms) > 1:
+        for _, a, b in terms if n else ():  # over a point every den is constant
+            if not _p_is_const(a.den) or b is not None and not _p_is_const(b.den):
+                break
+        else:
+            return _fused_sum(n, terms)
+    total = _zero_cache(n)
+    for sign, a, b in terms:
+        if b is not None:
+            a = a * b
+        total = total + a if sign > 0 else total - a
+    return total
+
+
+def _fused_sum(n, terms):
+    """sum sign*a*b (a where b is None), every den constant: the products of
+    the numerators run into one dict over the common denominator D,
+    normalised once; over a point, into one integer fraction N/D, reduced
+    by one gcd."""
+    D = 1
+    if not n:
+        N = 0
+        for sign, a, b in terms:
+            c, d = sign * a.num[0], a.den[0]
+            if b is not None:
+                c, d = c * b.num[0], d * b.den[0]
+            g = gcd(D, d)
+            N, D = N * (d // g) + c * (D // g), D // g * d
+        g = gcd(N, D)
+        return (Scalar(0, {0: N // g}, _const_den(D // g), _canonical=True)
+                if N else _zero_cache(0))
     top = n * _W
     acc = {}
-    D = 1
-    for a, b in pairs:
-        x, y = a.num, b.num
-        if (max(x) + max(y)) >> top > _MAX_DEGREE:
-            raise ScalarError(f"total degree exceeds {_MAX_DEGREE}")
-        d = a.den[0] * b.den[0]
+    for sign, a, b in terms:
+        x, d = a.num, a.den[0]
+        if b is not None:
+            y = b.num
+            if (max(x) + max(y)) >> top > _MAX_DEGREE:
+                raise ScalarError(f"total degree exceeds {_MAX_DEGREE}")
+            d *= b.den[0]
         if D % d:
             k = d // gcd(D, d)
             D *= k
             acc = {m: c * k for m, c in acc.items()}
-        s = D // d
+        s = sign * (D // d)
+        get = acc.get
+        if b is None:
+            for m, c in x.items():
+                acc[m] = get(m, 0) + c * s
+            continue
         if len(x) > len(y):
             x, y = y, x
-        get = acc.get
         for mx, cx in x.items():
             cx *= s
             for my, cy in y.items():

@@ -2,6 +2,7 @@ import gc
 import json
 import pathlib
 import random
+import sys
 import weakref
 from itertools import combinations, islice, permutations, product
 from math import comb
@@ -10,6 +11,7 @@ import pytest
 
 from courantcalc import cochain as co
 from courantcalc import dorfman as dc
+from courantcalc import scalar
 from courantcalc.algebroid import Section, algebroid_from_json, build_standard
 from courantcalc.battery import Battery
 from courantcalc.scalar import Scalar, parse_scalar
@@ -355,6 +357,40 @@ def test_bianchi_cochain_agrees_with_reference_evaluator(standard2):
                  co.lie_e(battery.scaled[0], curvature, end)):
         calls = _oracle_tuples(node, sections, functions, rng, per_component=2)
         _assert_agrees_with_reference(node, calls, _EndRef(conn))
+
+
+def test_a_differential_sums_each_value_once(su2, monkeypatch):
+    # over a point every component value is one integer fraction, so the
+    # evaluator adds no two scalars itself (11 such additions as a fold)
+    battery = Battery(su2, degree=1, extras=1)
+    w = next(w for w in co.generator_cochains(su2, battery)
+             if w.degree == 3 and isinstance(w, co._Differential))
+    callers = []
+    add = scalar._sum
+    monkeypatch.setattr(scalar, "_sum", lambda *args: callers.append(
+        sys._getframe(2).f_globals["__name__"]) or add(*args))
+    co.evaluate(co.differential(co.differential(w)), 0, su2.frame + su2.frame[:2])
+    assert "courantcalc.cochain" not in callers
+
+
+def test_the_bracket_insertion_signs_reach_the_sum(su2, monkeypatch):
+    # with the sign of every bracket-insertion term flipped, the differential
+    # no longer agrees with the reference evaluator
+    battery = Battery(su2, degree=1, extras=1)
+    sections, functions = _reference_pools(su2, battery)
+    nodes = [co.differential(w) for w in co.generator_cochains(su2, battery)
+             if 1 <= w.degree <= 2]
+    plan = co._insertion_plan
+    monkeypatch.setattr(co, "_insertion_plan", lambda m: tuple(
+        (i, j, insert, -sign) for i, j, insert, sign in plan(m)))
+    rng = random.Random("flipped-signs")
+    ctx = co.EvalContext()
+    disagree = 0
+    for node in nodes:
+        for k, secs, funs in _oracle_tuples(node, sections, functions, rng):
+            want = _ref_eval(node, k, secs, funs, _AnchorRef(su2))
+            disagree += not (co.evaluate(node, k, secs, funs, ctx) - want).is_zero()
+    assert disagree
 
 
 # -- evaluation context --------------------------------------------------------------

@@ -667,3 +667,107 @@ def test_sum_of_products_that_cancels_is_the_zero_scalar():
     got = scalar.sum_of_products(2, [(a, b), (-a, b), (b, b), (-b, b)])
     assert got.is_zero() and got.den is scalar._ONE
     assert got == _fold(2, [(a, b), (-a, b)])
+
+
+# signed_sum, the kernel of the cochain evaluator, takes signed terms: a
+# product of two factors or a lone value.  Every sum of two terms or more
+# whose denominators are all constant is fused (over a point, every sum of
+# two terms or more); a sum with a rational function is folded in order.
+
+
+@st.composite
+def signed_terms(draw, n, kinds, max_size=6):
+    """(terms, sympy value): up to max_size terms (sign, a, b), b a factor
+    or None, with the factors drawn from the kinds."""
+    terms, total = [], K2.zero if n else Fraction(0)
+    for _ in range(draw(st.integers(0, max_size))):
+        sign = draw(st.sampled_from((1, -1)))
+        a, value = draw(factors(n, kinds))
+        b = None
+        if draw(st.booleans()):
+            b, vb = draw(factors(n, kinds))
+            value = value * vb
+        terms.append((sign, a, b))
+        total = total + value if sign > 0 else total - value
+    return terms, total
+
+
+def _signed_fold(n, terms):
+    total = Scalar.zero(n)
+    for sign, a, b in terms:
+        value = a if b is None else a * b
+        total = total + value if sign > 0 else total - value
+    return total
+
+
+def _assert_signed_sum_matches(n, terms, expected):
+    got = scalar.signed_sum(n, terms)
+    folded = _signed_fold(n, terms)
+    assert str(got) == normal_form(expected)
+    assert (got.num, got.den) == (folded.num, folded.den)
+    _assert_one_is_shared(got.den)
+    return got
+
+
+def test_signed_sum_matches_sympy_and_the_fold():
+    paths = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((0, 2)).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from(KINDS).flatmap(
+            lambda kinds: signed_terms(n, kinds[0])))))
+    def check(case):
+        n, (terms, expected) = case
+        fused.clear()
+        _assert_signed_sum_matches(n, terms, expected)
+        rational = any(not x.is_polynomial() for _, a, b in terms
+                       for x in (a, b) if x is not None)
+        # a sum with a rational function takes the fold, any other sum of
+        # two terms or more the fused path
+        assert len(fused) == (len(terms) > 1 and not rational)
+        paths.add((n, "fused" if fused else "rational" if rational else "short"))
+
+    patch, fused = _counting_fused_sums()
+    with patch:
+        check()
+    assert {(2, "fused"), (2, "rational"), (0, "fused")} <= paths, paths
+
+
+def test_signed_sum_over_a_growing_denominator():
+    # lone values and products over 2, 3 and 4: the common denominator goes
+    # 2, 6, 12 at n = 2, and 4, 12 over a point
+    texts = [(1, "x1/2 + 1", "x2 - 3"), (-1, "x1 + x2/3", None),
+             (1, "x1*x2/4 - 1", "x2 + 1/2"), (-1, "x1 - 1", "x1 + 1")]
+    values = [(1, X1 / 2 + 1, X2 - 3), (-1, X1 + X2 / 3, 1),
+              (1, X1 * X2 / 4 - 1, X2 + QQ(1, 2)), (-1, X1 - 1, X1 + 1)]
+    terms = [(sign, parse_scalar(a, 2), b and parse_scalar(b, 2)) for sign, a, b in texts]
+    expected = sum((sign * a * b for sign, a, b in values), K2.zero)
+    _assert_signed_sum_matches(2, terms, expected)
+    q = lambda text: parse_scalar(text, 0)
+    terms = [(1, q("1/4"), None), (-1, q("2/3"), q("5")), (1, q("7"), q("3/4"))]
+    expected = Fraction(1, 4) - Fraction(10, 3) + Fraction(21, 4)
+    assert _assert_signed_sum_matches(0, terms, expected).den == {0: 6}
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_signed_sum_that_cancels_is_the_zero_scalar(n):
+    a = parse_scalar("x1/2 + x2" if n else "1/2", n)
+    b = parse_scalar("x1 - 1/3" if n else "-1/3", n)
+    c = parse_scalar("3/4", n)
+    terms = [(1, a, b), (1, c, None), (-1, b, a), (-1, c, None)]
+    got = scalar.signed_sum(n, terms)
+    assert got.is_zero() and got.den is scalar._ONE
+    assert got == _signed_fold(n, terms)
+
+
+def test_signed_sum_keeps_the_degree_guard():
+    # a lone value at the cap passes; a product past it raises, fused as
+    # it would be by __mul__
+    limit = 2**16 - 1
+    high = Scalar.monomial(2, (limit - 1, 0), Fraction(1, 2)) + parse_scalar("x2", 2)
+    low = parse_scalar("x1/3 + 1", 2)
+    top = high * low
+    terms = [(1, top, None), (-1, high, low), (1, low, low)]
+    _assert_signed_sum_matches(2, terms, (X1 / 3 + 1) ** 2)
+    with pytest.raises(ScalarError):
+        scalar.signed_sum(2, [(1, low, None), (-1, top, low)])
