@@ -135,6 +135,17 @@ class FramedModule:
         return "(" + ", ".join(str(c) for c in components) + ")"
 
 
+def _check_shape(n, rank, pairing_matrix, anchor_matrix):
+    """PreconditionError unless rank >= 1, the pairing matrix is rank x rank
+    and the anchor matrix is n x rank."""
+    if rank < 1:
+        raise PreconditionError(f"rank must be >= 1, got {rank}")
+    if len(pairing_matrix) != rank or any(len(row) != rank for row in pairing_matrix):
+        raise PreconditionError("pairing matrix must be rank x rank")
+    if len(anchor_matrix) != n or any(len(row) != rank for row in anchor_matrix):
+        raise PreconditionError("anchor matrix must be n x rank")
+
+
 class CourantAlgebroid(FramedModule):
     """Courant algebroid structure data on a trivialized patch.
 
@@ -147,17 +158,12 @@ class CourantAlgebroid(FramedModule):
 
     def __init__(self, n, rank, pairing_matrix, anchor_matrix, bracket_coeffs,
                  _allow_degenerate=False):
-        if rank < 1:
-            raise PreconditionError(f"rank must be >= 1, got {rank}")
-        super().__init__(n, rank)
-        if len(pairing_matrix) != rank or any(len(row) != rank for row in pairing_matrix):
-            raise PreconditionError("pairing matrix must be rank x rank")
-        if len(anchor_matrix) != n or any(len(row) != rank for row in anchor_matrix):
-            raise PreconditionError("anchor matrix must be n x rank")
+        _check_shape(n, rank, pairing_matrix, anchor_matrix)
         if len(bracket_coeffs) != rank or any(
                 len(row) != rank for row in bracket_coeffs) or any(
                 len(cell) != rank for row in bracket_coeffs for cell in row):
             raise PreconditionError("bracket coefficients must be rank x rank x rank")
+        super().__init__(n, rank)
         for i in range(rank):
             for j in range(rank):
                 if pairing_matrix[i][j] != pairing_matrix[j][i]:
@@ -605,6 +611,8 @@ def algebroid_from_json(doc):
     r = _json_int(doc, "rank")
     pairing = _scalar_rows(doc["pairing"], "pairing", n)
     anchor = _scalar_rows(doc.get("anchor", []), "anchor", n)
+    # before the rank^3 bracket array: a short document may name any rank
+    _check_shape(n, r, pairing, anchor)
     bracket = _keyed_array(doc, "bracket", "bracket", r, r, n)
     return build_from_structure_data(n, r, pairing, anchor, bracket)
 

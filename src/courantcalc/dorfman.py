@@ -146,6 +146,8 @@ class PredualBundle(_FramedBundle):
     """
 
     def __init__(self, alg, rank, pairing_matrix, alpha_matrix):
+        if rank < 1:
+            raise PreconditionError(f"rank must be >= 1, got {rank}")
         if len(pairing_matrix) != rank or any(len(r) != alg.rank for r in pairing_matrix):
             raise PreconditionError("pairing matrix must be rank x algebroid-rank")
         if len(alpha_matrix) != rank or any(len(r) != alg.n for r in alpha_matrix):

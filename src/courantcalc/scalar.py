@@ -1011,6 +1011,9 @@ _MAX_COEFF_BITS = 4096
 # term pairs one product may multiply: two values under the term cap could
 # otherwise ask for 16 million, with as many terms in the result
 _MAX_WORK = 1 << 20
+# ASCII only: str.isdigit also takes "²", which int() rejects, and "٣"
+_DIGITS = frozenset("0123456789")
+_SPACE = frozenset(" \t\n\r\f\v")
 
 
 def parse_scalar(text, n):
@@ -1035,14 +1038,14 @@ def _tokenize(text):
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch.isspace():
+        if ch in _SPACE:
             i += 1
         elif ch in "+-*/^()":
             tokens.append(ch)
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             digits = text[i:j].lstrip("0") or "0"
             # 10^1234 > 2^4096: longer literals are over the coefficient cap
@@ -1053,7 +1056,7 @@ def _tokenize(text):
             i = j
         elif ch == "x":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             if j == i + 1:
                 raise ParseError(f"bad variable name at {text[i:]!r}")

@@ -6,6 +6,8 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -269,12 +271,45 @@ def test_negative_numeric_flags_exit_2(argv):
 @pytest.mark.parametrize("argv", [
     ["cartan", "--max-degree", "4"],
     ["cohomology", "--max-p", "3"],
-], ids=["max-degree", "max-p"])
+    ["predual-diagnose", "--battery-degree", "1"],
+    ["predual-diagnose", "--extras", "1"],
+    ["predual-diagnose", "--seed", "1"],
+    ["cohomology", "--battery-degree", "1"],
+    ["cohomology", "--extras", "1"],
+], ids=["max-degree", "max-p", "predual-diagnose-battery-degree",
+        "predual-diagnose-extras", "predual-diagnose-seed",
+        "cohomology-battery-degree", "cohomology-extras"])
 def test_removed_options_are_unrecognized(argv):
-    proc = run_cli(argv[0], str(DATA / "su2.json"), *argv[1:])
+    inputs = [STD2, PRE2] if argv[0] == "predual-diagnose" else [str(DATA / "su2.json")]
+    proc = run_cli(argv[0], *inputs, *argv[1:])
     assert proc.returncode == 2
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_cohomology_takes_the_seed_and_does_not_read_it():
+    # the benchmark's calculus jobs pass --seed to cohomology
+    su2 = str(DATA / "su2.json")
+    seeded = run_cli("cohomology", su2, "--seed", "7", "--format", "json")
+    default = run_cli("cohomology", su2, "--format", "json")
+    assert seeded.returncode == default.returncode == 0
+    seeded, default = json.loads(seeded.stdout), json.loads(default.stdout)
+    assert seeded["config"].pop("seed") == 7
+    assert default["config"].pop("seed") == 0
+    assert seeded == default
+
+
+def test_each_command_is_declared_once_with_the_options_it_reads():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(cli.COMMANDS)
+    for name, parser in subparsers.choices.items():
+        command = cli.COMMANDS[name]
+        options = {o for a in parser._actions for o in a.option_strings}
+        assert options == {*command.options, "--format", "-o", "--output",
+                           "-h", "--help"}, name
+        inputs = [a.dest for a in parser._actions if not a.option_strings]
+        assert inputs == command.inputs.split(), name
 
 
 def test_connection_build_without_a_correction_is_a_failed_precondition(tmp_path):
@@ -388,7 +423,8 @@ def test_internal_error_exits_4_with_one_line(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli.COMMANDS, "verify-algebroid", broken)
+    monkeypatch.setitem(cli.COMMANDS, "verify-algebroid",
+                        cli.COMMANDS["verify-algebroid"]._replace(run=broken))
     assert cli.main(["verify-algebroid", str(DATA / "su2.json")]) == 4
     out, err = capsys.readouterr()
     assert out == ""
@@ -401,7 +437,8 @@ def test_internal_key_error_is_not_malformed_input(monkeypatch, capsys):
     def broken(args):
         raise KeyError("internal")
 
-    monkeypatch.setitem(cli.COMMANDS, "verify-algebroid", broken)
+    monkeypatch.setitem(cli.COMMANDS, "verify-algebroid",
+                        cli.COMMANDS["verify-algebroid"]._replace(run=broken))
     assert cli.main(["verify-algebroid", str(DATA / "su2.json")]) == 4
     out, err = capsys.readouterr()
     assert out == ""
@@ -435,6 +472,51 @@ def test_parser_caps_exit_2(tmp_path, entry, message):
     assert proc.stderr.startswith("input error: ")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("entry", ["²", "x²", "x1^²", "٣", "1\u00a0+ 2"],
+                         ids=["superscript", "variable", "exponent",
+                              "arabic-indic", "no-break-space"])
+def test_non_ascii_digits_and_spaces_exit_2(tmp_path, entry):
+    doc = {"n": 1, "rank": 2, "pairing": [["0", "1"], ["1", "0"]],
+           "anchor": [[entry, "0"]]}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("verify-algebroid", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_a_huge_rank_fails_its_shape_check_before_allocating(tmp_path):
+    # the bracket array is rank^3 entries: the pairing's shape is checked first
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"n": 1, "rank": 10**6, "pairing": []}))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        proc = run_cli("verify-algebroid", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 3
+    assert proc.stderr == "precondition failed: pairing matrix must be rank x rank\n"
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ["connection-build"], ["connection-verify", CONNECTION],
+    ["curvature", CONNECTION], ["bianchi", CONNECTION], ["predual-diagnose"],
+], ids=lambda argv: argv[0])
+def test_a_rank_0_predual_is_a_failed_precondition(tmp_path, argv):
+    path = tmp_path / "predual.json"
+    path.write_text(json.dumps({"rank": 0, "pairing_P": [], "alpha_A": []}))
+    proc = run_cli(argv[0], str(DATA / "su2.json"), str(path), *argv[1:])
+    assert proc.returncode == 3
+    assert proc.stderr == "precondition failed: rank must be >= 1, got 0\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,

@@ -24,7 +24,7 @@ DATA = pathlib.Path(__file__).parent.parent / "demos" / "data"
 
 WELL_FORMED = ["0", "1", "-2", "7", "1/2", "-3/4", "x1", "x2"]
 MALFORMED = ["x3", "x0", "", "x", "1/0", "(", "2*", "x1^x2", "x1^-1", "1 2",
-             "@", "x1^1.5"]
+             "@", "x1^1.5", "²", "x²", "x1^²", "٣", "1\u00a0+ 2"]
 # exponents up to 3 keep a well-formed document cheap; the rest are over
 # the parser's cap of 64
 EXPONENTS = [0, 1, 2, 3, 65, 300, 30000000]

@@ -130,6 +130,14 @@ def test_parser_rejects_malformed():
             parse_scalar(text, 2)
 
 
+def test_parser_reads_only_ascii_digits_and_whitespace():
+    # str.isdigit and str.isspace also take these; int() rejects "²"
+    for text in ("²", "x²", "x1^²", "٣", "1\u00a0+ 2", "x\u0661"):
+        with pytest.raises(ParseError, match="unexpected character|bad variable"):
+            parse_scalar(text, 2)
+    assert parse_scalar(" 1 +\t2\n", 2) == Scalar.const(2, 3)
+
+
 def test_parser_rejects_non_strings():
     for value in (0, 1.5, None, ["x1"]):
         with pytest.raises(ParseError):
